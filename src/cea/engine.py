@@ -11,16 +11,23 @@ the result to whichever evaluator the chosen logic dictates:
   fl  - possibilistic, on the syntax    cpl - conditional probability of
                                               the conditional object
 
-For cl and pl the rule arrow is material implication; for cpl each rule
-becomes the conditional object (consequent | antecedent) and the
-conjunction/disjunction happen in the conditional calculus.
+Each logic conjoins and disjoins in a distributive lattice, pointwise on
+atoms (see `lattice`): events under & and | for cl and pl, with the rule
+arrow read as material implication; conditional objects under
+conjoin_all and disjoin_all for cpl (Kleene min and max on the
+true/false/undefined reading), each rule being (consequent | antecedent);
+formulas under And and Or for fl, read as MIN and MAX. So the
+disjunction over assignments is computed by bucket elimination (Dechter
+1999), one swept variable at a time, not one assignment at a time.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
+import math
 from functools import reduce
+from operator import and_, or_
 from typing import Mapping, Optional, Sequence, Union
 
 from .algebra import AtomSpace, Event, material_implies
@@ -37,6 +44,8 @@ from .semantics import (
 ALDP_TAGS = ("cl", "fl", "pl", "cpl")
 VARIABLE_KINDS = ("data-attribute", "auxiliary-attribute", "diagnosis")
 MAX_SPACE_ATOMS = 1 << 20
+# Entries of the largest joint table one elimination step may build.
+MAX_ELIMINATION_TABLE = 1 << 16
 
 
 class KnowledgeBaseError(ValueError):
@@ -71,6 +80,9 @@ class Rule:
 
     def variables(self) -> set[str]:
         return self.antecedent.variables() | self.consequent.variables()
+
+    def free_variables(self) -> set[str]:
+        return self.antecedent.free_variables() | self.consequent.free_variables()
 
     def __repr__(self) -> str:
         return f"Rule({self.id}: {self.antecedent!r} => {self.consequent!r})"
@@ -149,14 +161,19 @@ class Grounding:
             self.atom_assignments.append(assignment)
             labels.append(",".join(f"{n}={v}" for n, v in assignment.items()))
         self.space = AtomSpace(len(labels), labels)
+        # In product order a variable with d values and stride s holds
+        # value j on a block of s atoms at offset j*s of every period of
+        # d*s atoms; multiplying the block by `repeat` tiles it.
         self._primitive: dict[tuple[str, str], Event] = {}
+        stride = self.space.atom_count
         for var in kb.variables:
-            for val in var.domain:
-                mask = 0
-                for idx, assignment in enumerate(self.atom_assignments):
-                    if assignment[var.name] == val:
-                        mask |= 1 << idx
-                self._primitive[(var.name, val)] = self.space.event_from_mask(mask)
+            stride //= len(var.domain)
+            period = len(var.domain) * stride
+            repeat = self.space.full_mask // ((1 << period) - 1)
+            block = (1 << stride) - 1
+            for j, val in enumerate(var.domain):
+                self._primitive[(var.name, val)] = self.space.event_from_mask(
+                    (block << (j * stride)) * repeat)
 
     def primitive(self, var: str, value: str) -> Event:
         try:
@@ -184,17 +201,24 @@ class Grounding:
     ) -> Event:
         """Ground a formula; free leaves resolve through the observation
         first, then the domain-variable assignment."""
+        vals_of = leaf_values(observation, assignment or {})
+        return ground(f, lambda var, vals: self.values_event(var, vals_of(var, vals)))
 
-        def resolve(var: str, vals):
-            if vals is not None:
-                return self.values_event(var, vals)
-            if observation is not None and var in observation:
-                return self.values_event(var, observation.observed[var])
-            if assignment is not None and var in assignment:
-                return self.primitive(var, assignment[var])
-            raise KnowledgeBaseError(f"no binding for variable {var}")
 
-        return ground(f, resolve)
+def leaf_values(observation: Optional[Observation], assignment: Mapping[str, str]):
+    """The leaf resolver every logic shares: a leaf's own values, else
+    the observed values of its variable, else its assigned value."""
+
+    def resolve(var: str, vals):
+        if vals is not None:
+            return vals
+        if observation is not None and var in observation:
+            return tuple(observation.observed[var])
+        if var in assignment:
+            return (assignment[var],)
+        raise KnowledgeBaseError(f"no binding for variable {var}")
+
+    return resolve
 
 
 def build_space(kb: KnowledgeBase) -> Grounding:
@@ -221,20 +245,43 @@ def relevant_rules(kb: KnowledgeBase, obs: Observation) -> list[Rule]:
     return [r for r in kb.rules if r.id in chosen]
 
 
-def _bound_vals(obs: Observation, assignment: Mapping[str, str]):
-    def resolve(var: str, vals):
-        if vals is not None:
-            return vals
-        if var in obs:
-            return tuple(obs.observed[var])
-        if var in assignment:
-            return (assignment[var],)
-        raise KnowledgeBaseError(f"no binding for variable {var}")
-
-    return resolve
-
-
 ConjoinedForm = Union[Event, ConditionalObject, Formula]
+
+
+def lattice(grounding: Grounding, obs: Observation, aldp: str):
+    """How one logic conjoins and disjoins evidence: (meet, join, base,
+    factor). meet and join take a nonempty list; base lists what the
+    observation contributes; factor(rule, assignment) is what one rule
+    contributes, its free leaves resolved through the observation and
+    then the assignment. cl/pl: events, each rule a material
+    implication. cpl: conditional objects, each rule (consequent |
+    antecedent). fl: formula trees, each rule with its leaves bound."""
+    if aldp not in ALDP_TAGS:
+        raise KnowledgeBaseError(f"unknown logic tag {aldp!r}")
+    if aldp == "fl":
+        def fl_factor(rule, assignment):
+            vals_of = leaf_values(obs, assignment)
+            return Implies(bind_leaves(rule.antecedent, vals_of),
+                           bind_leaves(rule.consequent, vals_of))
+
+        return And, Or, [Leaf(var, vals) for var, vals in obs.observed.items()], fl_factor
+
+    def grounded(rule, assignment):
+        return (grounding.ground_formula(rule.antecedent, obs, assignment),
+                grounding.ground_formula(rule.consequent, obs, assignment))
+
+    y = reduce(and_, (grounding.values_event(var, vals)
+                      for var, vals in obs.observed.items()))
+    if aldp == "cpl":
+        def cpl_factor(rule, assignment):
+            ant, cons = grounded(rule, assignment)
+            return ConditionalObject(cons & ant, ant)
+
+        # looked up at call time, so that a patched module attribute is seen
+        return ((lambda xs: conjoin_all(xs)), (lambda xs: disjoin_all(xs)), [embed(y)],
+                cpl_factor)
+    return ((lambda xs: reduce(and_, xs)), (lambda xs: reduce(or_, xs)), [y],
+            lambda rule, assignment: material_implies(*grounded(rule, assignment)))
 
 
 def conjoin_f(
@@ -245,46 +292,9 @@ def conjoin_f(
     assignment: Mapping[str, str],
 ) -> ConjoinedForm:
     """The conjunction of the observed data with the relevant rules,
-    at one assignment of the domain variables.
-
-    cl/pl: event meet with material implications. cpl: conditional-space
-    meet with each rule as (consequent | antecedent). fl: the untouched
-    syntax tree, for MIN/MAX evaluation.
-    """
-    if aldp not in ALDP_TAGS:
-        raise KnowledgeBaseError(f"unknown logic tag {aldp!r}")
-    if aldp == "fl":
-        resolve = _bound_vals(obs, assignment)
-        parts: list[Formula] = [
-            Leaf(var, tuple(vals)) for var, vals in obs.observed.items()
-        ]
-        for rule in rules:
-            parts.append(
-                Implies(
-                    bind_leaves(rule.antecedent, resolve),
-                    bind_leaves(rule.consequent, resolve),
-                )
-            )
-        return And(parts)
-
-    y = reduce(
-        lambda x, z: x & z,
-        (grounding.values_event(var, vals) for var, vals in obs.observed.items()),
-    )
-    if aldp == "cpl":
-        factors = [embed(y)]
-        for rule in rules:
-            ant = grounding.ground_formula(rule.antecedent, obs, assignment)
-            cons = grounding.ground_formula(rule.consequent, obs, assignment)
-            factors.append(ConditionalObject(cons & ant, ant))
-        return conjoin_all(factors)
-
-    event = y
-    for rule in rules:
-        ant = grounding.ground_formula(rule.antecedent, obs, assignment)
-        cons = grounding.ground_formula(rule.consequent, obs, assignment)
-        event = event & material_implies(ant, cons)
-    return event
+    at one assignment of the domain variables, in the logic's lattice."""
+    meet, _, base, factor = lattice(grounding, obs, aldp)
+    return meet(base + [factor(rule, assignment) for rule in rules])
 
 
 def sweep_variables(
@@ -302,6 +312,56 @@ def sweep_variables(
     return out
 
 
+def elimination_order(scopes, domains: Mapping[str, Sequence[str]]) -> tuple[list[str], int]:
+    """Greedy elimination order over the variables the scopes name.
+
+    Each step eliminates the variable whose resulting table is smallest,
+    the first in `domains` order on a tie. Returns the order and the
+    entry count of the largest joint table a step builds. The order sets
+    only the cost: the lattice laws make every order give one result.
+    """
+    scopes = [set(s) for s in scopes]
+    remaining = [v for v in domains if any(v in s for s in scopes)]
+    order, largest = [], 1
+
+    def size(names) -> int:
+        return math.prod(len(domains[v]) for v in names)
+
+    def joint(var: str) -> set[str]:
+        return set().union(*(s for s in scopes if var in s))
+
+    while remaining:
+        var = min(remaining, key=lambda v: size(joint(v) - {v}))
+        merged = joint(var)
+        largest = max(largest, size(merged))
+        scopes = [s for s in scopes if var not in s] + [merged - {var}]
+        remaining.remove(var)
+        order.append(var)
+    return order, largest
+
+
+def _combine(op, items: list) -> ConjoinedForm:
+    return items[0] if len(items) == 1 else op(items)
+
+
+def _eliminate(meet, join, tables: list, var: str, domains) -> list:
+    """Meet the (scope, entries) tables that mention var and join over
+    its domain: one table over the other variables they mention."""
+    touching = [t for t in tables if var in t[0]]
+    names = {v for scope, _ in touching for v in scope} - {var}
+    scope = tuple(v for v in domains if v in names)
+    entries = {}
+    for combo in itertools.product(*(domains[v] for v in scope)):
+        env = dict(zip(scope, combo))
+        column = []
+        for value in domains[var]:
+            env[var] = value
+            column.append(_combine(meet, [
+                entries_of[tuple(env[v] for v in s)] for s, entries_of in touching]))
+        entries[combo] = _combine(join, column)
+    return [t for t in tables if var not in t[0]] + [(scope, entries)]
+
+
 def integrate_out(
     grounding: Grounding,
     obs: Observation,
@@ -309,28 +369,43 @@ def integrate_out(
     query_var: str,
     query_value: str,
 ) -> ConjoinedForm:
-    """Disjoin the conjunction form over every assignment of the swept
-    variables, with the query variable pinned to one value."""
+    """The join, over every assignment of the swept variables, of the
+    conjunction form, with the query variable pinned to one value.
+
+    Computed by variable elimination: each relevant rule becomes a table
+    over the swept variables its free leaves name, and the variables are
+    eliminated in `elimination_order`, whose largest table is checked
+    against MAX_ELIMINATION_TABLE before any rule is grounded. cl/pl
+    give an Event, cpl a ConditionalObject and fl a formula whose
+    sub-trees are shared between table entries.
+    """
     kb = grounding.kb
     decl = kb.variable(query_var)
     if decl.kind != "diagnosis":
         raise KnowledgeBaseError(f"query variable {query_var} is not a diagnosis")
     if query_value not in decl.domain:
         raise KnowledgeBaseError(f"{query_value!r} not in the domain of {query_var}")
+    meet, join, base, factor = lattice(grounding, obs, aldp)
     rules = relevant_rules(kb, obs)
-    sweep = sweep_variables(kb, rules, obs, query_var)
+    domains = {v.name: v.domain for v in sweep_variables(kb, rules, obs, query_var)}
+    scopes = [tuple(v for v in domains if v in rule.free_variables()) for rule in rules]
+    order, largest = elimination_order(scopes, domains)
+    if largest > MAX_ELIMINATION_TABLE:
+        raise KnowledgeBaseError(
+            f"eliminating the swept variables needs a table of {largest} entries,"
+            f" over the bound of {MAX_ELIMINATION_TABLE}")
 
-    forms = []
-    for combo in itertools.product(*(v.domain for v in sweep)):
-        assignment = dict(zip((v.name for v in sweep), combo))
-        assignment[query_var] = query_value
-        forms.append(conjoin_f(grounding, obs, rules, aldp, assignment))
-
-    if aldp == "fl":
-        return Or(forms)
-    if aldp == "cpl":
-        return disjoin_all(forms)
-    return reduce(lambda x, y: x | y, forms)
+    tables = []
+    for rule, scope in zip(rules, scopes):
+        entries = {}
+        for combo in itertools.product(*(domains[v] for v in scope)):
+            assignment = dict(zip(scope, combo))
+            assignment[query_var] = query_value
+            entries[combo] = factor(rule, assignment)
+        tables.append((scope, entries))
+    for var in order:
+        tables = _eliminate(meet, join, tables, var, domains)
+    return _combine(meet, base + [entries[()] for _, entries in tables])
 
 
 class EvalRow:

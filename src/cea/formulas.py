@@ -27,11 +27,18 @@ class Formula:
     __slots__ = ()
 
     def variables(self) -> set[str]:
-        out: set[str] = set()
+        return {leaf.var for leaf in self._leaves()}
+
+    def free_variables(self) -> set[str]:
+        """Variables of the leaves that carry no values of their own."""
+        return {leaf.var for leaf in self._leaves() if leaf.vals is None}
+
+    def _leaves(self) -> list["Leaf"]:
+        out: list[Leaf] = []
         self._collect(out)
         return out
 
-    def _collect(self, out: set[str]) -> None:
+    def _collect(self, out: list["Leaf"]) -> None:
         raise NotImplementedError
 
 
@@ -42,8 +49,8 @@ class Leaf(Formula):
         self.var = var
         self.vals = None if vals is None else tuple(vals)
 
-    def _collect(self, out: set[str]) -> None:
-        out.add(self.var)
+    def _collect(self, out: list["Leaf"]) -> None:
+        out.append(self)
 
     def __repr__(self) -> str:
         if self.vals is None:
@@ -57,7 +64,7 @@ class Not(Formula):
     def __init__(self, arg: Formula):
         self.arg = arg
 
-    def _collect(self, out: set[str]) -> None:
+    def _collect(self, out: list["Leaf"]) -> None:
         self.arg._collect(out)
 
     def __repr__(self) -> str:
@@ -73,7 +80,7 @@ class NaryOp(Formula):
             raise FormulaError(f"{self.symbol} needs at least one argument")
         self.args = tuple(args)
 
-    def _collect(self, out: set[str]) -> None:
+    def _collect(self, out: list["Leaf"]) -> None:
         for a in self.args:
             a._collect(out)
 
@@ -98,7 +105,7 @@ class Implies(Formula):
         self.antecedent = antecedent
         self.consequent = consequent
 
-    def _collect(self, out: set[str]) -> None:
+    def _collect(self, out: list["Leaf"]) -> None:
         self.antecedent._collect(out)
         self.consequent._collect(out)
 

@@ -41,7 +41,10 @@ def parse_weight(value) -> Weight:
     if isinstance(value, float):
         return value
     if isinstance(value, str):
-        return Fraction(value)
+        try:
+            return Fraction(value)
+        except ZeroDivisionError:
+            raise ValueError(f"not a weight: {value!r}") from None
     if isinstance(value, Fraction):
         return value
     raise ValueError(f"not a weight: {value!r}")
@@ -228,9 +231,12 @@ class PossibilityAssignment:
         if not isinstance(data, dict) or "poss" not in data:
             raise ValueError('possibility file must look like {"poss": {...}}')
         grades = {}
-        for var, vals in data["poss"].items():
+        for var, vals in _value_maps(data["poss"], "poss").items():
             for val, g in vals.items():
-                grades[(var, val)] = float(g)
+                try:
+                    grades[(var, val)] = float(g)
+                except TypeError:
+                    raise ValueError(f"grade for {var}[{val}] is not a number: {g!r}") from None
         return cls(grades)
 
     def grade(self, var: str, value: str) -> float:
@@ -240,22 +246,48 @@ class PossibilityAssignment:
             raise FormulaError(f"no possibility grade for {var}[{value}]") from None
 
 
+def _value_maps(section, name: str) -> dict:
+    """Check the {var: {value: number}} shape of a file section."""
+    if not isinstance(section, dict):
+        raise ValueError(f'"{name}" must be an object of variables')
+    for var, vals in section.items():
+        if not isinstance(vals, dict):
+            raise ValueError(f'"{name}" entry for {var} must be an object of values,'
+                             f" got {vals!r}")
+    return section
+
+
 def fl_eval(poss: PossibilityAssignment, f: Formula) -> float:
     """Possibilistic evaluation: MIN for and, MAX for or, 1-x for not,
     MAX(1-antecedent, consequent) for implies. Leaves must carry
-    explicit values; a multi-valued leaf reads as their disjunction."""
+    explicit values; a multi-valued leaf reads as their disjunction.
+
+    Each distinct node is graded once per call, so a formula whose
+    sub-trees are shared costs its number of nodes, not of paths."""
+    memo: dict[int, float] = {}
+
+    def grade(node: Formula) -> float:
+        key = id(node)
+        if key not in memo:
+            memo[key] = _fl_node(poss, node, grade)
+        return memo[key]
+
+    return grade(f)
+
+
+def _fl_node(poss: PossibilityAssignment, f: Formula, grade) -> float:
     if isinstance(f, Leaf):
         if f.vals is None:
             raise FormulaError(f"unbound leaf {f.var} in fuzzy evaluation")
         return max(poss.grade(f.var, v) for v in f.vals)
     if isinstance(f, Not):
-        return 1.0 - fl_eval(poss, f.arg)
+        return 1.0 - grade(f.arg)
     if isinstance(f, And):
-        return min(fl_eval(poss, a) for a in f.args)
+        return min(grade(a) for a in f.args)
     if isinstance(f, Or):
-        return max(fl_eval(poss, a) for a in f.args)
+        return max(grade(a) for a in f.args)
     if isinstance(f, Implies):
-        return max(1.0 - fl_eval(poss, f.antecedent), fl_eval(poss, f.consequent))
+        return max(1.0 - grade(f.antecedent), grade(f.consequent))
     raise FormulaError(f"unknown formula node {f!r}")
 
 
@@ -275,6 +307,8 @@ def measure_from_json(
         raise ValueError("measure file must be a JSON object")
     if "atoms" in data:
         mapping = data["atoms"]
+        if not isinstance(mapping, dict):
+            raise ValueError('"atoms" must be an object of atom labels')
         weights: list[Weight] = []
         unknown = set(mapping) - set(space.atom_labels)
         if unknown:
@@ -287,7 +321,7 @@ def measure_from_json(
             raise ValueError("factor measures need a variable-grounded space")
         factors = {
             var: {val: parse_weight(w) for val, w in vals.items()}
-            for var, vals in data["factors"].items()
+            for var, vals in _value_maps(data["factors"], "factors").items()
         }
         for var, vals in factors.items():
             total = sum(vals.values())

@@ -117,6 +117,41 @@ def test_eval_malformed_kb(tmp_path, obs_path):
     assert proc.returncode == 2
 
 
+@pytest.mark.parametrize("aldp,flag,content", [
+    ("fl", "--poss", {"poss": {"a1": [1]}}),
+    ("fl", "--poss", {"poss": [1]}),
+    ("fl", "--poss", {"poss": {"a1": {"1": [1]}}}),
+    ("pl", "--measure", {"factors": {"a1": [1]}}),
+    ("pl", "--measure", {"factors": {"a1": {"1": "1/0"}}}),
+    ("pl", "--measure", {"atoms": ["a1=1,a2=1,a3=1,b1=106-reddish,b2=1,th1=none"]}),
+])
+def test_eval_malformed_value_map_exits_two(kb_path, obs_path, tmp_path, aldp, flag, content):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(content))
+    proc = run_cli("eval", "--kb", kb_path, "--observe", obs_path,
+                   "--aldp", aldp, flag, str(path))
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert len(proc.stderr.splitlines()) == 1
+
+
+def test_eval_refuses_elimination_over_budget(kb_path, obs_path):
+    # A KB over the real bound has more than 65,536 atoms to ground, so
+    # the bound is lowered to just under the bundled KB's largest table.
+    code = ("import sys, cea.cli, cea.engine; cea.engine.MAX_ELIMINATION_TABLE = 26; "
+            "sys.exit(cea.cli.main(sys.argv[1:]))")
+    proc = subprocess.run(
+        [sys.executable, "-c", code, "eval", "--kb", kb_path, "--observe", obs_path,
+         "--aldp", "cpl", "--measure", "uniform"],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.splitlines() == [
+        "error: eliminating the swept variables needs a table of 27 entries,"
+        " over the bound of 26"]
+
+
 def test_oracle_verify_small():
     proc = run_cli("oracle", "verify", "--atoms", "2", "--higher-order")
     assert proc.returncode == 0

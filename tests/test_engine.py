@@ -1,14 +1,19 @@
+import itertools
+import random
 from fractions import Fraction
 from functools import reduce
+from operator import or_
 
 import pytest
 
+from cea.conditional import disjoin_all
 from cea.data import load_bundled_kb, load_bundled_observation
 from cea.engine import (
     KnowledgeBaseError,
     Observation,
     build_space,
     conjoin_f,
+    elimination_order,
     evaluate,
     integrate_out,
     kb_from_json,
@@ -16,8 +21,31 @@ from cea.engine import (
     relevant_rules,
     sweep_variables,
 )
-from cea.formulas import from_json
-from cea.semantics import PossibilityAssignment, ProbabilityMeasure, measure_from_json
+from cea.formulas import Or, from_json
+from cea.semantics import (
+    PossibilityAssignment,
+    ProbabilityMeasure,
+    fl_eval,
+    measure_from_json,
+)
+
+
+def enumerate_integrate_out(grounding, obs, aldp, query_var, query_value):
+    """The reference integrator: the join of the conjunction form over
+    every assignment of the swept variables, one by one."""
+    kb = grounding.kb
+    rules = relevant_rules(kb, obs)
+    sweep = sweep_variables(kb, rules, obs, query_var)
+    forms = []
+    for combo in itertools.product(*(v.domain for v in sweep)):
+        assignment = dict(zip((v.name for v in sweep), combo))
+        assignment[query_var] = query_value
+        forms.append(conjoin_f(grounding, obs, rules, aldp, assignment))
+    if aldp == "fl":
+        return Or(forms)
+    if aldp == "cpl":
+        return disjoin_all(forms)
+    return reduce(or_, forms)
 
 
 @pytest.fixture(scope="module")
@@ -320,3 +348,106 @@ def test_kb_validation_errors():
         observation_from_json(kb, {"observe": {}})
     with pytest.raises(KnowledgeBaseError):
         observation_from_json(kb, {})
+
+
+def test_primitive_masks_match_atom_scan(bundled):
+    three = kb_from_json({
+        "variables": [
+            {"name": "u", "kind": "data-attribute", "domain": ["0", "1"]},
+            {"name": "v", "kind": "auxiliary-attribute", "domain": ["a", "b", "c", "d"]},
+            {"name": "w", "kind": "diagnosis", "domain": ["x", "y", "z"]},
+        ],
+        "rules": [],
+    })
+    for grounding in (bundled[1], build_space(three)):
+        for var in grounding.kb.variables:
+            for val in var.domain:
+                scan = sum(1 << i for i, a in enumerate(grounding.atom_assignments)
+                           if a[var.name] == val)
+                assert grounding.primitive(var.name, val).mask == scan
+
+
+def test_elimination_order_is_greedy_with_declaration_ties(bundled):
+    kb, _, obs = bundled
+    rules = relevant_rules(kb, obs)
+    domains = {v.name: v.domain for v in sweep_variables(kb, rules, obs, "th1")}
+    scopes = [tuple(v for v in domains if v in r.free_variables()) for r in rules]
+    assert scopes == [("a1",), ("a2", "a3", "b2"), ("b2",), ("a1", "a2")]
+    # a1 leaves a 3-entry table; then a2, a3 and b2 each leave 9 and a2
+    # comes first; the joint table over a2, a3, b2 is the largest
+    assert elimination_order(scopes, domains) == (["a1", "a2", "a3", "b2"], 27)
+    assert elimination_order([(), ()], domains) == ([], 1)
+
+
+def chain_kb(k):
+    path = ["b1"] + [f"a{i}" for i in range(k)] + ["th"]
+    variables = [{"name": "b1", "kind": "data-attribute", "domain": ["x", "y"]}]
+    variables += [{"name": a, "kind": "auxiliary-attribute", "domain": ["1", "2", "3"]}
+                  for a in path[1:-1]]
+    variables.append({"name": "th", "kind": "diagnosis", "domain": ["t0", "t1", "t2"]})
+    rules = [{"id": f"r{i}", "if": {"var": src}, "then": {"var": dst}}
+             for i, (src, dst) in enumerate(zip(path, path[1:]))]
+    return kb_from_json({"variables": variables, "rules": rules})
+
+
+def _random_formula(rng, variables, depth):
+    if depth == 0 or rng.random() < 0.35:
+        var = rng.choice(variables)
+        if rng.random() < 0.5:
+            return {"var": var["name"]}
+        size = rng.randint(1, len(var["domain"]))
+        return {"var": var["name"], "vals": rng.sample(var["domain"], size)}
+    op = rng.choice(["and", "or", "not", "implies"])
+    arity = {"not": 1, "implies": 2}.get(op, rng.randint(2, 3))
+    return {"op": op, "args": [_random_formula(rng, variables, depth - 1)
+                               for _ in range(arity)]}
+
+
+def _random_case(rng):
+    """A KB of 3 to 5 variables with 1 to 3 values each, 1 to 4 random
+    rules over all of them (the diagnosis included), an observation of
+    one or two variables with any nonempty value subsets, and a seeded
+    possibility assignment."""
+    n = rng.randint(3, 5)
+    kinds = ["data-attribute"] + [rng.choice(["data-attribute", "auxiliary-attribute"])
+                                  for _ in range(n - 2)] + ["diagnosis"]
+    variables = [{"name": f"v{i}", "kind": kind,
+                  "domain": [f"{i}{j}" for j in range(rng.randint(1, 3))]}
+                 for i, kind in enumerate(kinds)]
+    variables[-1]["domain"] = ["p", "q", "r"][:rng.randint(2, 3)]
+    rules = [{"id": f"r{i}", "if": _random_formula(rng, variables, 2),
+              "then": _random_formula(rng, variables, 2)}
+             for i in range(rng.randint(1, 4))]
+    kb = kb_from_json({"variables": variables, "rules": rules})
+    observed = [variables[0]] + rng.sample(variables[1:], rng.randint(0, 1))
+    obs = Observation(kb, {v["name"]: rng.sample(v["domain"], rng.randint(1, len(v["domain"])))
+                           for v in observed})
+    poss = PossibilityAssignment({(v["name"], val): rng.random()
+                                  for v in variables for val in v["domain"]})
+    return kb, obs, poss
+
+
+def _assert_same_integration(kb, obs, poss):
+    grounding = build_space(kb)
+    query = kb.diagnosis_variables()[0].name
+    for value in kb.variable(query).domain:
+        for aldp in ("cl", "pl", "cpl"):
+            assert (integrate_out(grounding, obs, aldp, query, value)
+                    == enumerate_integrate_out(grounding, obs, aldp, query, value))
+        assert (fl_eval(poss, integrate_out(grounding, obs, "fl", query, value))
+                == fl_eval(poss, enumerate_integrate_out(grounding, obs, "fl", query, value)))
+
+
+def test_elimination_matches_enumeration_on_random_kbs():
+    rng = random.Random(20130410)
+    for _ in range(80):
+        _assert_same_integration(*_random_case(rng))
+
+
+@pytest.mark.parametrize("k", [3, 4, 5])
+def test_elimination_matches_enumeration_on_chains(k):
+    kb = chain_kb(k)
+    rng = random.Random(k)
+    poss = PossibilityAssignment({(v.name, val): rng.random()
+                                  for v in kb.variables for val in v.domain})
+    _assert_same_integration(kb, Observation(kb, {"b1": ["x"]}), poss)

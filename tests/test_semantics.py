@@ -5,7 +5,7 @@ import pytest
 
 from cea.algebra import AtomSpace, material_implies
 from cea.conditional import cond, embed
-from cea.formulas import from_json
+from cea.formulas import Leaf, Or, from_json
 from cea.semantics import (
     PossibilityAssignment,
     ProbabilityMeasure,
@@ -204,6 +204,24 @@ def test_fl_value_level_laws():
     assert ev({"op": "or", "args": [x, {"op": "and", "args": [x, y]}]}) == ev(x)
 
 
+def test_fl_eval_grades_each_shared_node_once():
+    class CountingPossibility(PossibilityAssignment):
+        def grade(self, var, value):
+            self.calls += 1
+            if self.calls > 1000:
+                raise AssertionError("a shared node was graded more than once")
+            return super().grade(var, value)
+
+    poss = CountingPossibility({("x", "a"): 0.25, ("y", "b"): 0.5})
+    poss.calls = 0
+    # 60 levels of Or(node, node, fresh leaf): 2^60 paths, 61 leaves
+    node = Leaf("x", ["a"])
+    for _ in range(60):
+        node = Or([node, node, Leaf("y", ["b"])])
+    assert fl_eval(poss, node) == 0.5
+    assert poss.calls == 61
+
+
 def test_fl_unbound_leaf_rejected():
     poss = PossibilityAssignment({("x", "a"): 0.3})
     with pytest.raises(Exception):
@@ -222,6 +240,8 @@ def test_measure_file_atoms_form():
         measure_from_json(space, {"atoms": {"nope": 1}})
     with pytest.raises(ValueError):
         measure_from_json(space, {"weights": [1]})
+    with pytest.raises(ValueError):
+        measure_from_json(space, {"atoms": ["u"]})
 
 
 def test_measure_file_factors_form():
