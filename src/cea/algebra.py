@@ -152,28 +152,6 @@ class Event:
         return "{" + ",".join(str(i) for i in self.atoms()) + "}"
 
 
-def meet(a: Event, b: Event) -> Event:
-    return a & b
-
-
-def join(a: Event, b: Event) -> Event:
-    return a | b
-
-
-def complement(a: Event) -> Event:
-    return ~a
-
-
-def symdiff(a: Event, b: Event) -> Event:
-    """Ring sum: symmetric difference, the + of the Boolean ring."""
-    return a ^ b
-
-
 def material_implies(b: Event, a: Event) -> Event:
     """Material implication b => a, read as (not b) or a."""
     return ~b | a
-
-
-def leq(a: Event, b: Event) -> bool:
-    """Subset order; equivalently a == a & b."""
-    return a <= b

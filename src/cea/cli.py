@@ -135,7 +135,8 @@ def cmd_eval(args) -> int:
             sem_input = ProbabilityMeasure.uniform(grounding.space)
         else:
             sem_input = measure_from_json(
-                grounding.space, _load_json_file(args.measure), grounding.atom_assignments
+                grounding.space, _load_json_file(args.measure),
+                [(v.name, v.domain) for v in kb.variables],
             )
     elif args.aldp == "fl":
         if not args.poss:

@@ -23,14 +23,18 @@ class SpaceTooLargeError(ValueError):
 
 
 def max_expand_atoms() -> int:
-    """Expansion bound; the CEA_MAX_ATOMS environment variable overrides."""
+    """Expansion bound; the CEA_MAX_ATOMS environment variable overrides.
+    Raises ValueError when it is set to anything but a positive integer."""
     raw = os.environ.get("CEA_MAX_ATOMS")
     if raw is None:
         return DEFAULT_MAX_ATOMS
     try:
-        return int(raw)
+        bound = int(raw)
     except ValueError:
-        return DEFAULT_MAX_ATOMS
+        bound = 0
+    if bound < 1:
+        raise ValueError(f"CEA_MAX_ATOMS must be a positive integer, got {raw!r}")
+    return bound
 
 
 class Coset:

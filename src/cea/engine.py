@@ -52,12 +52,20 @@ class KnowledgeBaseError(ValueError):
     pass
 
 
+def _is_string_list(values) -> bool:
+    """A JSON list of strings; a string is not taken for its characters."""
+    return isinstance(values, (list, tuple)) and all(isinstance(v, str) for v in values)
+
+
 class VariableDecl:
     __slots__ = ("name", "kind", "domain")
 
     def __init__(self, name: str, kind: str, domain: Sequence[str]):
         if kind not in VARIABLE_KINDS:
             raise KnowledgeBaseError(f"unknown variable kind {kind!r} for {name}")
+        if not _is_string_list(domain):
+            raise KnowledgeBaseError(f"domain of {name} must be a list of strings,"
+                                     f" got {domain!r}")
         if not domain:
             raise KnowledgeBaseError(f"variable {name} has an empty domain")
         if len(set(domain)) != len(domain):
@@ -123,6 +131,9 @@ class Observation:
         self.observed: dict[str, list[str]] = {}
         for var, vals in observed.items():
             decl = kb.variable(var)
+            if not _is_string_list(vals):
+                raise KnowledgeBaseError(f"observation of {var} must be a list of strings,"
+                                         f" got {vals!r}")
             if not vals:
                 raise KnowledgeBaseError(f"observation of {var} is empty")
             bad = set(vals) - set(decl.domain)
@@ -141,9 +152,11 @@ class Observation:
 class Grounding:
     """The product space of all variable domains.
 
-    Atoms are joint assignments, ordered by itertools.product over the
-    declaration order, so atom indices are reproducible. Grounds
-    primitive events and whole formulas to events.
+    Atoms are joint assignments in itertools.product order over the
+    declaration order, so atom indices are reproducible: the atom of an
+    assignment is its mixed-radix number, the first variable most
+    significant, and its label is "var=value,..." in declaration order.
+    Grounds primitive events and whole formulas to events.
     """
 
     def __init__(self, kb: KnowledgeBase):
@@ -153,13 +166,11 @@ class Grounding:
             if sizes > MAX_SPACE_ATOMS:
                 raise KnowledgeBaseError("joint domain product exceeds the space bound")
         self.kb = kb
-        self.atom_assignments: list[dict[str, str]] = []
-        labels = []
-        names = [v.name for v in kb.variables]
-        for combo in itertools.product(*(v.domain for v in kb.variables)):
-            assignment = dict(zip(names, combo))
-            self.atom_assignments.append(assignment)
-            labels.append(",".join(f"{n}={v}" for n, v in assignment.items()))
+        labels = [""]
+        for i, var in enumerate(kb.variables):
+            sep = "," if i else ""
+            parts = [f"{sep}{var.name}={val}" for val in var.domain]
+            labels = [lab + part for lab in labels for part in parts]
         self.space = AtomSpace(len(labels), labels)
         # In product order a variable with d values and stride s holds
         # value j on a block of s atoms at offset j*s of every period of
@@ -185,13 +196,15 @@ class Grounding:
         return reduce(lambda x, y: x | y, (self.primitive(var, v) for v in values))
 
     def atom_of_assignment(self, assignment: Mapping[str, str]) -> int:
-        names = [v.name for v in self.kb.variables]
-        if set(assignment) != set(names):
+        if set(assignment) != {v.name for v in self.kb.variables}:
             raise KnowledgeBaseError("assignment must cover every variable exactly")
-        for idx, full in enumerate(self.atom_assignments):
-            if all(full[n] == assignment[n] for n in names):
-                return idx
-        raise KnowledgeBaseError("assignment names an undeclared value")
+        idx = 0
+        for var in self.kb.variables:
+            value = assignment[var.name]
+            if value not in var.domain:
+                raise KnowledgeBaseError("assignment names an undeclared value")
+            idx = idx * len(var.domain) + var.domain.index(value)
+        return idx
 
     def ground_formula(
         self,
@@ -474,7 +487,7 @@ def kb_from_json(data) -> KnowledgeBase:
 
 
 def observation_from_json(kb: KnowledgeBase, data) -> Observation:
-    if not isinstance(data, dict) or "observe" not in data:
+    if not isinstance(data, dict) or not isinstance(data.get("observe"), dict):
         raise KnowledgeBaseError('observation file must look like {"observe": {...}}')
     return Observation(kb, data["observe"])
 

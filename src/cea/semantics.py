@@ -9,14 +9,17 @@ conditional object's pair, extending the measure monotonically to the
 conditional space.
 
 Weights are exact Fractions when given as ints or "p/q" strings and
-floats otherwise; float comparisons use a 1e-12 tolerance.
+finite floats otherwise; float comparisons use a 1e-12 tolerance.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
-from itertools import combinations
+from functools import reduce
+from itertools import combinations, compress
+from operator import add
 from typing import Mapping, Sequence, Union
 
 from .algebra import AtomSpace, Event, material_implies
@@ -33,12 +36,16 @@ class UndefinedConditionalError(ArithmeticError):
 
 
 def parse_weight(value) -> Weight:
-    """Ints and "p/q" strings become exact Fractions; floats stay float."""
+    """Ints and "p/q" strings become exact Fractions; finite floats stay
+    float. NaN and the infinities are refused, since no bound check can
+    reject a NaN weight."""
     if isinstance(value, bool):
         raise ValueError(f"not a weight: {value!r}")
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, float):
+        if not math.isfinite(value):
+            raise ValueError(f"not a weight: {value!r}")
         return value
     if isinstance(value, str):
         try:
@@ -56,27 +63,47 @@ def weights_close(x: Weight, y: Weight) -> bool:
     return abs(float(x) - float(y)) <= TOLERANCE
 
 
-class ProbabilityMeasure:
-    """Nonnegative atom weights summing to one."""
+# bytes.translate table: the ASCII digits of bin() to 0/1 selectors
+_BIT_SELECTORS = bytes.maketrans(b"01", b"\x00\x01")
 
-    __slots__ = ("space", "weights", "exact")
+
+class ProbabilityMeasure:
+    """Nonnegative atom weights summing to one.
+
+    An exact measure also keeps its weights as integer numerators over
+    one common denominator, so p(e) is one integer sum and one Fraction.
+    A float (or mixed) measure adds the weights of e's atoms in
+    ascending atom order, starting from 0.0.
+    """
+
+    __slots__ = ("space", "weights", "exact", "_numerators", "_denominator")
 
     def __init__(self, space: AtomSpace, weights: Sequence[Weight]):
         if len(weights) != space.atom_count:
             raise ValueError("one weight per atom required")
-        weights = [parse_weight(w) for w in weights]
-        if any(w < 0 for w in weights):
-            raise ValueError("weights must be nonnegative")
+        weights = [w if isinstance(w, (float, Fraction)) else parse_weight(w)
+                   for w in weights]
         exact = all(isinstance(w, Fraction) for w in weights)
-        total = sum(weights)
         if exact:
+            denominator = math.lcm(*{w.denominator for w in weights})
+            numerators = [w.numerator * (denominator // w.denominator) for w in weights]
+            if min(numerators) < 0:
+                raise ValueError("weights must be nonnegative")
+            total = Fraction(sum(numerators), denominator)
             if total != 1:
                 raise ValueError(f"weights sum to {total}, expected 1")
-        elif abs(float(total) - 1.0) > TOLERANCE:
-            raise ValueError(f"weights sum to {total}, expected 1")
+        else:
+            if any(w < 0 for w in weights):
+                raise ValueError("weights must be nonnegative")
+            total = sum(weights)
+            if not abs(float(total) - 1.0) <= TOLERANCE:
+                raise ValueError(f"weights sum to {total}, expected 1")
+            numerators, denominator = None, None
         self.space = space
-        self.weights = list(weights)
+        self.weights = weights
         self.exact = exact
+        self._numerators = numerators
+        self._denominator = denominator
 
     @classmethod
     def uniform(cls, space: AtomSpace) -> "ProbabilityMeasure":
@@ -86,12 +113,12 @@ class ProbabilityMeasure:
     def __call__(self, e: Event) -> Weight:
         if e.space != self.space:
             raise ValueError("event from a different space")
-        total: Weight = Fraction(0) if self.exact else 0.0
-        mask = e.mask
-        for i, w in enumerate(self.weights):
-            if mask >> i & 1:
-                total += w
-        return total
+        # one 0/1 selector per atom, atom 0 first
+        selectors = bin(e.mask)[:1:-1].encode().translate(_BIT_SELECTORS)
+        if self.exact:
+            return Fraction(sum(compress(self._numerators, selectors)), self._denominator)
+        # reduce, not sum(): from Python 3.12 sum() of floats is compensated
+        return reduce(add, compress(self.weights, selectors), 0.0)
 
     def __repr__(self) -> str:
         return f"ProbabilityMeasure({self.weights!r})"
@@ -294,14 +321,16 @@ def _fl_node(poss: PossibilityAssignment, f: Formula, grade) -> float:
 def measure_from_json(
     space: AtomSpace,
     data,
-    atom_assignments: Sequence[Mapping[str, str]] | None = None,
+    domains: Sequence[tuple[str, Sequence[str]]] | None = None,
 ) -> ProbabilityMeasure:
     """Build a measure from its file form.
 
     {"atoms": {label: weight}} assigns weights by atom label (absent
     labels get zero); {"factors": {var: {value: weight}}} builds the
-    product measure over a variable-grounded space and requires the
-    atom -> assignment table from that grounding.
+    product measure over a variable-grounded space and requires that
+    grounding's (name, domain) pairs in declaration order. Its weights
+    are the Kronecker product of the factors, each atom's product taken
+    left to right in declaration order.
     """
     if not isinstance(data, dict):
         raise ValueError("measure file must be a JSON object")
@@ -317,7 +346,7 @@ def measure_from_json(
             weights.append(parse_weight(mapping.get(label, 0)))
         return ProbabilityMeasure(space, weights)
     if "factors" in data:
-        if atom_assignments is None:
+        if domains is None:
             raise ValueError("factor measures need a variable-grounded space")
         factors = {
             var: {val: parse_weight(w) for val, w in vals.items()}
@@ -330,15 +359,24 @@ def measure_from_json(
                     raise ValueError(f"factor for {var} sums to {total}")
             elif abs(float(total) - 1.0) > TOLERANCE:
                 raise ValueError(f"factor for {var} sums to {total}")
-        weights = []
-        for assignment in atom_assignments:
-            w: Weight = Fraction(1)
-            for var, val in assignment.items():
-                if var not in factors:
-                    raise ValueError(f"measure file missing factor for {var}")
-                if val not in factors[var]:
-                    raise ValueError(f"factor for {var} missing value {val!r}")
-                w = w * factors[var][val]
-            weights.append(w)
+        _check_factors_cover(factors, domains)
+        weights = [Fraction(1)]
+        for var, domain in domains:
+            column = [factors[var][val] for val in domain]
+            weights = [w * f for w in weights for f in column]
         return ProbabilityMeasure(space, weights)
     raise ValueError('measure file needs an "atoms" or "factors" section')
+
+
+def _check_factors_cover(factors: Mapping[str, Mapping[str, Weight]], domains) -> None:
+    """Every declared value needs a factor weight. Of several gaps, the
+    one reported lies in the lowest-numbered atom that has one: a gap at
+    some variable's first value lies in atom 0, else the last variable
+    with a gap holds the smallest such atom."""
+    firsts = [(var, domain[0]) for var, domain in domains]
+    rest = [(var, val) for var, domain in reversed(domains) for val in domain]
+    for var, val in firsts + rest:
+        if var not in factors:
+            raise ValueError(f"measure file missing factor for {var}")
+        if val not in factors[var]:
+            raise ValueError(f"factor for {var} missing value {val!r}")

@@ -80,17 +80,21 @@ def test_eval_fuzzy(kb_path, obs_path, tmp_path):
         assert 0.0 <= r["grade"] <= 1.0
 
 
+UNIFORM_FACTORS = {
+    "a1": {"1": "1/3", "2": "1/3", "3": "1/3"},
+    "a2": {"1": "1/3", "2": "1/3", "3": "1/3"},
+    "a3": {"1": "1/3", "2": "1/3", "3": "1/3"},
+    "b1": {"106-reddish": "1/2", "98-normal": "1/2"},
+    "b2": {"1": "1/3", "2": "1/3", "3": "1/3"},
+    "th1": {"none": "1/3", "some": "1/3", "prog": "1/3"},
+}
+ATOM = "a1=1,a2=1,a3=1,b1=106-reddish,b2=1,th1=none"
+NAN = float("nan")
+
+
 def test_eval_factor_measure(kb_path, obs_path, tmp_path):
-    factors = {"factors": {
-        "a1": {"1": "1/3", "2": "1/3", "3": "1/3"},
-        "a2": {"1": "1/3", "2": "1/3", "3": "1/3"},
-        "a3": {"1": "1/3", "2": "1/3", "3": "1/3"},
-        "b1": {"106-reddish": "1/2", "98-normal": "1/2"},
-        "b2": {"1": "1/3", "2": "1/3", "3": "1/3"},
-        "th1": {"none": "1/3", "some": "1/3", "prog": "1/3"},
-    }}
     path = tmp_path / "measure.json"
-    path.write_text(json.dumps(factors))
+    path.write_text(json.dumps({"factors": UNIFORM_FACTORS}))
     proc = run_cli("eval", "--kb", kb_path, "--observe", obs_path,
                    "--aldp", "pl", "--measure", str(path), "--format", "json")
     assert proc.returncode == 0
@@ -123,7 +127,10 @@ def test_eval_malformed_kb(tmp_path, obs_path):
     ("fl", "--poss", {"poss": {"a1": {"1": [1]}}}),
     ("pl", "--measure", {"factors": {"a1": [1]}}),
     ("pl", "--measure", {"factors": {"a1": {"1": "1/0"}}}),
-    ("pl", "--measure", {"atoms": ["a1=1,a2=1,a3=1,b1=106-reddish,b2=1,th1=none"]}),
+    ("pl", "--measure", {"atoms": [ATOM]}),
+    ("cpl", "--measure", {"factors": {**UNIFORM_FACTORS,
+                                      "a1": {"1": NAN, "2": "1/2", "3": "1/2"}}}),
+    ("cpl", "--measure", {"atoms": {ATOM: NAN, ATOM.replace("none", "some"): 1}}),
 ])
 def test_eval_malformed_value_map_exits_two(kb_path, obs_path, tmp_path, aldp, flag, content):
     path = tmp_path / "input.json"
@@ -133,6 +140,34 @@ def test_eval_malformed_value_map_exits_two(kb_path, obs_path, tmp_path, aldp, f
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
     assert len(proc.stderr.splitlines()) == 1
+
+
+def tiny_kb(domain):
+    return {
+        "variables": [
+            {"name": "x", "kind": "data-attribute", "domain": domain},
+            {"name": "d", "kind": "diagnosis", "domain": ["p", "q"]},
+        ],
+        "rules": [{"id": "r", "if": {"var": "x"}, "then": {"var": "d"}}],
+    }
+
+
+@pytest.mark.parametrize("kb,observation", [
+    (tiny_kb("01"), {"observe": {"x": ["0"]}}),
+    (tiny_kb(["0", "1"]), {"observe": {"x": "0"}}),
+    (tiny_kb(["0", "1"]), {"observe": {"x": "01"}}),
+])
+def test_eval_rejects_string_for_list(tmp_path, kb, observation):
+    kb_file, obs_file = tmp_path / "kb.json", tmp_path / "obs.json"
+    kb_file.write_text(json.dumps(kb))
+    obs_file.write_text(json.dumps(observation))
+    proc = run_cli("eval", "--kb", str(kb_file), "--observe", str(obs_file),
+                   "--aldp", "pl", "--measure", "uniform")
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    assert len(proc.stderr.splitlines()) == 1
+    assert "must be a list of strings" in proc.stderr
 
 
 def test_eval_refuses_elimination_over_budget(kb_path, obs_path):
@@ -179,6 +214,15 @@ def test_oracle_verify_env_override():
     proc = run_cli("oracle", "verify", "--atoms", "3",
                    env_extra={"CEA_MAX_ATOMS": "2"})
     assert proc.returncode == 2
+
+
+@pytest.mark.parametrize("bound", ["abc", "0"])
+def test_oracle_verify_bad_env_bound_exits_two(bound):
+    proc = run_cli("oracle", "verify", "--atoms", "2", env_extra={"CEA_MAX_ATOMS": bound})
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.splitlines() == [
+        f"error: CEA_MAX_ATOMS must be a positive integer, got {bound!r}"]
 
 
 def test_oracle_verify_golden_roundtrip(tmp_path):

@@ -39,8 +39,10 @@ def test_expansion_bound(monkeypatch):
     monkeypatch.setenv("CEA_MAX_ATOMS", "13")
     assert max_expand_atoms() == 13
     assert len(expand(embed(big.event([0])))) == 1
-    monkeypatch.setenv("CEA_MAX_ATOMS", "junk")
-    assert max_expand_atoms() == 12
+    for bad in ("junk", "0", "-3", ""):
+        monkeypatch.setenv("CEA_MAX_ATOMS", bad)
+        with pytest.raises(ValueError, match="CEA_MAX_ATOMS"):
+            max_expand_atoms()
 
 
 def test_recognize_examples(s3):

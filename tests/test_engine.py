@@ -27,6 +27,8 @@ from cea.semantics import (
     ProbabilityMeasure,
     fl_eval,
     measure_from_json,
+    parse_weight,
+    random_measure,
 )
 
 
@@ -46,6 +48,41 @@ def enumerate_integrate_out(grounding, obs, aldp, query_var, query_value):
     if aldp == "cpl":
         return disjoin_all(forms)
     return reduce(or_, forms)
+
+
+def scan_assignments(kb):
+    """The reference atom table: one assignment dict per atom, in
+    itertools.product order over the declaration order."""
+    names = [v.name for v in kb.variables]
+    return [dict(zip(names, combo))
+            for combo in itertools.product(*(v.domain for v in kb.variables))]
+
+
+def scan_factor_weights(assignments, factors):
+    """The reference product measure: per atom, the factor weights of
+    its assignment multiplied left to right from Fraction(1)."""
+    factors = {var: {val: parse_weight(w) for val, w in vals.items()}
+               for var, vals in factors.items()}
+    weights = []
+    for assignment in assignments:
+        w = Fraction(1)
+        for var, val in assignment.items():
+            if var not in factors:
+                raise ValueError(f"measure file missing factor for {var}")
+            if val not in factors[var]:
+                raise ValueError(f"factor for {var} missing value {val!r}")
+            w = w * factors[var][val]
+        weights.append(w)
+    return weights
+
+
+def scan_measure(p, e):
+    """The reference measure call: a loop over every atom."""
+    total = Fraction(0) if p.exact else 0.0
+    for i, w in enumerate(p.weights):
+        if e.mask >> i & 1:
+            total += w
+    return total
 
 
 @pytest.fixture(scope="module")
@@ -82,7 +119,7 @@ def test_atom_of_assignment(bundled):
     assignment = {"a1": "1", "a2": "1", "a3": "1", "b1": "106-reddish",
                   "b2": "1", "th1": "none"}
     idx = grounding.atom_of_assignment(assignment)
-    assert grounding.atom_assignments[idx] == assignment
+    assert scan_assignments(grounding.kb)[idx] == assignment
     with pytest.raises(KnowledgeBaseError):
         grounding.atom_of_assignment({"a1": "1"})
 
@@ -348,6 +385,8 @@ def test_kb_validation_errors():
         observation_from_json(kb, {"observe": {}})
     with pytest.raises(KnowledgeBaseError):
         observation_from_json(kb, {})
+    with pytest.raises(KnowledgeBaseError):
+        observation_from_json(kb, {"observe": ["x"]})
 
 
 def test_primitive_masks_match_atom_scan(bundled):
@@ -362,7 +401,7 @@ def test_primitive_masks_match_atom_scan(bundled):
     for grounding in (bundled[1], build_space(three)):
         for var in grounding.kb.variables:
             for val in var.domain:
-                scan = sum(1 << i for i, a in enumerate(grounding.atom_assignments)
+                scan = sum(1 << i for i, a in enumerate(scan_assignments(grounding.kb))
                            if a[var.name] == val)
                 assert grounding.primitive(var.name, val).mask == scan
 
@@ -451,3 +490,75 @@ def test_elimination_matches_enumeration_on_chains(k):
     poss = PossibilityAssignment({(v.name, val): rng.random()
                                   for v in kb.variables for val in v.domain})
     _assert_same_integration(kb, Observation(kb, {"b1": ["x"]}), poss)
+
+
+def _random_factors(rng, kb, kind):
+    """A factors section: exact "p/q" strings, floats, or a mix of the
+    two per variable."""
+    out = {}
+    for var in kb.variables:
+        raw = [rng.randint(0, 9) for _ in var.domain]
+        raw[rng.randrange(len(raw))] += 1
+        total = sum(raw)
+        exact = kind == "exact" or (kind == "mixed" and rng.random() < 0.5)
+        out[var.name] = {val: str(Fraction(r, total)) if exact else r / total
+                         for val, r in zip(var.domain, raw)}
+    return out
+
+
+def _random_events(rng, space):
+    masks = [0, space.full_mask] + [rng.getrandbits(space.atom_count) for _ in range(20)]
+    return [space.event_from_mask(m) for m in masks]
+
+
+def _assert_same_measure(p, events):
+    for e in events:
+        got, want = p(e), scan_measure(p, e)
+        assert got == want and type(got) is type(want)
+
+
+@pytest.mark.parametrize("which", ["bundled", "chain3"])
+def test_grounding_and_measures_match_atom_scans(bundled, which):
+    grounding = bundled[1] if which == "bundled" else build_space(chain_kb(3))
+    kb, space = grounding.kb, grounding.space
+    assignments = scan_assignments(kb)
+    assert space.atom_labels == [",".join(f"{n}={v}" for n, v in a.items())
+                                 for a in assignments]
+    for idx, assignment in enumerate(assignments):
+        assert grounding.atom_of_assignment(assignment) == idx
+    rng = random.Random(f"measures-{which}")
+    events = _random_events(rng, space)
+    domains = [(v.name, v.domain) for v in kb.variables]
+    for kind in ("exact", "float", "mixed") * 3:
+        factors = _random_factors(rng, kb, kind)
+        p = measure_from_json(space, {"factors": factors}, domains)
+        want = scan_factor_weights(assignments, factors)
+        assert p.weights == want
+        assert [type(w) for w in p.weights] == [type(w) for w in want]
+        assert p.exact == all(isinstance(w, Fraction) for w in want)
+        _assert_same_measure(p, events)
+    for p in (ProbabilityMeasure.uniform(space), random_measure(space, rng, exact=True),
+              random_measure(space, rng)):
+        _assert_same_measure(p, events)
+
+
+def test_factor_gaps_reported_as_the_atom_scan_meets_them():
+    kb = chain_kb(2)
+    assignments = scan_assignments(kb)
+    domains = [(v.name, v.domain) for v in kb.variables]
+    space = build_space(kb).space
+    rng = random.Random(7)
+    for _ in range(200):
+        factors = _random_factors(rng, kb, "exact")
+        for var in rng.sample(list(factors), rng.randint(1, 3)):
+            if rng.random() < 0.3:
+                del factors[var]
+            else:
+                del factors[var][rng.choice(list(factors[var]))]
+                factors[var] = {val: "1/1" if i == 0 else "0"
+                                for i, val in enumerate(factors[var])}
+        with pytest.raises(ValueError) as want:
+            scan_factor_weights(assignments, factors)
+        with pytest.raises(ValueError) as got:
+            measure_from_json(space, {"factors": factors}, domains)
+        assert str(got.value) == str(want.value)

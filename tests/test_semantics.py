@@ -17,6 +17,7 @@ from cea.semantics import (
     lewis_gap,
     measure_from_json,
     mf_independent_sample,
+    parse_weight,
     pl_eval,
     random_measure,
 )
@@ -34,6 +35,12 @@ def test_measure_validation(s3):
         ProbabilityMeasure(s3, [Fraction(1, 2), Fraction(1, 2), Fraction(1, 2)])
     with pytest.raises(ValueError):
         ProbabilityMeasure(s3, [1, 1, -1])
+    nan, inf = float("nan"), float("inf")
+    with pytest.raises(ValueError):
+        ProbabilityMeasure(s3, [nan, 0.5, 0.5])
+    for bad in (nan, inf, -inf):
+        with pytest.raises(ValueError):
+            parse_weight(bad)
     p = ProbabilityMeasure.uniform(s3)
     assert p.exact
     assert p(s3.zero) == 0
@@ -246,18 +253,13 @@ def test_measure_file_atoms_form():
 
 def test_measure_file_factors_form():
     space = AtomSpace(4, ["x=0,y=0", "x=0,y=1", "x=1,y=0", "x=1,y=1"])
-    assignments = [
-        {"x": "0", "y": "0"},
-        {"x": "0", "y": "1"},
-        {"x": "1", "y": "0"},
-        {"x": "1", "y": "1"},
-    ]
+    domains = [("x", ["0", "1"]), ("y", ["0", "1"])]
     data = {"factors": {"x": {"0": "1/2", "1": "1/2"}, "y": {"0": "1/4", "1": "3/4"}}}
-    p = measure_from_json(space, data, assignments)
+    p = measure_from_json(space, data, domains)
     assert p(space.event([0])) == Fraction(1, 8)
     assert p(space.event([3])) == Fraction(3, 8)
     with pytest.raises(ValueError):
-        measure_from_json(space, data)  # needs the grounding table
+        measure_from_json(space, data)  # needs the grounding's domains
     bad = {"factors": {"x": {"0": "1/2", "1": "1/3"}, "y": {"0": 1}}}
     with pytest.raises(ValueError):
-        measure_from_json(space, bad, assignments)
+        measure_from_json(space, bad, domains)
