@@ -15,6 +15,9 @@ class MismatchedSpaceError(ValueError):
     """Raised when two events from different atom spaces are combined."""
 
 
+_MISMATCH = "events belong to different atom spaces"
+
+
 class AtomSpace:
     """A finite Boolean algebra presented by its atoms.
 
@@ -57,31 +60,31 @@ class AtomSpace:
             if not 0 <= i < self.atom_count:
                 raise ValueError(f"atom index {i} out of range")
             mask |= 1 << i
-        return Event(self, mask)
+        return _event(self, mask)
 
     def event_from_mask(self, mask: int) -> "Event":
-        return Event(self, mask & self.full_mask)
+        return _event(self, mask & self.full_mask)
 
     def atom_index(self, label: str) -> int:
         return self._label_index[label]
 
     @property
     def zero(self) -> "Event":
-        return Event(self, 0)
+        return _event(self, 0)
 
     @property
     def one(self) -> "Event":
-        return Event(self, self.full_mask)
+        return _event(self, self.full_mask)
 
     def atom(self, i: int) -> "Event":
         if not 0 <= i < self.atom_count:
             raise ValueError(f"atom index {i} out of range")
-        return Event(self, 1 << i)
+        return _event(self, 1 << i)
 
     def events(self) -> Iterator["Event"]:
         """All 2^n events in canonical (ascending bitmask) order."""
         for mask in range(1 << self.atom_count):
-            yield Event(self, mask)
+            yield _event(self, mask)
 
 
 class Event:
@@ -98,25 +101,22 @@ class Event:
         self.space = space
         self.mask = mask
 
-    def _coerced(self, other: "Event") -> int:
-        if self.space is not other.space and self.space != other.space:
-            raise MismatchedSpaceError("events belong to different atom spaces")
-        return other.mask
-
     def __and__(self, other: "Event") -> "Event":
-        return Event(self.space, self.mask & self._coerced(other))
+        return _event(self.space, self.mask & other.mask, other.space)
 
     def __or__(self, other: "Event") -> "Event":
-        return Event(self.space, self.mask | self._coerced(other))
+        return _event(self.space, self.mask | other.mask, other.space)
 
     def __xor__(self, other: "Event") -> "Event":
-        return Event(self.space, self.mask ^ self._coerced(other))
+        return _event(self.space, self.mask ^ other.mask, other.space)
 
     def __invert__(self) -> "Event":
-        return Event(self.space, self.space.full_mask & ~self.mask)
+        return _event(self.space, self.space.full_mask & ~self.mask)
 
     def __le__(self, other: "Event") -> bool:
-        return self.mask & ~self._coerced(other) == 0
+        if other.space is not self.space and other.space != self.space:
+            raise MismatchedSpaceError(_MISMATCH)
+        return self.mask & ~other.mask == 0
 
     def __eq__(self, other) -> bool:
         return (
@@ -150,6 +150,19 @@ class Event:
 
     def __repr__(self) -> str:
         return "{" + ",".join(str(i) for i in self.atoms()) + "}"
+
+
+_new = object.__new__
+
+
+def _event(space: AtomSpace, mask: int, peer=None) -> Event:
+    """An Event built without a constructor call; mask must lie in space.
+    peer is the space of the other operand of a binary op, if any."""
+    if peer is not space and peer is not None and peer != space:
+        raise MismatchedSpaceError(_MISMATCH)
+    event = _new(Event)
+    event.space, event.mask = space, mask
+    return event
 
 
 def material_implies(b: Event, a: Event) -> Event:

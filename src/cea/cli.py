@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import random
 import sys
 
@@ -71,6 +72,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--higher-order", action="store_true",
                           help="include the iterated-conditional suites")
     p_verify.add_argument("--golden", help="directory of recorded golden facts to re-check")
+    p_verify.add_argument("--record", action="store_true",
+                          help="write the golden fact files missing from --golden")
     p_verify.add_argument("--format", choices=["text", "json"], default="text")
     p_verify.set_defaults(func=cmd_oracle_verify)
 
@@ -219,13 +222,21 @@ def cmd_oracle_verify(args) -> int:
     _check_atoms_bound(args.atoms)
     if args.samples < 1:
         raise InputError("--samples must be positive")
+    if args.record and not args.golden:
+        raise InputError("--record needs --golden")
+    if args.golden and not os.path.isdir(args.golden):
+        if os.path.exists(args.golden):
+            raise InputError(f"--golden {args.golden} is not a directory")
+        if not args.record:
+            raise InputError(f"golden directory {args.golden} does not exist"
+                             " (--record creates it)")
     space = AtomSpace(args.atoms)
     exhaustive = args.atoms <= 3
     rng = None if exhaustive else random.Random(args.seed)
     sections = oracle_suites(space, rng, args.samples,
                              higher_order=args.higher_order, seed=args.seed)
     if args.golden:
-        sections = sections + [("golden facts", golden_check(args.golden))]
+        sections = sections + [("golden facts", golden_check(args.golden, args.record))]
     extra = {
         "atoms": args.atoms,
         "seed": args.seed,

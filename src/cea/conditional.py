@@ -10,16 +10,19 @@ validate every formula here.
 from __future__ import annotations
 
 from functools import reduce
+from operator import and_, or_, xor
 from typing import Iterator, Sequence
 
-from .algebra import AtomSpace, Event, material_implies
+from .algebra import _MISMATCH, AtomSpace, Event, MismatchedSpaceError, _new, material_implies
 
 
 class ConditionalObject:
     """Canonical pair (consequent, antecedent) with consequent <= antecedent.
 
     ``&``, ``|``, ``^``, ``~`` are the conditional meet, join, ring sum
-    and complement; ``<=`` is the conditional partial order.
+    and complement; ``<=`` is the conditional partial order. Each
+    computes on the (consequent, antecedent) masks and wraps its result
+    once, through _make.
     """
 
     __slots__ = ("consequent", "antecedent")
@@ -37,8 +40,10 @@ class ConditionalObject:
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, ConditionalObject)
-            and self.consequent == other.consequent
-            and self.antecedent == other.antecedent
+            and self.consequent.mask == other.consequent.mask
+            and self.antecedent.mask == other.antecedent.mask
+            and (self.antecedent.space is other.antecedent.space
+                 or self.antecedent.space == other.antecedent.space)
         )
 
     def __hash__(self) -> int:
@@ -48,34 +53,36 @@ class ConditionalObject:
         return f"({self.consequent!r}|{self.antecedent!r})"
 
     def __invert__(self) -> "ConditionalObject":
-        return ConditionalObject(self.antecedent & ~self.consequent, self.antecedent)
+        ant = self.antecedent.mask
+        return _make(self.antecedent.space, ant & ~self.consequent.mask, ant)
 
     def __xor__(self, other: "ConditionalObject") -> "ConditionalObject":
-        ant = self.antecedent & other.antecedent
-        return ConditionalObject((self.consequent ^ other.consequent) & ant, ant)
+        ant = self.antecedent.mask & other.antecedent.mask
+        return _make(self.antecedent.space, (self.consequent.mask ^ other.consequent.mask) & ant,
+                     ant, other.antecedent.space)
 
     def __and__(self, other: "ConditionalObject") -> "ConditionalObject":
-        ant = (
-            (self.antecedent & ~self.consequent)
-            | (other.antecedent & ~other.consequent)
-            | (self.antecedent & other.antecedent)
-        )
-        return ConditionalObject(self.consequent & other.consequent, ant)
+        c1, a1 = self.consequent.mask, self.antecedent.mask
+        c2, a2 = other.consequent.mask, other.antecedent.mask
+        return _make(self.antecedent.space, c1 & c2, (a1 & ~c1) | (a2 & ~c2) | (a1 & a2),
+                     other.antecedent.space)
 
     def __or__(self, other: "ConditionalObject") -> "ConditionalObject":
-        cons = self.consequent | other.consequent
-        return ConditionalObject(cons, cons | (self.antecedent & other.antecedent))
+        cons = self.consequent.mask | other.consequent.mask
+        return _make(self.antecedent.space, cons,
+                     cons | (self.antecedent.mask & other.antecedent.mask), other.antecedent.space)
 
     def __le__(self, other: "ConditionalObject") -> bool:
         """Order by consequent growth and counter-consequent shrinkage.
 
         Agrees with the definitional forms A == A & C and C == A | C.
         """
-        return (
-            self.consequent <= other.consequent
-            and (other.antecedent & ~other.consequent)
-            <= (self.antecedent & ~self.consequent)
-        )
+        space = self.antecedent.space
+        if other.antecedent.space is not space and other.antecedent.space != space:
+            raise MismatchedSpaceError(_MISMATCH)
+        c1, a1 = self.consequent.mask, self.antecedent.mask
+        c2, a2 = other.consequent.mask, other.antecedent.mask
+        return c1 & ~c2 == 0 and a2 & ~c2 & ~(a1 & ~c1) == 0
 
     @property
     def is_embedded_event(self) -> bool:
@@ -83,47 +90,61 @@ class ConditionalObject:
         return self.antecedent.is_one
 
 
+def _make(space: AtomSpace, cons: int, ant: int, peer=None) -> ConditionalObject:
+    """The conditional (cons|ant) of space, wrapped once. peer is the
+    space of the other operand of a binary op, if any."""
+    if peer is not space and peer is not None and peer != space:
+        raise MismatchedSpaceError(_MISMATCH)
+    if cons & ~ant:
+        raise ValueError("consequent must be contained in the antecedent")
+    out, c, a = _new(ConditionalObject), _new(Event), _new(Event)
+    c.space, c.mask, a.space, a.mask = space, cons, space, ant
+    out.consequent, out.antecedent = c, a
+    return out
+
+
 def cond(a: Event, b: Event) -> ConditionalObject:
     """The conditional object (a|b), canonicalized to (a&b, b).
 
     b may be the zero event; (a|0) is the whole-algebra conditional (0|0).
     """
-    return ConditionalObject(a & b, b)
+    return _make(b.space, a.mask & b.mask, b.mask, a.space)
 
 
 def embed(a: Event) -> ConditionalObject:
     """An ordinary event viewed inside the conditional space, as (a|1)."""
-    return ConditionalObject(a, a.space.one)
+    return _make(a.space, a.mask, a.space.full_mask)
+
+
+def _columns(items: Sequence[ConditionalObject]) -> tuple[AtomSpace, list[int], list[int]]:
+    """The common space, consequent masks and antecedent masks of items."""
+    if not items:
+        raise ValueError("need at least one conditional")
+    space = items[0].antecedent.space
+    if any(c.antecedent.space is not space and c.antecedent.space != space for c in items):
+        raise MismatchedSpaceError(_MISMATCH)
+    return space, [c.consequent.mask for c in items], [c.antecedent.mask for c in items]
 
 
 def conjoin_all(items: Sequence[ConditionalObject]) -> ConditionalObject:
     """n-ary meet in closed form; equals any fold of the binary meet."""
-    if not items:
-        raise ValueError("need at least one conditional")
-    cons = reduce(lambda x, y: x & y, (c.consequent for c in items))
-    all_ant = reduce(lambda x, y: x & y, (c.antecedent for c in items))
-    ant = all_ant
-    for c in items:
-        ant = ant | (c.antecedent & ~c.consequent)
-    return ConditionalObject(cons & ant, ant)
+    space, cons, ants = _columns(items)
+    ant = reduce(or_, [a & ~c for c, a in zip(cons, ants)], reduce(and_, ants))
+    return _make(space, reduce(and_, cons) & ant, ant)
 
 
 def disjoin_all(items: Sequence[ConditionalObject]) -> ConditionalObject:
     """n-ary join in closed form; equals any fold of the binary join."""
-    if not items:
-        raise ValueError("need at least one conditional")
-    cons = reduce(lambda x, y: x | y, (c.consequent for c in items))
-    all_ant = reduce(lambda x, y: x & y, (c.antecedent for c in items))
-    return ConditionalObject(cons, cons | all_ant)
+    space, cons, ants = _columns(items)
+    joined = reduce(or_, cons)
+    return _make(space, joined, joined | reduce(and_, ants))
 
 
 def sum_all(items: Sequence[ConditionalObject]) -> ConditionalObject:
     """n-ary ring sum in closed form; equals any fold of the binary sum."""
-    if not items:
-        raise ValueError("need at least one conditional")
-    cons = reduce(lambda x, y: x ^ y, (c.consequent for c in items))
-    ant = reduce(lambda x, y: x & y, (c.antecedent for c in items))
-    return ConditionalObject(cons & ant, ant)
+    space, cons, ants = _columns(items)
+    ant = reduce(and_, ants)
+    return _make(space, reduce(xor, cons) & ant, ant)
 
 
 def chain(first: ConditionalObject, second: ConditionalObject) -> ConditionalObject:
@@ -179,6 +200,4 @@ def conditionals(space: AtomSpace) -> Iterator[ConditionalObject]:
     for b_mask in range(1 << space.atom_count):
         for a_mask in range(b_mask + 1):
             if a_mask & ~b_mask == 0:
-                yield ConditionalObject(
-                    space.event_from_mask(a_mask), space.event_from_mask(b_mask)
-                )
+                yield _make(space, a_mask, b_mask)

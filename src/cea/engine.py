@@ -470,6 +470,10 @@ def evaluate(
 def kb_from_json(data) -> KnowledgeBase:
     if not isinstance(data, dict):
         raise KnowledgeBaseError("knowledge base file must be a JSON object")
+    for field in ("variables", "rules"):
+        entries = data.get(field, [])
+        if not (isinstance(entries, list) and all(isinstance(e, dict) for e in entries)):
+            raise KnowledgeBaseError(f'"{field}" must be a list of objects, got {entries!r}')
     try:
         variables = [
             VariableDecl(v["name"], v["kind"], v["domain"])

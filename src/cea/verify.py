@@ -13,6 +13,7 @@ as golden facts (see golden_facts) so they stay locked down.
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
 import random
@@ -85,7 +86,7 @@ class Sweep:
     def events(self, arity: int) -> Iterator[tuple]:
         if self.exhaustive:
             pool = list(self.space.events())
-            yield from _product(pool, arity)
+            yield from itertools.product(pool, repeat=arity)
         else:
             for _ in range(self.samples):
                 yield tuple(self._random_event() for _ in range(arity))
@@ -93,20 +94,10 @@ class Sweep:
     def conds(self, arity: int) -> Iterator[tuple]:
         if self.exhaustive:
             pool = list(conditionals(self.space))
-            yield from _product(pool, arity)
+            yield from itertools.product(pool, repeat=arity)
         else:
             for _ in range(self.samples):
                 yield tuple(self._random_cond() for _ in range(arity))
-
-
-def _product(pool, arity: int) -> Iterator[tuple]:
-    if arity == 1:
-        for x in pool:
-            yield (x,)
-        return
-    for rest in _product(pool, arity - 1):
-        for x in pool:
-            yield rest + (x,)
 
 
 # ---------------------------------------------------------------------------
@@ -792,15 +783,21 @@ def _pipeline_golden() -> dict:
     return out
 
 
-def golden_check(directory: str) -> list[CheckResult]:
-    """Compare recomputed golden facts against the stored ones; a fact
-    file that does not exist yet is written and reported as recorded."""
+def golden_check(directory: str, record: bool = False) -> list[CheckResult]:
+    """Compare recomputed golden facts against the stored ones. A fact
+    file that does not exist fails, unless record is set: then it is
+    written (creating the directory) and reported as recorded."""
     facts = golden_facts()
     results = []
-    os.makedirs(directory, exist_ok=True)
+    if record:
+        os.makedirs(directory, exist_ok=True)
     for name, value in sorted(facts.items()):
         path = os.path.join(directory, f"{name}.json")
         if not os.path.exists(path):
+            if not record:
+                results.append(CheckResult(f"golden_{name}", False, 1,
+                                           detail=f"{path} is missing (--record writes it)"))
+                continue
             with open(path, "w", encoding="utf-8") as fh:
                 json.dump(value, fh, indent=2, sort_keys=True)
                 fh.write("\n")

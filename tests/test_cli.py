@@ -170,6 +170,24 @@ def test_eval_rejects_string_for_list(tmp_path, kb, observation):
     assert "must be a list of strings" in proc.stderr
 
 
+@pytest.mark.parametrize("kb,field", [
+    ({"variables": "xy"}, "variables"),
+    ({"variables": [["x"]]}, "variables"),
+    ({**tiny_kb(["0", "1"]), "rules": "ab"}, "rules"),
+])
+def test_eval_rejects_malformed_kb_sections(tmp_path, kb, field):
+    kb_file, obs_file = tmp_path / "kb.json", tmp_path / "obs.json"
+    kb_file.write_text(json.dumps(kb))
+    obs_file.write_text(json.dumps({"observe": {}}))
+    proc = run_cli("eval", "--kb", str(kb_file), "--observe", str(obs_file),
+                   "--aldp", "pl", "--measure", "uniform")
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    assert len(proc.stderr.splitlines()) == 1
+    assert f'"{field}" must be a list of objects' in proc.stderr
+
+
 def test_eval_refuses_elimination_over_budget(kb_path, obs_path):
     # A KB over the real bound has more than 65,536 atoms to ground, so
     # the bound is lowered to just under the bundled KB's largest table.
@@ -227,12 +245,45 @@ def test_oracle_verify_bad_env_bound_exits_two(bound):
 
 def test_oracle_verify_golden_roundtrip(tmp_path):
     golden = tmp_path / "golden"
-    proc = run_cli("oracle", "verify", "--atoms", "2", "--golden", str(golden))
+    proc = run_cli("oracle", "verify", "--atoms", "2", "--golden", str(golden), "--record")
     assert proc.returncode == 0
     assert "recorded" in proc.stdout
     proc = run_cli("oracle", "verify", "--atoms", "2", "--golden", str(golden))
     assert proc.returncode == 0
     assert "recorded" not in proc.stdout
+
+
+def test_oracle_verify_golden_mistyped_dir_exits_two(tmp_path):
+    golden = tmp_path / "goldne"
+    proc = run_cli("oracle", "verify", "--atoms", "2", "--golden", str(golden))
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.splitlines() == [
+        f"error: golden directory {golden} does not exist (--record creates it)"]
+    assert not golden.exists()
+
+
+def test_oracle_verify_golden_missing_fact_fails(tmp_path):
+    golden = tmp_path / "golden"
+    golden.mkdir()
+    proc = run_cli("oracle", "verify", "--atoms", "2", "--golden", str(golden))
+    assert proc.returncode == 1
+    assert "FAIL golden_pipeline_form" in proc.stdout
+    assert "recorded" not in proc.stdout
+    assert list(golden.iterdir()) == []
+
+
+@pytest.mark.parametrize("make_file", [False, True])
+def test_oracle_verify_record_needs_a_directory(tmp_path, make_file):
+    args = ["oracle", "verify", "--atoms", "2", "--record"]
+    if make_file:
+        path = tmp_path / "golden"
+        path.write_text("")
+        args += ["--golden", str(path)]
+    proc = run_cli(*args)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert len(proc.stderr.splitlines()) == 1
 
 
 def test_oracle_verify_golden_mismatch_fails(tmp_path):

@@ -1,8 +1,13 @@
+import itertools
+import random
+from functools import reduce
+
 import pytest
 
-from cea.algebra import AtomSpace, material_implies
+from cea.algebra import AtomSpace, MismatchedSpaceError, material_implies
 from cea.conditional import (
     ConditionalObject,
+    _make,
     bayes_components,
     bounds,
     chain,
@@ -173,8 +178,6 @@ def test_oracle_equivalence_exhaustive(n):
 
 
 def test_oracle_equivalence_sampled_four_atoms():
-    import random
-
     for result in oracle_equivalence_suite(AtomSpace(4), random.Random(11), samples=300):
         assert result.passed, f"{result.name}: {result.detail}"
 
@@ -189,3 +192,125 @@ def test_oracle_equivalence_sampled_four_atoms():
 def test_conditional_suites_two_atoms(suite):
     for result in suite(AtomSpace(2)):
         assert result.passed, f"{result.name}: {result.detail}"
+
+
+# The Event-composed closed forms the int-mask kernels replaced, kept as
+# their oracle: every intermediate is an Event and every result goes
+# through the validating constructor.
+
+def slow_invert(x):
+    return ConditionalObject(x.antecedent & ~x.consequent, x.antecedent)
+
+
+def slow_xor(x, y):
+    ant = x.antecedent & y.antecedent
+    return ConditionalObject((x.consequent ^ y.consequent) & ant, ant)
+
+
+def slow_and(x, y):
+    ant = ((x.antecedent & ~x.consequent) | (y.antecedent & ~y.consequent)
+           | (x.antecedent & y.antecedent))
+    return ConditionalObject(x.consequent & y.consequent, ant)
+
+
+def slow_or(x, y):
+    cons = x.consequent | y.consequent
+    return ConditionalObject(cons, cons | (x.antecedent & y.antecedent))
+
+
+def slow_le(x, y):
+    return (x.consequent <= y.consequent
+            and (y.antecedent & ~y.consequent) <= (x.antecedent & ~x.consequent))
+
+
+def slow_conjoin_all(items):
+    cons = reduce(lambda x, y: x & y, (c.consequent for c in items))
+    ant = reduce(lambda x, y: x & y, (c.antecedent for c in items))
+    for c in items:
+        ant = ant | (c.antecedent & ~c.consequent)
+    return ConditionalObject(cons & ant, ant)
+
+
+def slow_disjoin_all(items):
+    cons = reduce(lambda x, y: x | y, (c.consequent for c in items))
+    ant = reduce(lambda x, y: x & y, (c.antecedent for c in items))
+    return ConditionalObject(cons, cons | ant)
+
+
+def slow_sum_all(items):
+    cons = reduce(lambda x, y: x ^ y, (c.consequent for c in items))
+    ant = reduce(lambda x, y: x & y, (c.antecedent for c in items))
+    return ConditionalObject(cons & ant, ant)
+
+
+def slow_conditionals(space):
+    for b_mask in range(1 << space.atom_count):
+        for a_mask in range(b_mask + 1):
+            if a_mask & ~b_mask == 0:
+                yield ConditionalObject(
+                    space.event_from_mask(a_mask), space.event_from_mask(b_mask))
+
+
+def same(fast, slow):
+    """Exact agreement: equal objects, equal mask pairs, same space."""
+    return (fast == slow
+            and (fast.consequent.mask, fast.antecedent.mask)
+            == (slow.consequent.mask, slow.antecedent.mask)
+            and fast.consequent.space is slow.consequent.space
+            and fast.antecedent.space is slow.antecedent.space)
+
+
+def kernels_agree(items):
+    x, y = items[0], items[1]
+    return (same(~x, slow_invert(x)) and same(x ^ y, slow_xor(x, y))
+            and same(x & y, slow_and(x, y)) and same(x | y, slow_or(x, y))
+            and (x <= y) == slow_le(x, y)
+            and same(conjoin_all(items), slow_conjoin_all(items))
+            and same(disjoin_all(items), slow_disjoin_all(items))
+            and same(sum_all(items), slow_sum_all(items)))
+
+
+def test_int_kernels_match_event_forms():
+    for n in (2, 3):
+        space = AtomSpace(n)
+        pool = list(conditionals(space))
+        slow_pool = list(slow_conditionals(space))
+        assert len(pool) == len(slow_pool) == 3 ** n
+        assert all(same(f, s) for f, s in zip(pool, slow_pool))
+        for x, y in itertools.product(pool, repeat=2):
+            assert kernels_agree([x, y]), (x, y)
+        for a, b in itertools.product(list(space.events()), repeat=2):
+            assert same(cond(a, b), ConditionalObject(a & b, b)), (a, b)
+            assert same(embed(a), ConditionalObject(a, space.one)), a
+    space = AtomSpace(4)
+    pool = list(conditionals(space))
+    rng = random.Random(4)
+    for _ in range(3000):
+        triple = [rng.choice(pool) for _ in range(3)]
+        assert kernels_agree(triple), triple
+        assert kernels_agree(triple[::-1]), triple
+    # the kernels keep the space check and the containment check
+    s3, other = AtomSpace(3), AtomSpace(3, ["x", "y", "z"])
+    a, c = cond(s3.event([0]), s3.event([0, 1])), cond(other.event([1]), other.one)
+    for op in (lambda p, q: p & q, lambda p, q: p | q, lambda p, q: p ^ q,
+               lambda p, q: p <= q, lambda p, q: conjoin_all([p, q]),
+               lambda p, q: disjoin_all([p, q]), lambda p, q: sum_all([p, q]),
+               lambda p, q: cond(p.consequent, q.antecedent),
+               lambda p, q: p.consequent & q.antecedent,
+               lambda p, q: p.consequent | q.antecedent,
+               lambda p, q: p.consequent ^ q.antecedent,
+               lambda p, q: p.consequent <= q.antecedent):
+        with pytest.raises(MismatchedSpaceError):
+            op(a, c)
+        with pytest.raises(MismatchedSpaceError):
+            op(c, a)
+    # an equal space that is another object combines
+    twin = AtomSpace(3)
+    b = cond(twin.event([0, 2]), twin.one)
+    assert a & b == slow_and(a, b) and a <= a | b and b | a == a | b
+    # equal masks over different spaces are different conditionals
+    assert cond(s3.event([1]), s3.one) != c and hash(cond(s3.event([1]), s3.one)) == hash(c)
+    with pytest.raises(ValueError):
+        ConditionalObject(s3.event([0]), s3.event([1]))
+    with pytest.raises(ValueError):
+        _make(s3, 0b001, 0b010)

@@ -1,10 +1,12 @@
 import pytest
 
 from cea.algebra import AtomSpace
-from cea.conditional import cond, conditionals, embed
+from cea.conditional import ConditionalObject, cond, conditionals, embed
 from cea.coset import (
     SpaceTooLargeError,
     class_intersect,
+    classwise,
+    classwise_unary,
     expand,
     max_expand_atoms,
     recognize,
@@ -104,3 +106,22 @@ def test_coset_deterministic_iteration(s3):
     c = expand(cond(s3.event([0]), s3.event([0])))
     masks = [e.mask for e in c]
     assert masks == sorted(masks)
+
+
+def test_oracle_never_calls_the_compact_formulas(s3, monkeypatch):
+    """expand, classwise and recognize must stay literal: they may build
+    conditionals, never combine them with the calculus they check."""
+    pool = list(conditionals(s3))
+
+    def refuse(*args):
+        raise AssertionError("the coset oracle used a compact formula")
+
+    for name in ("__and__", "__or__", "__xor__", "__invert__", "__le__"):
+        monkeypatch.setattr(ConditionalObject, name, refuse)
+    cosets = [expand(a) for a in pool]
+    for a, coset in zip(pool, cosets):
+        assert recognize(s3, coset.elements) == a
+        assert len(classwise_unary(lambda x: ~x, coset)) == len(coset)
+        for other in cosets:
+            for op in (lambda x, y: x & y, lambda x, y: x | y, lambda x, y: x ^ y):
+                assert recognize(s3, classwise(op, coset, other)) is not None
