@@ -17,6 +17,7 @@ import json
 import os
 import random
 import sys
+from fractions import Fraction
 
 from .algebra import AtomSpace
 from .coset import max_expand_atoms
@@ -158,7 +159,10 @@ def cmd_eval(args) -> int:
             if row.error:
                 results.append({"value": row.value, "error": row.error})
             else:
-                results.append({"value": row.value, "grade": float(row.grade)})
+                result = {"value": row.value, "grade": float(row.grade)}
+                if isinstance(row.grade, Fraction):
+                    result["exact"] = f"{row.grade.numerator}/{row.grade.denominator}"
+                results.append(result)
         print(json.dumps({"query": query, "aldp": args.aldp, "results": results}))
     else:
         print(f"query {query} ({args.aldp})")

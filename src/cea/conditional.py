@@ -13,81 +13,79 @@ from functools import reduce
 from operator import and_, or_, xor
 from typing import Iterator, Sequence
 
-from .algebra import _MISMATCH, AtomSpace, Event, MismatchedSpaceError, _new, material_implies
+from .algebra import (
+    _MISMATCH, AtomSpace, Event, MismatchedSpaceError, _event, _new, material_implies,
+)
 
 
 class ConditionalObject:
     """Canonical pair (consequent, antecedent) with consequent <= antecedent.
 
-    ``&``, ``|``, ``^``, ``~`` are the conditional meet, join, ring sum
-    and complement; ``<=`` is the conditional partial order. Each
-    computes on the (consequent, antecedent) masks and wraps its result
-    once, through _make.
+    Stored as its space and the two masks cons and ant; consequent and
+    antecedent are Event views built on each read. ``&``, ``|``, ``^``,
+    ``~`` are the conditional meet, join, ring sum and complement;
+    ``<=`` is the conditional partial order. Each computes on the masks
+    and wraps its result once, through _make.
     """
 
-    __slots__ = ("consequent", "antecedent")
+    __slots__ = ("space", "cons", "ant")
 
     def __init__(self, consequent: Event, antecedent: Event):
         if not consequent <= antecedent:
             raise ValueError("consequent must be contained in the antecedent")
-        self.consequent = consequent
-        self.antecedent = antecedent
+        self.space, self.cons, self.ant = antecedent.space, consequent.mask, antecedent.mask
 
     @property
-    def space(self) -> AtomSpace:
-        return self.antecedent.space
+    def consequent(self) -> Event:
+        return _event(self.space, self.cons)
+
+    @property
+    def antecedent(self) -> Event:
+        return _event(self.space, self.ant)
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, ConditionalObject)
-            and self.consequent.mask == other.consequent.mask
-            and self.antecedent.mask == other.antecedent.mask
-            and (self.antecedent.space is other.antecedent.space
-                 or self.antecedent.space == other.antecedent.space)
+            and self.cons == other.cons
+            and self.ant == other.ant
+            and (self.space is other.space or self.space == other.space)
         )
 
     def __hash__(self) -> int:
-        return hash((self.consequent.mask, self.antecedent.mask))
+        return hash((self.cons, self.ant))
 
     def __repr__(self) -> str:
         return f"({self.consequent!r}|{self.antecedent!r})"
 
     def __invert__(self) -> "ConditionalObject":
-        ant = self.antecedent.mask
-        return _make(self.antecedent.space, ant & ~self.consequent.mask, ant)
+        return _make(self.space, self.ant & ~self.cons, self.ant)
 
     def __xor__(self, other: "ConditionalObject") -> "ConditionalObject":
-        ant = self.antecedent.mask & other.antecedent.mask
-        return _make(self.antecedent.space, (self.consequent.mask ^ other.consequent.mask) & ant,
-                     ant, other.antecedent.space)
+        ant = self.ant & other.ant
+        return _make(self.space, (self.cons ^ other.cons) & ant, ant, other.space)
 
     def __and__(self, other: "ConditionalObject") -> "ConditionalObject":
-        c1, a1 = self.consequent.mask, self.antecedent.mask
-        c2, a2 = other.consequent.mask, other.antecedent.mask
-        return _make(self.antecedent.space, c1 & c2, (a1 & ~c1) | (a2 & ~c2) | (a1 & a2),
-                     other.antecedent.space)
+        c1, a1, c2, a2 = self.cons, self.ant, other.cons, other.ant
+        return _make(self.space, c1 & c2, (a1 & ~c1) | (a2 & ~c2) | (a1 & a2), other.space)
 
     def __or__(self, other: "ConditionalObject") -> "ConditionalObject":
-        cons = self.consequent.mask | other.consequent.mask
-        return _make(self.antecedent.space, cons,
-                     cons | (self.antecedent.mask & other.antecedent.mask), other.antecedent.space)
+        cons = self.cons | other.cons
+        return _make(self.space, cons, cons | (self.ant & other.ant), other.space)
 
     def __le__(self, other: "ConditionalObject") -> bool:
         """Order by consequent growth and counter-consequent shrinkage.
 
         Agrees with the definitional forms A == A & C and C == A | C.
         """
-        space = self.antecedent.space
-        if other.antecedent.space is not space and other.antecedent.space != space:
+        if other.space is not self.space and other.space != self.space:
             raise MismatchedSpaceError(_MISMATCH)
-        c1, a1 = self.consequent.mask, self.antecedent.mask
-        c2, a2 = other.consequent.mask, other.antecedent.mask
+        c1, a1, c2, a2 = self.cons, self.ant, other.cons, other.ant
         return c1 & ~c2 == 0 and a2 & ~c2 & ~(a1 & ~c1) == 0
 
     @property
     def is_embedded_event(self) -> bool:
         """True when the antecedent is 1, i.e. this is a plain event."""
-        return self.antecedent.is_one
+        return self.ant == self.space.full_mask
 
 
 def _make(space: AtomSpace, cons: int, ant: int, peer=None) -> ConditionalObject:
@@ -97,9 +95,8 @@ def _make(space: AtomSpace, cons: int, ant: int, peer=None) -> ConditionalObject
         raise MismatchedSpaceError(_MISMATCH)
     if cons & ~ant:
         raise ValueError("consequent must be contained in the antecedent")
-    out, c, a = _new(ConditionalObject), _new(Event), _new(Event)
-    c.space, c.mask, a.space, a.mask = space, cons, space, ant
-    out.consequent, out.antecedent = c, a
+    out = _new(ConditionalObject)
+    out.space, out.cons, out.ant = space, cons, ant
     return out
 
 
@@ -120,10 +117,10 @@ def _columns(items: Sequence[ConditionalObject]) -> tuple[AtomSpace, list[int], 
     """The common space, consequent masks and antecedent masks of items."""
     if not items:
         raise ValueError("need at least one conditional")
-    space = items[0].antecedent.space
-    if any(c.antecedent.space is not space and c.antecedent.space != space for c in items):
+    space = items[0].space
+    if any(c.space is not space and c.space != space for c in items):
         raise MismatchedSpaceError(_MISMATCH)
-    return space, [c.consequent.mask for c in items], [c.antecedent.mask for c in items]
+    return space, [c.cons for c in items], [c.ant for c in items]
 
 
 def conjoin_all(items: Sequence[ConditionalObject]) -> ConditionalObject:

@@ -31,7 +31,7 @@ from operator import and_, or_
 from typing import Mapping, Optional, Sequence, Union
 
 from .algebra import AtomSpace, Event, material_implies
-from .conditional import ConditionalObject, conjoin_all, disjoin_all, embed
+from .conditional import ConditionalObject, _make, conjoin_all, disjoin_all, embed
 from .formulas import And, Formula, Implies, Leaf, Or, bind_leaves, from_json, ground
 from .semantics import (
     UndefinedConditionalError,
@@ -288,7 +288,7 @@ def lattice(grounding: Grounding, obs: Observation, aldp: str):
     if aldp == "cpl":
         def cpl_factor(rule, assignment):
             ant, cons = grounded(rule, assignment)
-            return ConditionalObject(cons & ant, ant)
+            return _make(ant.space, cons.mask & ant.mask, ant.mask)
 
         # looked up at call time, so that a patched module attribute is seen
         return ((lambda xs: conjoin_all(xs)), (lambda xs: disjoin_all(xs)), [embed(y)],

@@ -19,9 +19,10 @@ import os
 import random
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
-from .algebra import AtomSpace, Event, material_implies
+from .algebra import AtomSpace, Event, _event, material_implies
 from .conditional import (
     ConditionalObject,
+    _make,
     bayes_components,
     bounds,
     chain,
@@ -78,10 +79,15 @@ class Sweep:
         self.exhaustive = rng is None
 
     def _random_event(self) -> Event:
-        return self.space.event_from_mask(self.rng.randrange(1 << self.space.atom_count))
+        return _event(self.space, self.rng.randrange(1 << self.space.atom_count))
 
     def _random_cond(self) -> ConditionalObject:
-        return cond(self._random_event(), self._random_event())
+        """Two draws, consequent first: the same stream, and the same
+        conditionals, as cond() of two random events."""
+        top = 1 << self.space.atom_count
+        cons = self.rng.randrange(top)
+        ant = self.rng.randrange(top)
+        return _make(self.space, cons & ant, ant)
 
     def events(self, arity: int) -> Iterator[tuple]:
         if self.exhaustive:

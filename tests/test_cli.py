@@ -2,10 +2,13 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
 from cea.data import bundled_golden_dir, bundled_kb_path, bundled_observation_path
+from cea.engine import build_space, evaluate, load_kb, load_observation
+from cea.semantics import ProbabilityMeasure
 
 
 def run_cli(*args, env_extra=None):
@@ -52,6 +55,22 @@ def test_eval_json_schema(kb_path, obs_path):
         assert "grade" in r or r.get("error") == "undefined"
 
 
+@pytest.mark.parametrize("aldp", ["cpl", "pl"])
+def test_eval_json_exact_grade(kb_path, obs_path, aldp):
+    grounding = build_space(load_kb(kb_path))
+    obs = load_observation(grounding.kb, obs_path)
+    rows = evaluate(grounding, obs, aldp, "th1", ProbabilityMeasure.uniform(grounding.space))
+    proc = run_cli("eval", "--kb", kb_path, "--observe", obs_path,
+                   "--aldp", aldp, "--measure", "uniform", "--format", "json")
+    assert proc.returncode == 0
+    results = json.loads(proc.stdout)["results"]
+    assert [r["value"] for r in results] == [row.value for row in rows]
+    for r, row in zip(results, rows):
+        assert isinstance(row.grade, Fraction)
+        assert Fraction(r["exact"]) == row.grade
+        assert r["grade"] == float(row.grade)
+
+
 def test_eval_classical_atom(kb_path, obs_path):
     proc = run_cli("eval", "--kb", kb_path, "--observe", obs_path,
                    "--aldp", "cl",
@@ -78,6 +97,7 @@ def test_eval_fuzzy(kb_path, obs_path, tmp_path):
     assert proc.returncode == 0
     for r in json.loads(proc.stdout)["results"]:
         assert 0.0 <= r["grade"] <= 1.0
+        assert "exact" not in r
 
 
 UNIFORM_FACTORS = {

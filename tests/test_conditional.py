@@ -4,7 +4,7 @@ from functools import reduce
 
 import pytest
 
-from cea.algebra import AtomSpace, MismatchedSpaceError, material_implies
+from cea.algebra import AtomSpace, Event, MismatchedSpaceError, material_implies
 from cea.conditional import (
     ConditionalObject,
     _make,
@@ -26,6 +26,7 @@ from cea.verify import (
     oracle_equivalence_suite,
     partial_order_suite,
     comparison_suite,
+    Sweep,
 )
 
 
@@ -314,3 +315,58 @@ def test_int_kernels_match_event_forms():
         ConditionalObject(s3.event([0]), s3.event([1]))
     with pytest.raises(ValueError):
         _make(s3, 0b001, 0b010)
+
+
+def test_mask_slots_and_event_views():
+    assert ConditionalObject.__slots__ == ("space", "cons", "ant")
+    for n in (2, 3):
+        space = AtomSpace(n)
+        for c in conditionals(space):
+            for view, mask in ((c.consequent, c.cons), (c.antecedent, c.ant)):
+                assert type(view) is Event and view.space is c.space and view.mask == mask
+            # views are built on each read: equal, not identical
+            assert c.consequent == c.consequent and c.consequent is not c.consequent
+            rebuilt = ConditionalObject(c.consequent, c.antecedent)
+            assert rebuilt == c and hash(rebuilt) == hash(c) == hash((c.cons, c.ant))
+            assert (rebuilt.space, rebuilt.cons, rebuilt.ant) == (c.space, c.cons, c.ant)
+            assert repr(c) == f"({c.consequent!r}|{c.antecedent!r})"
+            with pytest.raises(AttributeError):
+                c.consequent = c.antecedent
+            with pytest.raises(AttributeError):
+                c.antecedent = c.consequent
+            assert not hasattr(c, "__dict__")
+        with pytest.raises(ValueError) as info:
+            ConditionalObject(space.event([0]), space.event([1]))
+        assert not isinstance(info.value, MismatchedSpaceError)
+        other = AtomSpace(n, [f"x{i}" for i in range(n)])
+        with pytest.raises(MismatchedSpaceError):
+            ConditionalObject(space.event([0]), other.one)
+        with pytest.raises(MismatchedSpaceError):
+            ConditionalObject(other.zero, space.one)
+
+
+def test_sweep_sample_stream_matches_event_draws():
+    """The sampled Sweep draws masks; the stream of the Event-built draws
+    it replaced, kept here as its oracle, must come out tuple for tuple."""
+    for n, seed, arity in itertools.product((3, 4), range(5), range(1, 5)):
+        space = AtomSpace(n)
+
+        def ev():
+            return space.event_from_mask(rng.randrange(1 << n))
+
+        def cnd():
+            return cond(ev(), ev())
+
+        rng = random.Random(seed)
+        expected = [tuple(ev() for _ in range(arity)) for _ in range(300)]
+        got = list(Sweep(space, random.Random(seed), 300).events(arity))
+        assert len(got) == 300
+        for g, e in zip(got, expected):
+            assert [(x.mask, x.space) for x in g] == [(x.mask, x.space) for x in e]
+            assert all(x.space is space for x in g)
+        rng = random.Random(seed)
+        expected = [tuple(cnd() for _ in range(arity)) for _ in range(300)]
+        got = list(Sweep(space, random.Random(seed), 300).conds(arity))
+        assert len(got) == 300
+        for g, e in zip(got, expected):
+            assert len(g) == arity and all(same(x, y) for x, y in zip(g, e)), (g, e)
