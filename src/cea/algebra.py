@@ -17,6 +17,11 @@ class MismatchedSpaceError(ValueError):
 
 _MISMATCH = "events belong to different atom spaces"
 
+# Spaces up to these sizes hash-cons their events (2^n, built with the
+# space) and their conditionals (up to 3^n, filled on first use).
+EVENT_TABLE_ATOMS = 8
+COND_TABLE_ATOMS = 6
+
 
 class AtomSpace:
     """A finite Boolean algebra presented by its atoms.
@@ -24,9 +29,20 @@ class AtomSpace:
     Atoms are indexed 0..n-1; every event is a subset of the atoms,
     stored as an int bitmask. Two spaces are equal when they have the
     same labels in the same order.
+
+    A space of at most EVENT_TABLE_ATOMS atoms hash-conses its events:
+    every Event it hands out is the one entry of ``_events`` for its
+    mask. A space of at most COND_TABLE_ATOMS atoms does the same for
+    conditionals through ``_conds``, indexed by ``ant << n | cons`` and
+    filled by :func:`cea.conditional._make`. So ``is`` may stand for
+    ``==`` only between results of one tabled space; larger spaces, and
+    equal spaces held in other objects, build a fresh object per result.
+    ``_expand_admitted`` is set once :func:`cea.coset.expand` has checked
+    the space against its size bound.
     """
 
-    __slots__ = ("atom_count", "atom_labels", "full_mask", "_label_index")
+    __slots__ = ("atom_count", "atom_labels", "full_mask", "_label_index",
+                 "_events", "_conds", "_expand_admitted")
 
     def __init__(self, atom_count: int, atom_labels: list[str] | None = None):
         if atom_count < 1:
@@ -41,6 +57,13 @@ class AtomSpace:
         self.atom_labels = list(atom_labels)
         self.full_mask = (1 << atom_count) - 1
         self._label_index = {lab: i for i, lab in enumerate(atom_labels)}
+        self._events = self._conds = None
+        self._expand_admitted = False
+        if atom_count <= EVENT_TABLE_ATOMS:
+            # _events is still None here, so _event allocates each entry
+            self._events = [_event(self, m) for m in range(1 << atom_count)]
+        if atom_count <= COND_TABLE_ATOMS:
+            self._conds = [None] * (1 << 2 * atom_count)
 
     def __eq__(self, other) -> bool:
         return (
@@ -156,10 +179,15 @@ _new = object.__new__
 
 
 def _event(space: AtomSpace, mask: int, peer=None) -> Event:
-    """An Event built without a constructor call; mask must lie in space.
-    peer is the space of the other operand of a binary op, if any."""
+    """The Event of mask in space: the table entry when the space has
+    one, else a new object built without a constructor call. mask must
+    lie in space. peer is the space of the other operand of a binary op,
+    if any."""
     if peer is not space and peer is not None and peer != space:
         raise MismatchedSpaceError(_MISMATCH)
+    table = space._events
+    if table is not None:
+        return table[mask]
     event = _new(Event)
     event.space, event.mask = space, mask
     return event

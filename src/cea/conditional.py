@@ -22,10 +22,15 @@ class ConditionalObject:
     """Canonical pair (consequent, antecedent) with consequent <= antecedent.
 
     Stored as its space and the two masks cons and ant; consequent and
-    antecedent are Event views built on each read. ``&``, ``|``, ``^``,
-    ``~`` are the conditional meet, join, ring sum and complement;
-    ``<=`` is the conditional partial order. Each computes on the masks
-    and wraps its result once, through _make.
+    antecedent are Event views built by _event on each read, so on a
+    space of at most EVENT_TABLE_ATOMS atoms two reads are the same
+    table entry. ``&``, ``|``, ``^``, ``~`` are the conditional meet,
+    join, ring sum and complement; ``<=`` is the conditional partial
+    order. Each computes on the masks and wraps its result once, through
+    _make, which on a space of at most COND_TABLE_ATOMS atoms returns
+    the one shared object per (cons, ant) pair. The validating
+    constructor always builds a new object. See AtomSpace for when
+    ``is`` may stand for ``==``.
     """
 
     __slots__ = ("space", "cons", "ant")
@@ -89,14 +94,24 @@ class ConditionalObject:
 
 
 def _make(space: AtomSpace, cons: int, ant: int, peer=None) -> ConditionalObject:
-    """The conditional (cons|ant) of space, wrapped once. peer is the
-    space of the other operand of a binary op, if any."""
+    """The conditional (cons|ant) of space: the table entry when the
+    space has one, else a new object. Both checks run before the lookup,
+    so no bad pair enters the table. peer is the space of the other
+    operand of a binary op, if any."""
     if peer is not space and peer is not None and peer != space:
         raise MismatchedSpaceError(_MISMATCH)
     if cons & ~ant:
         raise ValueError("consequent must be contained in the antecedent")
+    table = space._conds
+    if table is not None:
+        key = ant << space.atom_count | cons
+        out = table[key]
+        if out is not None:
+            return out
     out = _new(ConditionalObject)
     out.space, out.cons, out.ant = space, cons, ant
+    if table is not None:
+        table[key] = out
     return out
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import os
 from typing import Callable, Iterable, Optional
 
-from .algebra import AtomSpace, Event, MismatchedSpaceError
+from .algebra import _MISMATCH, AtomSpace, Event, MismatchedSpaceError, _event
 from .conditional import ConditionalObject, cond
 
 DEFAULT_MAX_ATOMS = 12
@@ -75,18 +75,22 @@ def expand(a: ConditionalObject) -> Coset:
     """The literal coset of a conditional: all events agreeing with the
     consequent on the antecedent. Size is 2^(atoms outside antecedent)."""
     space = a.space
-    if space.atom_count > max_expand_atoms():
-        raise SpaceTooLargeError(
-            f"expansion needs 2^{space.atom_count} events; bound is "
-            f"{max_expand_atoms()} atoms (override with CEA_MAX_ATOMS)"
-        )
-    outside = space.full_mask & ~a.antecedent.mask
-    cons = a.consequent.mask
+    if not space._expand_admitted:
+        # a refused space is not remembered: the bound may be raised later
+        bound = max_expand_atoms()
+        if space.atom_count > bound:
+            raise SpaceTooLargeError(
+                f"expansion needs 2^{space.atom_count} events; bound is "
+                f"{bound} atoms (override with CEA_MAX_ATOMS)"
+            )
+        space._expand_admitted = True
+    outside = space.full_mask & ~a.ant
+    cons = a.cons
     # enumerate subsets of the complement of the antecedent
     members = []
     sub = outside
     while True:
-        members.append(space.event_from_mask(sub | cons))
+        members.append(_event(space, sub | cons))
         if sub == 0:
             break
         sub = (sub - 1) & outside
@@ -153,16 +157,13 @@ def class_intersect(a: ConditionalObject, c: ConditionalObject) -> IntersectionR
     the criterion's prediction so a disagreement is visible.
     """
     inter = expand(a).elements & expand(c).elements
-    common = a.antecedent & c.antecedent
-    predicted_empty = bool((a.consequent ^ c.consequent) & common)
+    _check_same_space(a, c)
+    predicted_empty = bool((a.cons ^ c.cons) & a.ant & c.ant)
     conditional = None
     antecedent_matches = None
     if inter:
         conditional = recognize(a.space, inter)
-        antecedent_matches = (
-            conditional is not None
-            and conditional.antecedent == (a.antecedent | c.antecedent)
-        )
+        antecedent_matches = conditional is not None and conditional.ant == a.ant | c.ant
     return IntersectionResult(frozenset(inter), predicted_empty, conditional, antecedent_matches)
 
 
@@ -170,7 +171,10 @@ def subset_criterion(a: ConditionalObject, c: ConditionalObject) -> bool:
     """Coset containment test without expansion: the second antecedent
     lies inside the first and the first consequent is a member of the
     second coset."""
-    return (
-        c.antecedent <= a.antecedent
-        and (a.consequent & c.antecedent) == c.consequent
-    )
+    _check_same_space(a, c)
+    return c.ant & ~a.ant == 0 and a.cons & c.ant == c.cons
+
+
+def _check_same_space(a: ConditionalObject, c: ConditionalObject) -> None:
+    if a.space is not c.space and a.space != c.space:
+        raise MismatchedSpaceError(_MISMATCH)

@@ -16,8 +16,8 @@ from __future__ import annotations
 
 from typing import Callable, Iterable
 
-from .algebra import AtomSpace, Event
-from .conditional import ConditionalObject, cond, conditionals
+from .algebra import AtomSpace, Event, _event
+from .conditional import ConditionalObject, _make, conditionals
 from .coset import SpaceTooLargeError, expand, recognize
 
 MAX_ITER_ATOMS = 4
@@ -67,10 +67,10 @@ class IteratedConditional:
 
 
 def _beta(numerator: ConditionalObject, denominator: ConditionalObject) -> Event:
-    b = numerator.antecedent
-    c = denominator.consequent
-    d = denominator.antecedent
-    return (~b & ~d) | (~c & d)
+    """(~b & ~d) | (~c & d) for numerator (a|b) and denominator (c|d),
+    which share a space."""
+    space, b, c, d = numerator.space, numerator.ant, denominator.cons, denominator.ant
+    return _event(space, space.full_mask & ~(b | d) | d & ~c)
 
 
 def iter_cond(a: ConditionalObject, c: ConditionalObject) -> IteratedConditional:
@@ -123,9 +123,9 @@ def reduce_u(x: IteratedConditional) -> ConditionalObject:
     literal = recognize(space, union)
     if literal is None:
         raise ReductionMismatchError("member-coset union is not a coset")
-    c = x.denominator.consequent
-    d = x.denominator.antecedent
-    closed = cond(x.numerator.consequent, x.numerator.antecedent & ~(~c & d))
+    num, den = x.numerator, x.denominator
+    ant = num.ant & ~(den.ant & ~den.cons)
+    closed = _make(space, num.cons & ant, ant)
     if literal != closed:
         raise ReductionMismatchError(
             f"literal union {literal!r} differs from closed form {closed!r}"

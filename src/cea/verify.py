@@ -702,7 +702,7 @@ def _restriction_bijections(space: AtomSpace, rng=None) -> list[CheckResult]:
                     image_of[key] = img
                     target.discard(img)
             if target:
-                missing = sorted(target, key=lambda t: (t.antecedent.mask, t.consequent.mask))[0]
+                missing = sorted(target, key=lambda t: (t.ant, t.cons))[0]
                 return CheckResult(name, False, cases,
                                    f"not surjective at {c!r}: missing {missing!r}")
         return CheckResult(name, True, cases)

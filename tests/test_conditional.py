@@ -4,6 +4,8 @@ from functools import reduce
 
 import pytest
 
+import cea.algebra as algebra_module
+import cea.conditional as conditional_module
 from cea.algebra import AtomSpace, Event, MismatchedSpaceError, material_implies
 from cea.conditional import (
     ConditionalObject,
@@ -324,8 +326,8 @@ def test_mask_slots_and_event_views():
         for c in conditionals(space):
             for view, mask in ((c.consequent, c.cons), (c.antecedent, c.ant)):
                 assert type(view) is Event and view.space is c.space and view.mask == mask
-            # views are built on each read: equal, not identical
-            assert c.consequent == c.consequent and c.consequent is not c.consequent
+            # a tabled space hands out its one Event per mask
+            assert c.consequent is c.consequent and c.antecedent is space._events[c.ant]
             rebuilt = ConditionalObject(c.consequent, c.antecedent)
             assert rebuilt == c and hash(rebuilt) == hash(c) == hash((c.cons, c.ant))
             assert (rebuilt.space, rebuilt.cons, rebuilt.ant) == (c.space, c.cons, c.ant)
@@ -343,6 +345,12 @@ def test_mask_slots_and_event_views():
             ConditionalObject(space.event([0]), other.one)
         with pytest.raises(MismatchedSpaceError):
             ConditionalObject(other.zero, space.one)
+    # past EVENT_TABLE_ATOMS the views are built on each read: equal, not identical
+    big = AtomSpace(9)
+    c = cond(big.event([0, 8]), big.event([0, 1, 8]))
+    assert big._events is None
+    assert c.consequent == c.consequent and c.consequent is not c.consequent
+    assert c.antecedent == big.event([0, 1, 8]) and c.antecedent is not c.antecedent
 
 
 def test_sweep_sample_stream_matches_event_draws():
@@ -370,3 +378,122 @@ def test_sweep_sample_stream_matches_event_draws():
         assert len(got) == 300
         for g, e in zip(got, expected):
             assert len(g) == arity and all(same(x, y) for x, y in zip(g, e)), (g, e)
+
+
+# The allocating builders the hash-consing tables replaced, kept as their
+# oracle: with these patched in, every result is a new object.
+
+def alloc_event(space, mask, peer=None):
+    if peer is not space and peer is not None and peer != space:
+        raise MismatchedSpaceError("events belong to different atom spaces")
+    event = object.__new__(Event)
+    event.space, event.mask = space, mask
+    return event
+
+
+def alloc_make(space, cons, ant, peer=None):
+    if peer is not space and peer is not None and peer != space:
+        raise MismatchedSpaceError("events belong to different atom spaces")
+    if cons & ~ant:
+        raise ValueError("consequent must be contained in the antecedent")
+    out = object.__new__(ConditionalObject)
+    out.space, out.cons, out.ant = space, cons, ant
+    return out
+
+
+TABLED_OPS = (
+    lambda x, y, z: x & y, lambda x, y, z: x | y, lambda x, y, z: x ^ y,
+    lambda x, y, z: ~x, lambda x, y, z: x <= y,
+    lambda x, y, z: cond(x.consequent, y.antecedent),
+    lambda x, y, z: embed(x.consequent ^ y.antecedent),
+    lambda x, y, z: conjoin_all([x, y, z]), lambda x, y, z: disjoin_all([x, y, z]),
+    lambda x, y, z: sum_all([x, y, z]),
+    lambda x, y, z: x.consequent & y.antecedent, lambda x, y, z: x.antecedent | ~z.consequent,
+)
+
+
+def run_ops(triples, allocating, monkeypatch):
+    with monkeypatch.context() as m:
+        if allocating:
+            m.setattr(algebra_module, "_event", alloc_event)
+            m.setattr(conditional_module, "_event", alloc_event)
+            m.setattr(conditional_module, "_make", alloc_make)
+        return [[op(*t) for op in TABLED_OPS] for t in triples]
+
+
+def is_table_entry(r, space):
+    n = space.atom_count
+    if isinstance(r, Event):
+        return space._events is not None and r is space._events[r.mask]
+    return space._conds is not None and r is space._conds[r.ant << n | r.cons]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 6, 7, 8, 9])
+def test_tabled_builders_match_allocating_builders(n, monkeypatch):
+    space = AtomSpace(n)
+    assert (space._events is not None) == (n <= 8)
+    assert (space._conds is not None) == (n <= 6)
+    if n <= 3:
+        pool = list(conditionals(space))
+        triples = [(x, y, pool[(i + j) % len(pool)])
+                   for i, x in enumerate(pool) for j, y in enumerate(pool)]
+    else:
+        rng = random.Random(n)
+
+        def draw():
+            ant = rng.randrange(1 << n)
+            return _make(space, rng.randrange(1 << n) & ant, ant)
+
+        triples = [(draw(), draw(), draw()) for _ in range(400)]
+    fast = run_ops(triples, False, monkeypatch)
+    slow = run_ops(triples, True, monkeypatch)
+    for t, f_row, s_row in zip(triples, fast, slow):
+        for f, s in zip(f_row, s_row):
+            if isinstance(f, bool):
+                assert f == s, t
+                continue
+            assert f == s and type(f) is type(s), t
+            if isinstance(f, Event):
+                assert f.mask == s.mask and f.space is s.space is space
+                assert is_table_entry(f, space) == (n <= 8)
+            else:
+                assert same(f, s), t
+                assert is_table_entry(f, space) == (n <= 6)
+                assert s is not f
+    if n <= 8:
+        fast = list(conditionals(space))
+        with monkeypatch.context() as m:
+            m.setattr(conditional_module, "_make", alloc_make)
+            slow = list(conditionals(space))
+        assert len(fast) == len(slow) and all(same(f, s) for f, s in zip(fast, slow))
+        assert all(is_table_entry(f, space) == (n <= 6) for f in fast)
+        assert all(a is b for a, b in zip(fast, conditionals(space))) == (n <= 6)
+
+
+def test_tabled_builders_keep_their_checks():
+    space = AtomSpace(3)
+    other, twin = AtomSpace(3, ["x", "y", "z"]), AtomSpace(3)
+    a = cond(space.event([0]), space.event([0, 1]))
+    hit = _make(space, 0b001, 0b011)
+    assert hit is a and space._events[0b011] is space.event([0, 1])
+    # a foreign space is refused even where the masks hit both tables
+    foreign = cond(other.event([0]), other.event([0, 1]))
+    for op in (lambda p, q: p & q, lambda p, q: p | q, lambda p, q: p ^ q,
+               lambda p, q: p <= q, lambda p, q: conjoin_all([p, q]),
+               lambda p, q: cond(p.consequent, q.antecedent),
+               lambda p, q: p.antecedent & q.antecedent):
+        with pytest.raises(MismatchedSpaceError):
+            op(a, foreign)
+    with pytest.raises(MismatchedSpaceError):
+        _make(space, 0b001, 0b011, other)
+    # an equal space held in another object combines, into the left space's table
+    b = cond(twin.event([0]), twin.event([0, 1]))
+    assert a & b is a and a | b is hit and (a ^ b) is space._conds[0b011 << 3]
+    assert (b & a).space is twin and b & a is twin._conds[0b011 << 3 | 0b001]
+    # a refused pair never enters the table
+    fresh = AtomSpace(3)
+    with pytest.raises(ValueError):
+        _make(fresh, 0b001, 0b010)
+    with pytest.raises(MismatchedSpaceError):
+        _make(fresh, 0b001, 0b011, other)
+    assert fresh._conds == [None] * 64

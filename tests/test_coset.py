@@ -1,6 +1,7 @@
 import pytest
 
-from cea.algebra import AtomSpace
+import cea.coset as coset_module
+from cea.algebra import AtomSpace, MismatchedSpaceError
 from cea.conditional import ConditionalObject, cond, conditionals, embed
 from cea.coset import (
     SpaceTooLargeError,
@@ -12,7 +13,7 @@ from cea.coset import (
     recognize,
     subset_criterion,
 )
-from cea.verify import characterization_suite, intersection_suite
+from cea.verify import characterization_suite, intersection_suite, oracle_suites
 
 
 @pytest.fixture
@@ -45,6 +46,28 @@ def test_expansion_bound(monkeypatch):
         monkeypatch.setenv("CEA_MAX_ATOMS", bad)
         with pytest.raises(ValueError, match="CEA_MAX_ATOMS"):
             max_expand_atoms()
+
+
+def test_expansion_bound_read_once_per_space(monkeypatch):
+    reads = []
+
+    def counted():
+        reads.append(1)
+        return max_expand_atoms()
+
+    monkeypatch.setattr(coset_module, "max_expand_atoms", counted)
+    sections = oracle_suites(AtomSpace(2), higher_order=True)
+    assert all(c.passed for _, checks in sections for c in checks)
+    assert len(reads) == 1
+    # a refused space is not remembered: raising the bound admits it
+    big = AtomSpace(13)
+    for _ in range(2):
+        with pytest.raises(SpaceTooLargeError, match="bound is 12 atoms"):
+            expand(embed(big.event([0])))
+    monkeypatch.setenv("CEA_MAX_ATOMS", "13")
+    expand(embed(big.event([0])))
+    expand(embed(big.event([1])))
+    assert len(reads) == 4
 
 
 def test_recognize_examples(s3):
@@ -88,6 +111,21 @@ def test_subset_examples(s3):
     assert subset_criterion(small, big)
     assert expand(small).elements <= expand(big).elements
     assert not subset_criterion(big, small)
+
+
+def test_mask_reads_keep_the_space_check(s3):
+    other, twin = AtomSpace(3, ["x", "y", "z"]), AtomSpace(3)
+    a = cond(s3.event([0]), s3.event([0, 1]))
+    for fn in (subset_criterion, class_intersect):
+        for p, q in ((a, cond(other.event([0]), other.event([0, 1]))),
+                     (cond(other.zero, other.one), a)):
+            with pytest.raises(MismatchedSpaceError):
+                fn(p, q)
+    # an equal space held in another object is the same space
+    b = cond(twin.event([0]), twin.one)
+    assert subset_criterion(b, a) and not subset_criterion(a, b)
+    res = class_intersect(a, b)
+    assert not res.predicted_empty and res.antecedent_matches
 
 
 @pytest.mark.parametrize("n", [2, 3])
