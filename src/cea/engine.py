@@ -61,6 +61,8 @@ class VariableDecl:
     __slots__ = ("name", "kind", "domain")
 
     def __init__(self, name: str, kind: str, domain: Sequence[str]):
+        if not isinstance(name, str):
+            raise KnowledgeBaseError(f"variable name must be a string, got {name!r}")
         if kind not in VARIABLE_KINDS:
             raise KnowledgeBaseError(f"unknown variable kind {kind!r} for {name}")
         if not _is_string_list(domain):
@@ -79,18 +81,26 @@ class VariableDecl:
 
 
 class Rule:
-    __slots__ = ("id", "antecedent", "consequent")
+    """An immutable rule; its leaves are read once, here."""
+
+    __slots__ = ("id", "antecedent", "consequent", "leaves", "_variables",
+                 "_free_variables")
 
     def __init__(self, rule_id: str, antecedent: Formula, consequent: Formula):
+        if not isinstance(rule_id, str):
+            raise KnowledgeBaseError(f"rule id must be a string, got {rule_id!r}")
         self.id = rule_id
         self.antecedent = antecedent
         self.consequent = consequent
+        self.leaves = frozenset(antecedent.leaves() | consequent.leaves())
+        self._variables = frozenset(var for var, _ in self.leaves)
+        self._free_variables = frozenset(var for var, vals in self.leaves if vals is None)
 
-    def variables(self) -> set[str]:
-        return self.antecedent.variables() | self.consequent.variables()
+    def variables(self) -> frozenset[str]:
+        return self._variables
 
-    def free_variables(self) -> set[str]:
-        return self.antecedent.free_variables() | self.consequent.free_variables()
+    def free_variables(self) -> frozenset[str]:
+        return self._free_variables
 
     def __repr__(self) -> str:
         return f"Rule({self.id}: {self.antecedent!r} => {self.consequent!r})"
@@ -113,6 +123,11 @@ class KnowledgeBase:
                 raise KnowledgeBaseError(
                     f"rule {rule.id} references undeclared variables {sorted(missing)}"
                 )
+            bad = sorted((var, val) for var, vals in rule.leaves for val in vals or ()
+                         if val not in self._by_name[var].domain)
+            if bad:
+                raise KnowledgeBaseError(
+                    f"rule {rule.id} binds {bad[0][0]} to {bad[0][1]!r}, not in its domain")
 
     def variable(self, name: str) -> VariableDecl:
         try:

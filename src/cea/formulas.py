@@ -3,9 +3,13 @@
 Leaves name a declared variable, either bound to an explicit set of
 values (the primitive events var[value]) or left free, to be resolved
 later from an observation or a domain-variable assignment. Connectives
-are and/or/not/implies. Trees ground to events by structural recursion;
-they also serve the fuzzy evaluator, which must see syntax because
-possibility grades are not functions of the event extension.
+are and/or/not/implies.
+
+Every reading of a tree is one `fold`: a function for leaves and one
+per connective. Grounding to events, binding leaves, the JSON form, the
+set of leaves and the fuzzy evaluator (which must see syntax, because
+possibility grades are not functions of the event extension) are each
+a fold with their own five functions.
 
 JSON form: {"var": name, "vals": [...]} for leaves (omit "vals" for a
 free leaf), {"op": "and"|"or"|"not"|"implies", "args": [...]} otherwise.
@@ -13,7 +17,8 @@ free leaf), {"op": "and"|"or"|"not"|"implies", "args": [...]} otherwise.
 
 from __future__ import annotations
 
-from functools import reduce
+import operator
+from functools import partial, reduce
 from typing import Callable, Optional, Sequence
 
 from .algebra import Event, material_implies
@@ -26,20 +31,16 @@ class FormulaError(ValueError):
 class Formula:
     __slots__ = ()
 
+    def leaves(self) -> set[tuple[str, Optional[tuple[str, ...]]]]:
+        """The distinct (var, vals) pairs of the leaves."""
+        return fold(self, lambda var, vals: {(var, vals)}, _same, _union, _union, set.union)
+
     def variables(self) -> set[str]:
-        return {leaf.var for leaf in self._leaves()}
+        return {var for var, _ in self.leaves()}
 
     def free_variables(self) -> set[str]:
         """Variables of the leaves that carry no values of their own."""
-        return {leaf.var for leaf in self._leaves() if leaf.vals is None}
-
-    def _leaves(self) -> list["Leaf"]:
-        out: list[Leaf] = []
-        self._collect(out)
-        return out
-
-    def _collect(self, out: list["Leaf"]) -> None:
-        raise NotImplementedError
+        return {var for var, vals in self.leaves() if vals is None}
 
 
 class Leaf(Formula):
@@ -48,9 +49,6 @@ class Leaf(Formula):
     def __init__(self, var: str, vals: Optional[Sequence[str]] = None):
         self.var = var
         self.vals = None if vals is None else tuple(vals)
-
-    def _collect(self, out: list["Leaf"]) -> None:
-        out.append(self)
 
     def __repr__(self) -> str:
         if self.vals is None:
@@ -64,9 +62,6 @@ class Not(Formula):
     def __init__(self, arg: Formula):
         self.arg = arg
 
-    def _collect(self, out: list["Leaf"]) -> None:
-        self.arg._collect(out)
-
     def __repr__(self) -> str:
         return f"not({self.arg!r})"
 
@@ -79,10 +74,6 @@ class NaryOp(Formula):
         if not args:
             raise FormulaError(f"{self.symbol} needs at least one argument")
         self.args = tuple(args)
-
-    def _collect(self, out: list["Leaf"]) -> None:
-        for a in self.args:
-            a._collect(out)
 
     def __repr__(self) -> str:
         return "(" + f" {self.symbol} ".join(repr(a) for a in self.args) + ")"
@@ -105,63 +96,89 @@ class Implies(Formula):
         self.antecedent = antecedent
         self.consequent = consequent
 
-    def _collect(self, out: list["Leaf"]) -> None:
-        self.antecedent._collect(out)
-        self.consequent._collect(out)
-
     def __repr__(self) -> str:
         return f"({self.antecedent!r} => {self.consequent!r})"
+
+
+def fold(f: Formula, leaf, not_, and_, or_, implies):
+    """Read a formula bottom-up: leaf(var, vals) at each leaf, not_(x)
+    and implies(x, y) on the results of the arguments, and_(xs) and
+    or_(xs) on the list of them. Arguments are visited left to right.
+
+    Each distinct node is read once per call and its result reused
+    wherever the node recurs, so a tree whose sub-trees are shared costs
+    its number of nodes, not of paths; a shared node's result is the
+    same object at every place it occurs."""
+    if isinstance(f, Leaf):  # a lone leaf has nothing to share: no memo
+        return leaf(f.var, f.vals)
+    memo: dict[int, object] = {}
+
+    def go(node):
+        key = id(node)
+        if key in memo:
+            return memo[key]
+        if isinstance(node, Leaf):
+            out = leaf(node.var, node.vals)
+        elif isinstance(node, Or):
+            out = or_([go(a) for a in node.args])
+        elif isinstance(node, And):
+            out = and_([go(a) for a in node.args])
+        elif isinstance(node, Not):
+            out = not_(go(node.arg))
+        elif isinstance(node, Implies):
+            out = implies(go(node.antecedent), go(node.consequent))
+        else:
+            raise FormulaError(f"unknown formula node {node!r}")
+        memo[key] = out
+        return out
+
+    try:
+        return go(f)
+    finally:
+        # go refers to itself; unlinking it frees the memo now, not at the next gc
+        del go
+
+
+def _same(x):
+    return x
+
+
+def _union(sets: list[set]) -> set:
+    return set().union(*sets)
 
 
 LeafResolver = Callable[[str, Optional[tuple[str, ...]]], Event]
 
 
+_meet_all = partial(reduce, operator.and_)
+_join_all = partial(reduce, operator.or_)
+
+
 def ground(f: Formula, resolve_leaf: LeafResolver) -> Event:
     """Map a formula to an event; implication grounds materially."""
-    if isinstance(f, Leaf):
-        return resolve_leaf(f.var, f.vals)
-    if isinstance(f, Not):
-        return ~ground(f.arg, resolve_leaf)
-    if isinstance(f, And):
-        return reduce(lambda x, y: x & y, (ground(a, resolve_leaf) for a in f.args))
-    if isinstance(f, Or):
-        return reduce(lambda x, y: x | y, (ground(a, resolve_leaf) for a in f.args))
-    if isinstance(f, Implies):
-        return material_implies(
-            ground(f.antecedent, resolve_leaf), ground(f.consequent, resolve_leaf)
-        )
-    raise FormulaError(f"unknown formula node {f!r}")
+    return fold(f, resolve_leaf, operator.invert, _meet_all, _join_all, material_implies)
 
 
 def bind_leaves(
     f: Formula, resolve_vals: Callable[[str, Optional[tuple[str, ...]]], tuple[str, ...]]
 ) -> Formula:
-    """Return a copy with every leaf carrying explicit values."""
-    if isinstance(f, Leaf):
-        return Leaf(f.var, resolve_vals(f.var, f.vals))
-    if isinstance(f, Not):
-        return Not(bind_leaves(f.arg, resolve_vals))
-    if isinstance(f, And):
-        return And([bind_leaves(a, resolve_vals) for a in f.args])
-    if isinstance(f, Or):
-        return Or([bind_leaves(a, resolve_vals) for a in f.args])
-    if isinstance(f, Implies):
-        return Implies(
-            bind_leaves(f.antecedent, resolve_vals),
-            bind_leaves(f.consequent, resolve_vals),
-        )
-    raise FormulaError(f"unknown formula node {f!r}")
+    """Return a copy with every leaf carrying explicit values; sub-trees
+    shared in f are shared in the copy."""
+    return fold(f, lambda var, vals: Leaf(var, resolve_vals(var, vals)),
+                Not, And, Or, Implies)
 
 
 def from_json(obj) -> Formula:
     if not isinstance(obj, dict):
         raise FormulaError(f"formula node must be an object, got {obj!r}")
     if "var" in obj:
+        if not isinstance(obj["var"], str):
+            raise FormulaError(f"leaf var must be a string: {obj!r}")
         vals = obj.get("vals")
         if vals is not None and not (
-            isinstance(vals, list) and all(isinstance(v, str) for v in vals)
+            isinstance(vals, list) and vals and all(isinstance(v, str) for v in vals)
         ):
-            raise FormulaError(f"leaf vals must be a list of strings: {obj!r}")
+            raise FormulaError(f"leaf vals must be a nonempty list of strings: {obj!r}")
         return Leaf(obj["var"], vals)
     op = obj.get("op")
     args = obj.get("args", [])
@@ -183,18 +200,16 @@ def from_json(obj) -> Formula:
     raise FormulaError(f"unknown formula operator {op!r}")
 
 
+def _leaf_json(var: str, vals) -> dict:
+    return {"var": var} if vals is None else {"var": var, "vals": list(vals)}
+
+
 def to_json(f: Formula):
-    if isinstance(f, Leaf):
-        out = {"var": f.var}
-        if f.vals is not None:
-            out["vals"] = list(f.vals)
-        return out
-    if isinstance(f, Not):
-        return {"op": "not", "args": [to_json(f.arg)]}
-    if isinstance(f, And):
-        return {"op": "and", "args": [to_json(a) for a in f.args]}
-    if isinstance(f, Or):
-        return {"op": "or", "args": [to_json(a) for a in f.args]}
-    if isinstance(f, Implies):
-        return {"op": "implies", "args": [to_json(f.antecedent), to_json(f.consequent)]}
-    raise FormulaError(f"unknown formula node {f!r}")
+    """The JSON form; a sub-tree shared in f gives one dict, shared."""
+    def op(name):
+        return lambda *args: {"op": name, "args": list(args)}
+
+    def nary(name):
+        return lambda args: {"op": name, "args": args}
+
+    return fold(f, _leaf_json, op("not"), nary("and"), nary("or"), op("implies"))

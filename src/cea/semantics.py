@@ -24,7 +24,7 @@ from typing import Mapping, Sequence, Union
 
 from .algebra import AtomSpace, Event, material_implies
 from .conditional import ConditionalObject
-from .formulas import And, Formula, FormulaError, Implies, Leaf, Not, Or
+from .formulas import Formula, FormulaError, fold
 
 TOLERANCE = 1e-12
 
@@ -291,31 +291,12 @@ def fl_eval(poss: PossibilityAssignment, f: Formula) -> float:
 
     Each distinct node is graded once per call, so a formula whose
     sub-trees are shared costs its number of nodes, not of paths."""
-    memo: dict[int, float] = {}
+    def leaf(var: str, vals) -> float:
+        if vals is None:
+            raise FormulaError(f"unbound leaf {var} in fuzzy evaluation")
+        return max(poss.grade(var, v) for v in vals)
 
-    def grade(node: Formula) -> float:
-        key = id(node)
-        if key not in memo:
-            memo[key] = _fl_node(poss, node, grade)
-        return memo[key]
-
-    return grade(f)
-
-
-def _fl_node(poss: PossibilityAssignment, f: Formula, grade) -> float:
-    if isinstance(f, Leaf):
-        if f.vals is None:
-            raise FormulaError(f"unbound leaf {f.var} in fuzzy evaluation")
-        return max(poss.grade(f.var, v) for v in f.vals)
-    if isinstance(f, Not):
-        return 1.0 - grade(f.arg)
-    if isinstance(f, And):
-        return min(grade(a) for a in f.args)
-    if isinstance(f, Or):
-        return max(grade(a) for a in f.args)
-    if isinstance(f, Implies):
-        return max(1.0 - grade(f.antecedent), grade(f.consequent))
-    raise FormulaError(f"unknown formula node {f!r}")
+    return fold(f, leaf, lambda x: 1.0 - x, min, max, lambda a, c: max(1.0 - a, c))
 
 
 def measure_from_json(

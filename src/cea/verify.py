@@ -15,8 +15,10 @@ from __future__ import annotations
 
 import itertools
 import json
+import operator
 import os
 import random
+from functools import reduce
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .algebra import AtomSpace, Event, _event, material_implies
@@ -137,11 +139,14 @@ def ring_lattice_suite(space: AtomSpace, rng=None, samples=10000) -> list[CheckR
     ]
 
 
-def _xor_events(items: Sequence[Event]) -> Event:
-    out = items[0].space.zero
-    for e in items:
-        out = out ^ e
-    return out
+def _sum_parity_forms(tup: Sequence[Event]) -> tuple[bool, bool]:
+    """For tup = (a_1, ..., a_m, b): whether the sum of the b => a_i
+    equals b => (sum of the a_i), and whether it equals (sum of the
+    a_i) & b."""
+    *heads, b = tup
+    total = reduce(operator.xor, [material_implies(b, a) for a in heads])
+    xor_a = reduce(operator.xor, heads)
+    return total == material_implies(b, xor_a), total == xor_a & b
 
 
 def implication_identity_suite(space: AtomSpace, rng=None, samples=10000) -> list[CheckResult]:
@@ -173,13 +178,9 @@ def implication_identity_suite(space: AtomSpace, rng=None, samples=10000) -> lis
                lambda a1, a2, b: imp(b, a1) & imp(b, a2) == imp(b, a1 & a2)),
     ]
     for m in (1, 2, 3, 4):
-        def parity_pred(*tup, m=m):
-            b = tup[-1]
-            total = _xor_events([material_implies(b, a) for a in tup[:-1]])
-            xor_a = _xor_events(list(tup[:-1]))
-            if m % 2 == 1:
-                return total == material_implies(b, xor_a)
-            return total == xor_a & b
+        # odd m: the implication form holds; even m: the restricted sum
+        def parity_pred(*tup, even=m % 2 == 0):
+            return _sum_parity_forms(tup)[even]
         sw_m = Sweep(space, rng, max(1, samples // 4))
         out.append(_check(f"shared_antecedent_sum_parity_m{m}",
                           sw_m.events(m + 1), parity_pred))
@@ -189,27 +190,13 @@ def implication_identity_suite(space: AtomSpace, rng=None, samples=10000) -> lis
 def sum_parity_resolution(space: AtomSpace) -> dict:
     """Determine empirically which closed form the shared-antecedent sum
     takes for odd and for even arity."""
-    imp = material_implies
+    names = {(True, False): "implication_of_sum",
+             (False, True): "sum_restricted_to_antecedent",
+             (True, True): "both", (False, False): "neither"}
     resolution = {}
     for m, key in ((3, "odd"), (2, "even")):
-        imp_form = True
-        prod_form = True
-        for tup in Sweep(space).events(m + 1):
-            b = tup[-1]
-            total = _xor_events([imp(b, a) for a in tup[:-1]])
-            xor_a = _xor_events(list(tup[:-1]))
-            if total != imp(b, xor_a):
-                imp_form = False
-            if total != xor_a & b:
-                prod_form = False
-        if imp_form and not prod_form:
-            resolution[key] = "implication_of_sum"
-        elif prod_form and not imp_form:
-            resolution[key] = "sum_restricted_to_antecedent"
-        elif imp_form and prod_form:
-            resolution[key] = "both"
-        else:
-            resolution[key] = "neither"
+        forms = [_sum_parity_forms(tup) for tup in Sweep(space).events(m + 1)]
+        resolution[key] = names[all(imp for imp, _ in forms), all(prod for _, prod in forms)]
     return resolution
 
 
@@ -265,16 +252,8 @@ def conditional_law_suite(space: AtomSpace, rng=None, samples=10000) -> list[Che
     # additive inverses fail: a proper antecedent confines every sum
     # inside itself, so the embedded zero is unreachable.
     witness = cond(space.zero, ~space.atom(0))
-    count = 0
-    inverse_found = False
-    for x in conditionals(space):
-        count += 1
-        if (witness ^ x) == zero:
-            inverse_found = True
-            break
-    out.append(CheckResult(
-        "cond_no_additive_inverse", not inverse_found, count,
-        "" if not inverse_found else f"inverse found for {witness!r}"))
+    out.append(_check("cond_no_additive_inverse", ((x,) for x in conditionals(space)),
+                      lambda x: witness ^ x != zero))
     return out
 
 
@@ -554,16 +533,8 @@ def characterization_suite(space: AtomSpace) -> list[CheckResult]:
     out.append(CheckResult("fixed_antecedent_classes_partition", partition_ok,
                            1 << space.atom_count, detail))
 
-    rec_ok = True
-    detail = ""
-    count = 0
-    for c in conditionals(space):
-        count += 1
-        if recognize(space, expand(c).elements) != c:
-            rec_ok = False
-            detail = f"recognize failed on {c!r}"
-            break
-    out.append(CheckResult("recognize_inverts_expand", rec_ok, count, detail))
+    out.append(_check("recognize_inverts_expand", ((c,) for c in conditionals(space)),
+                      lambda c: recognize(space, expand(c).elements) == c))
     return out
 
 

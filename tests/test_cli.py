@@ -194,6 +194,9 @@ def test_eval_rejects_string_for_list(tmp_path, kb, observation):
     ({"variables": "xy"}, "variables"),
     ({"variables": [["x"]]}, "variables"),
     ({**tiny_kb(["0", "1"]), "rules": "ab"}, "rules"),
+    ({"variables": [{"name": ["x"], "kind": "data-attribute", "domain": ["0"]}]}, "name"),
+    ({**tiny_kb(["0", "1"]),
+      "rules": [{"id": 7, "if": {"var": "x"}, "then": {"var": "d"}}]}, "id"),
 ])
 def test_eval_rejects_malformed_kb_sections(tmp_path, kb, field):
     kb_file, obs_file = tmp_path / "kb.json", tmp_path / "obs.json"
@@ -205,7 +208,37 @@ def test_eval_rejects_malformed_kb_sections(tmp_path, kb, field):
     assert proc.stdout == ""
     assert "Traceback" not in proc.stderr
     assert len(proc.stderr.splitlines()) == 1
-    assert f'"{field}" must be a list of objects' in proc.stderr
+    expected = {"name": "variable name must be a string",
+                "id": "rule id must be a string"}
+    assert expected.get(field, f'"{field}" must be a list of objects') in proc.stderr
+
+
+@pytest.mark.parametrize("aldp,leaf,message", [
+    pytest.param("pl", {"var": ["b1"]}, "leaf var must be a string: {'var': ['b1']}",
+                 id="var-not-a-string"),
+    pytest.param("cpl", {"var": "b1", "vals": []},
+                 "leaf vals must be a nonempty list of strings: {'var': 'b1', 'vals': []}",
+                 id="empty-vals"),
+    # each logic used to fail its own way, or not at all
+    *[pytest.param(aldp, {"var": "b1", "vals": ["nope"]},
+                   "rule symptom-suggests-a1 binds b1 to 'nope', not in its domain",
+                   id=f"value-outside-domain-{aldp}") for aldp in ("cl", "fl", "pl", "cpl")],
+])
+def test_eval_rejects_malformed_leaf(tmp_path, kb_path, obs_path, aldp, leaf, message):
+    with open(kb_path, encoding="utf-8") as fh:
+        kb = json.load(fh)
+    kb["rules"][0]["if"] = leaf
+    kb_file = tmp_path / "kb.json"
+    kb_file.write_text(json.dumps(kb))
+    (tmp_path / "poss.json").write_text(json.dumps({"poss": {"b1": {"nope": 1}}}))
+    semantics = {"cl": ["--atom", "a1=1,a2=1,a3=2,b1=106-reddish,b2=1,th1=some"],
+                 "fl": ["--poss", str(tmp_path / "poss.json")],
+                 "pl": ["--measure", "uniform"], "cpl": ["--measure", "uniform"]}[aldp]
+    proc = run_cli("eval", "--kb", str(kb_file), "--observe", obs_path,
+                   "--aldp", aldp, *semantics)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.splitlines() == [f"error: {message}"]
 
 
 def test_eval_refuses_elimination_over_budget(kb_path, obs_path):

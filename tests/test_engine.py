@@ -378,6 +378,15 @@ def test_kb_validation_errors():
                 {"id": "r", "if": {"var": "x"}, "then": {"var": "x"}},
             ],
         })
+    # a bound leaf value outside the domain is refused at load, even in a
+    # rule that never fires, naming the rule, the variable and the value
+    with pytest.raises(KnowledgeBaseError,
+                       match=r"^rule r binds x to 'nope', not in its domain$"):
+        kb_from_json({
+            "variables": [{"name": "x", "kind": "data-attribute", "domain": ["0"]}],
+            "rules": [{"id": "r", "if": {"op": "not", "args": [{"var": "x"}]},
+                       "then": {"var": "x", "vals": ["0", "nope"]}}],
+        })
     kb = kb_from_json(TINY_KB)
     with pytest.raises(KnowledgeBaseError):
         observation_from_json(kb, {"observe": {"x": ["7"]}})

@@ -5,7 +5,7 @@ import pytest
 
 from cea.algebra import AtomSpace, material_implies
 from cea.conditional import cond, embed
-from cea.formulas import Leaf, Or, from_json
+from cea.formulas import Leaf, Or, bind_leaves, from_json, to_json
 from cea.semantics import (
     PossibilityAssignment,
     ProbabilityMeasure,
@@ -227,6 +227,18 @@ def test_fl_eval_grades_each_shared_node_once():
         node = Or([node, node, Leaf("y", ["b"])])
     assert fl_eval(poss, node) == 0.5
     assert poss.calls == 61
+    # every other reading of the tree visits each shared node once too
+    assert node.variables() == {"x", "y"}
+    assert node.free_variables() == set()
+    bound = bind_leaves(node, lambda var, vals: vals)
+    assert fl_eval(poss, bound) == 0.5
+    assert poss.calls == 122
+    level = bound
+    for _ in range(60):
+        assert level.args[0] is level.args[1]
+        assert to_json(level.args[2]) == {"var": "y", "vals": ["b"]}
+        level = level.args[0]
+    assert to_json(level) == {"var": "x", "vals": ["a"]}
 
 
 def test_fl_unbound_leaf_rejected():
