@@ -361,6 +361,31 @@ def test_algebra_selftest():
     assert "checks passed" in proc.stdout
 
 
+SNAPSHOT_DIR = os.path.join(os.path.dirname(__file__), "snapshots")
+
+
+@pytest.mark.parametrize("snapshot, args", [
+    ("oracle_verify_atoms3_higher_order.txt", ["oracle", "verify", "--atoms", "3", "--higher-order"]),
+    ("oracle_verify_atoms4_seed7_samples300.txt",
+     ["oracle", "verify", "--atoms", "4", "--seed", "7", "--samples", "300"]),
+    ("oracle_verify_atoms4_seed7_samples300.json",
+     ["oracle", "verify", "--atoms", "4", "--seed", "7", "--samples", "300", "--format", "json"]),
+    ("oracle_verify_atoms2_golden.txt",
+     ["oracle", "verify", "--atoms", "2", "--golden", bundled_golden_dir()]),
+    ("algebra_selftest_atoms3.txt", ["algebra", "selftest", "--atoms", "3"]),
+    ("algebra_selftest_atoms5_seed3_samples200.txt",
+     ["algebra", "selftest", "--atoms", "5", "--seed", "3", "--samples", "200"]),
+])
+def test_verifier_stdout_matches_snapshot(snapshot, args):
+    """Check names, order, case counts and settings lines are pinned:
+    each file is the full stdout of the command, recorded once."""
+    with open(os.path.join(SNAPSHOT_DIR, snapshot), encoding="utf-8") as fh:
+        expected = fh.read()
+    proc = run_cli(*args)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == expected
+
+
 def test_lewis_demo_text():
     proc = run_cli("lewis", "demo", "--atoms", "10")
     assert proc.returncode == 0
