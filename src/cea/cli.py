@@ -105,6 +105,8 @@ def _load_json_file(path: str):
         raise InputError(f"cannot read {path}: {exc}") from None
     except json.JSONDecodeError as exc:
         raise InputError(f"{path} is not valid JSON: {exc}") from None
+    except RecursionError:
+        raise InputError(f"{path} nests too deeply to read") from None
 
 
 def _parse_atom_assignment(text: str) -> dict[str, str]:
@@ -124,6 +126,8 @@ def cmd_eval(args) -> int:
         obs = load_observation(kb, args.observe)
     except (OSError, json.JSONDecodeError) as exc:
         raise InputError(f"cannot load inputs: {exc}") from None
+    except RecursionError:
+        raise InputError("cannot load inputs: a file nests too deeply to read") from None
 
     query = args.query
     if query is None:
@@ -145,7 +149,8 @@ def cmd_eval(args) -> int:
     elif args.aldp == "fl":
         if not args.poss:
             raise InputError("--aldp fl needs --poss")
-        sem_input = PossibilityAssignment.from_json(_load_json_file(args.poss))
+        sem_input = PossibilityAssignment.from_json(
+            _load_json_file(args.poss), [(v.name, v.domain) for v in kb.variables])
     else:
         if not args.atom:
             raise InputError("--aldp cl needs --atom")
@@ -185,7 +190,17 @@ def _check_atoms_bound(atoms: int) -> None:
         )
 
 
-def _emit_sections(title: str, sections, args, extra: dict) -> int:
+def _run_suites(args, title: str, max_exhaustive: int, suites, header) -> int:
+    """Check --atoms and --samples, run suites(space, rng) (exhaustive up
+    to max_exhaustive atoms, seeded otherwise) and print the sections
+    under a header of the flags named in `header` and the mode."""
+    _check_atoms_bound(args.atoms)
+    if args.samples < 1:
+        raise InputError("--samples must be positive")
+    exhaustive = args.atoms <= max_exhaustive
+    sections = suites(AtomSpace(args.atoms), None if exhaustive else random.Random(args.seed))
+    extra = {k: getattr(args, k) for k in header}
+    extra["mode"] = "exhaustive" if exhaustive else "sampled"
     failed = [c for _, checks in sections for c in checks if not c.passed]
     if args.format == "json":
         payload = dict(extra)
@@ -223,9 +238,6 @@ def _emit_sections(title: str, sections, args, extra: dict) -> int:
 
 
 def cmd_oracle_verify(args) -> int:
-    _check_atoms_bound(args.atoms)
-    if args.samples < 1:
-        raise InputError("--samples must be positive")
     if args.record and not args.golden:
         raise InputError("--record needs --golden")
     if args.golden and not os.path.isdir(args.golden):
@@ -234,36 +246,21 @@ def cmd_oracle_verify(args) -> int:
         if not args.record:
             raise InputError(f"golden directory {args.golden} does not exist"
                              " (--record creates it)")
-    space = AtomSpace(args.atoms)
-    exhaustive = args.atoms <= 3
-    rng = None if exhaustive else random.Random(args.seed)
-    sections = oracle_suites(space, rng, args.samples,
-                             higher_order=args.higher_order, seed=args.seed)
-    if args.golden:
-        sections = sections + [("golden facts", golden_check(args.golden, args.record))]
-    extra = {
-        "atoms": args.atoms,
-        "seed": args.seed,
-        "samples": args.samples,
-        "mode": "exhaustive" if exhaustive else "sampled",
-    }
-    return _emit_sections("oracle verify", sections, args, extra)
+
+    def suites(space, rng):
+        sections = oracle_suites(space, rng, args.samples,
+                                 higher_order=args.higher_order, seed=args.seed)
+        if args.golden:
+            sections.append(("golden facts", golden_check(args.golden, args.record)))
+        return sections
+
+    return _run_suites(args, "oracle verify", 3, suites, ("atoms", "seed", "samples"))
 
 
 def cmd_algebra_selftest(args) -> int:
-    _check_atoms_bound(args.atoms)
-    if args.samples < 1:
-        raise InputError("--samples must be positive")
-    space = AtomSpace(args.atoms)
-    exhaustive = args.atoms <= 4
-    rng = None if exhaustive else random.Random(args.seed)
-    sections = algebra_suites(space, rng, args.samples)
-    extra = {
-        "atoms": args.atoms,
-        "seed": args.seed,
-        "mode": "exhaustive" if exhaustive else "sampled",
-    }
-    return _emit_sections("algebra selftest", sections, args, extra)
+    return _run_suites(args, "algebra selftest", 4,
+                       lambda space, rng: algebra_suites(space, rng, args.samples),
+                       ("atoms", "seed"))
 
 
 def cmd_lewis_demo(args) -> int:
@@ -299,10 +296,7 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return args.func(args)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (KnowledgeBaseError, ValueError) as exc:
+    except (InputError, KnowledgeBaseError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

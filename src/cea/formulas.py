@@ -13,6 +13,9 @@ a fold with their own five functions.
 
 JSON form: {"var": name, "vals": [...]} for leaves (omit "vals" for a
 free leaf), {"op": "and"|"or"|"not"|"implies", "args": [...]} otherwise.
+A tree may nest at most MAX_DEPTH nodes from root to leaf, so that the
+recursive readers (from_json, fold) stay far inside Python's recursion
+limit on every supported version.
 """
 
 from __future__ import annotations
@@ -22,6 +25,9 @@ from functools import partial, reduce
 from typing import Callable, Optional, Sequence
 
 from .algebra import Event, material_implies
+
+
+MAX_DEPTH = 100
 
 
 class FormulaError(ValueError):
@@ -168,7 +174,9 @@ def bind_leaves(
                 Not, And, Or, Implies)
 
 
-def from_json(obj) -> Formula:
+def from_json(obj, _depth: int = 1) -> Formula:
+    if _depth > MAX_DEPTH:
+        raise FormulaError(f"formula nests deeper than {MAX_DEPTH} levels")
     if not isinstance(obj, dict):
         raise FormulaError(f"formula node must be an object, got {obj!r}")
     if "var" in obj:
@@ -184,7 +192,7 @@ def from_json(obj) -> Formula:
     args = obj.get("args", [])
     if not isinstance(args, list):
         raise FormulaError(f"args must be a list: {obj!r}")
-    parsed = [from_json(a) for a in args]
+    parsed = [from_json(a, _depth + 1) for a in args]
     if op == "not":
         if len(parsed) != 1:
             raise FormulaError("not takes exactly one argument")

@@ -254,11 +254,13 @@ class PossibilityAssignment:
         self.grades = {k: float(v) for k, v in grades.items()}
 
     @classmethod
-    def from_json(cls, data) -> "PossibilityAssignment":
+    def from_json(cls, data, domains=None) -> "PossibilityAssignment":
+        """Given a knowledge base's (name, domain) pairs, every graded
+        variable must be one of them and every value in its domain."""
         if not isinstance(data, dict) or "poss" not in data:
             raise ValueError('possibility file must look like {"poss": {...}}')
         grades = {}
-        for var, vals in _value_maps(data["poss"], "poss").items():
+        for var, vals in _value_maps(data["poss"], "poss", domains).items():
             for val, g in vals.items():
                 try:
                     grades[(var, val)] = float(g)
@@ -273,14 +275,24 @@ class PossibilityAssignment:
             raise FormulaError(f"no possibility grade for {var}[{value}]") from None
 
 
-def _value_maps(section, name: str) -> dict:
-    """Check the {var: {value: number}} shape of a file section."""
+def _value_maps(section, name: str, domains=None) -> dict:
+    """Check the {var: {value: number}} shape of a file section and,
+    given a knowledge base's (name, domain) pairs, that every variable
+    is declared and every value lies in its domain."""
     if not isinstance(section, dict):
         raise ValueError(f'"{name}" must be an object of variables')
+    declared = None if domains is None else dict(domains)
     for var, vals in section.items():
         if not isinstance(vals, dict):
             raise ValueError(f'"{name}" entry for {var} must be an object of values,'
                              f" got {vals!r}")
+        if declared is None:
+            continue
+        if var not in declared:
+            raise ValueError(f'"{name}" names undeclared variable {var!r}')
+        for val in vals:
+            if val not in declared[var]:
+                raise ValueError(f'"{name}" entry for {var} names {val!r}, not in its domain')
     return section
 
 
@@ -331,7 +343,7 @@ def measure_from_json(
             raise ValueError("factor measures need a variable-grounded space")
         factors = {
             var: {val: parse_weight(w) for val, w in vals.items()}
-            for var, vals in _value_maps(data["factors"], "factors").items()
+            for var, vals in _value_maps(data["factors"], "factors", domains).items()
         }
         for var, vals in factors.items():
             total = sum(vals.values())

@@ -6,6 +6,11 @@ tuples of a small space (or a seeded sample of tuples on larger ones).
 Each check returns a CheckResult carrying a witness on failure, so a
 broken law is reported with the exact inputs that break it.
 
+A swept law is one row (name, kind, arity, predicate), kind "events" or
+"conds"; `_run` checks a suite's rows in order against one Sweep, so
+they share its seeded stream. Checks whose failure detail is not a
+witness tuple are written out by hand.
+
 Where the printed source of an identity was ambiguous, the suite checks
 the empirically-true resolved form; the resolved choices are recorded
 as golden facts (see golden_facts) so they stay locked down.
@@ -91,21 +96,25 @@ class Sweep:
         ant = self.rng.randrange(top)
         return _make(self.space, cons & ant, ant)
 
-    def events(self, arity: int) -> Iterator[tuple]:
-        if self.exhaustive:
-            pool = list(self.space.events())
-            yield from itertools.product(pool, repeat=arity)
-        else:
-            for _ in range(self.samples):
-                yield tuple(self._random_event() for _ in range(arity))
+    # kind -> (every element of a space, one seeded draw)
+    KINDS = {"events": (AtomSpace.events, _random_event),
+             "conds": (conditionals, _random_cond)}
 
-    def conds(self, arity: int) -> Iterator[tuple]:
+    def tuples(self, kind: str, arity: int) -> Iterator[tuple]:
+        """Every arity-tuple of the kind's elements, or `samples` drawn ones."""
+        pool, draw = self.KINDS[kind]
         if self.exhaustive:
-            pool = list(conditionals(self.space))
-            yield from itertools.product(pool, repeat=arity)
+            yield from itertools.product(list(pool(self.space)), repeat=arity)
         else:
             for _ in range(self.samples):
-                yield tuple(self._random_cond() for _ in range(arity))
+                yield tuple(draw(self) for _ in range(arity))
+
+
+def _run(sweep: Sweep, rows: Iterable[tuple]) -> list[CheckResult]:
+    """The driver: each row (name, kind, arity, predicate) is checked
+    over its own tuples from the one sweep, in order, so the rows of a
+    sampled sweep share its seeded stream."""
+    return [_check(name, sweep.tuples(kind, arity), pred) for name, kind, arity, pred in rows]
 
 
 # ---------------------------------------------------------------------------
@@ -113,30 +122,28 @@ class Sweep:
 # ---------------------------------------------------------------------------
 
 def ring_lattice_suite(space: AtomSpace, rng=None, samples=10000) -> list[CheckResult]:
-    sw = Sweep(space, rng, samples)
     zero = space.zero
-    return [
-        _check("sum_commutative", sw.events(2), lambda a, b: a ^ b == b ^ a),
-        _check("sum_associative", sw.events(3),
-               lambda a, b, c: (a ^ b) ^ c == a ^ (b ^ c)),
-        _check("sum_identity", sw.events(1), lambda a: a ^ zero == a),
-        _check("sum_self_inverse", sw.events(1), lambda a: (a ^ a) == zero),
-        _check("meet_distributes_over_sum", sw.events(3),
-               lambda a, b, c: a & (b ^ c) == (a & b) ^ (a & c)),
-        _check("meet_idempotent", sw.events(1), lambda a: a & a == a),
-        _check("lattice_absorption", sw.events(2),
-               lambda a, b: (a & (a | b) == a) and (a | (a & b) == a)),
-        _check("lattice_distributive", sw.events(3),
-               lambda a, b, c: (a & (b | c) == (a & b) | (a & c))
-               and (a | (b & c) == (a | b) & (a | c))),
-        _check("de_morgan", sw.events(2),
-               lambda a, b: (~(a & b) == ~a | ~b) and (~(a | b) == ~a & ~b)),
-        _check("double_complement", sw.events(1), lambda a: ~~a == a),
-        _check("implication_pointwise", sw.events(2),
-               lambda a, b: all(
-                   (i in material_implies(b, a)) == ((i not in b) or (i in a))
-                   for i in range(space.atom_count))),
-    ]
+    return _run(Sweep(space, rng, samples), [
+        ("sum_commutative", "events", 2, lambda a, b: a ^ b == b ^ a),
+        ("sum_associative", "events", 3, lambda a, b, c: (a ^ b) ^ c == a ^ (b ^ c)),
+        ("sum_identity", "events", 1, lambda a: a ^ zero == a),
+        ("sum_self_inverse", "events", 1, lambda a: (a ^ a) == zero),
+        ("meet_distributes_over_sum", "events", 3,
+         lambda a, b, c: a & (b ^ c) == (a & b) ^ (a & c)),
+        ("meet_idempotent", "events", 1, lambda a: a & a == a),
+        ("lattice_absorption", "events", 2,
+         lambda a, b: (a & (a | b) == a) and (a | (a & b) == a)),
+        ("lattice_distributive", "events", 3,
+         lambda a, b, c: (a & (b | c) == (a & b) | (a & c))
+         and (a | (b & c) == (a | b) & (a | c))),
+        ("de_morgan", "events", 2,
+         lambda a, b: (~(a & b) == ~a | ~b) and (~(a | b) == ~a & ~b)),
+        ("double_complement", "events", 1, lambda a: ~~a == a),
+        ("implication_pointwise", "events", 2,
+         lambda a, b: all(
+             (i in material_implies(b, a)) == ((i not in b) or (i in a))
+             for i in range(space.atom_count))),
+    ])
 
 
 def _sum_parity_forms(tup: Sequence[Event]) -> tuple[bool, bool]:
@@ -152,39 +159,32 @@ def _sum_parity_forms(tup: Sequence[Event]) -> tuple[bool, bool]:
 def implication_identity_suite(space: AtomSpace, rng=None, samples=10000) -> list[CheckResult]:
     """The implication calculus, with garbled-in-print forms resolved to
     the variants that actually hold (checked here, locked as golden)."""
-    sw = Sweep(space, rng, samples)
     one = space.one
     imp = material_implies
-    out = [
-        _check("implication_absorbs_consequent", sw.events(2),
-               lambda a, b: imp(b, a) == imp(b, a & b)),
-        _check("unit_antecedent_collapses", sw.events(1), lambda a: imp(one, a) == a),
-        _check("zero_antecedent_is_vacuous", sw.events(1),
-               lambda a: imp(space.zero, a) == one),
-        _check("chaining_decomposition", sw.events(3),
-               lambda a, b, c: imp(c, a & b) == imp(c, b) & imp(b & c, a)),
-        _check("implication_complement", sw.events(2),
-               lambda a, b: ~imp(b, a) == ~a & b),
-        _check("join_of_implications", sw.events(4),
-               lambda a1, b1, a2, b2:
-               imp(b1, a1) | imp(b2, a2) == imp(b1 & b2, a1 | a2)),
-        _check("meet_of_implications", sw.events(4),
-               lambda a1, b1, a2, b2:
-               imp(b1, a1) & imp(b2, a2)
-               == imp((~a1 & b1) | (~a2 & b2) | (b1 & b2), a1 & a2)),
-        _check("shared_antecedent_join", sw.events(3),
-               lambda a1, a2, b: imp(b, a1) | imp(b, a2) == imp(b, a1 | a2)),
-        _check("shared_antecedent_meet", sw.events(3),
-               lambda a1, a2, b: imp(b, a1) & imp(b, a2) == imp(b, a1 & a2)),
-    ]
-    for m in (1, 2, 3, 4):
-        # odd m: the implication form holds; even m: the restricted sum
-        def parity_pred(*tup, even=m % 2 == 0):
-            return _sum_parity_forms(tup)[even]
-        sw_m = Sweep(space, rng, max(1, samples // 4))
-        out.append(_check(f"shared_antecedent_sum_parity_m{m}",
-                          sw_m.events(m + 1), parity_pred))
-    return out
+    out = _run(Sweep(space, rng, samples), [
+        ("implication_absorbs_consequent", "events", 2,
+         lambda a, b: imp(b, a) == imp(b, a & b)),
+        ("unit_antecedent_collapses", "events", 1, lambda a: imp(one, a) == a),
+        ("zero_antecedent_is_vacuous", "events", 1, lambda a: imp(space.zero, a) == one),
+        ("chaining_decomposition", "events", 3,
+         lambda a, b, c: imp(c, a & b) == imp(c, b) & imp(b & c, a)),
+        ("implication_complement", "events", 2, lambda a, b: ~imp(b, a) == ~a & b),
+        ("join_of_implications", "events", 4,
+         lambda a1, b1, a2, b2: imp(b1, a1) | imp(b2, a2) == imp(b1 & b2, a1 | a2)),
+        ("meet_of_implications", "events", 4,
+         lambda a1, b1, a2, b2:
+         imp(b1, a1) & imp(b2, a2)
+         == imp((~a1 & b1) | (~a2 & b2) | (b1 & b2), a1 & a2)),
+        ("shared_antecedent_join", "events", 3,
+         lambda a1, a2, b: imp(b, a1) | imp(b, a2) == imp(b, a1 | a2)),
+        ("shared_antecedent_meet", "events", 3,
+         lambda a1, a2, b: imp(b, a1) & imp(b, a2) == imp(b, a1 & a2)),
+    ])
+    # odd m: the implication form holds; even m: the restricted sum
+    return out + _run(Sweep(space, rng, max(1, samples // 4)), [
+        (f"shared_antecedent_sum_parity_m{m}", "events", m + 1,
+         lambda *tup, even=m % 2 == 0: _sum_parity_forms(tup)[even])
+        for m in (1, 2, 3, 4)])
 
 
 def sum_parity_resolution(space: AtomSpace) -> dict:
@@ -195,7 +195,7 @@ def sum_parity_resolution(space: AtomSpace) -> dict:
              (True, True): "both", (False, False): "neither"}
     resolution = {}
     for m, key in ((3, "odd"), (2, "even")):
-        forms = [_sum_parity_forms(tup) for tup in Sweep(space).events(m + 1)]
+        forms = [_sum_parity_forms(tup) for tup in Sweep(space).tuples("events", m + 1)]
         resolution[key] = names[all(imp for imp, _ in forms), all(prod for _, prod in forms)]
     return resolution
 
@@ -206,20 +206,19 @@ def sum_parity_resolution(space: AtomSpace) -> dict:
 
 def oracle_equivalence_suite(space: AtomSpace, rng=None, samples=10000) -> list[CheckResult]:
     """Compact formulas vs the classwise extension of expanded cosets."""
-    sw = Sweep(space, rng, samples)
-    return [
-        _check("coset_extension_complement", sw.conds(1),
-               lambda a: classwise_unary(lambda x: ~x, expand(a)) == expand(~a).elements),
-        _check("coset_extension_sum", sw.conds(2),
-               lambda a, c: classwise(lambda x, y: x ^ y, expand(a), expand(c))
-               == expand(a ^ c).elements),
-        _check("coset_extension_join", sw.conds(2),
-               lambda a, c: classwise(lambda x, y: x | y, expand(a), expand(c))
-               == expand(a | c).elements),
-        _check("coset_extension_meet", sw.conds(2),
-               lambda a, c: classwise(lambda x, y: x & y, expand(a), expand(c))
-               == expand(a & c).elements),
-    ]
+    return _run(Sweep(space, rng, samples), [
+        ("coset_extension_complement", "conds", 1,
+         lambda a: classwise_unary(lambda x: ~x, expand(a)) == expand(~a).elements),
+        ("coset_extension_sum", "conds", 2,
+         lambda a, c: classwise(lambda x, y: x ^ y, expand(a), expand(c))
+         == expand(a ^ c).elements),
+        ("coset_extension_join", "conds", 2,
+         lambda a, c: classwise(lambda x, y: x | y, expand(a), expand(c))
+         == expand(a | c).elements),
+        ("coset_extension_meet", "conds", 2,
+         lambda a, c: classwise(lambda x, y: x & y, expand(a), expand(c))
+         == expand(a & c).elements),
+    ])
 
 
 # ---------------------------------------------------------------------------
@@ -227,90 +226,84 @@ def oracle_equivalence_suite(space: AtomSpace, rng=None, samples=10000) -> list[
 # ---------------------------------------------------------------------------
 
 def conditional_law_suite(space: AtomSpace, rng=None, samples=10000) -> list[CheckResult]:
-    sw = Sweep(space, rng, samples)
     zero = embed(space.zero)
     one = embed(space.one)
-    out = [
-        _check("cond_commutative", sw.conds(2),
-               lambda a, c: a ^ c == c ^ a and a | c == c | a and a & c == c & a),
-        _check("cond_associative", sw.conds(3),
-               lambda a, c, e: ((a ^ c) ^ e == a ^ (c ^ e))
-               and ((a | c) | e == a | (c | e))
-               and ((a & c) & e == a & (c & e))),
-        _check("cond_identities", sw.conds(1),
-               lambda a: a ^ zero == a and a | zero == a and a & one == a),
-        _check("cond_mutual_distributivity", sw.conds(3),
-               lambda a, c, e: (a & (c | e) == (a & c) | (a & e))
-               and (a | (c & e) == (a | c) & (a | e))),
-        _check("cond_idempotent", sw.conds(1), lambda a: a & a == a and a | a == a),
-        _check("cond_de_morgan", sw.conds(2),
-               lambda a, c: ~(a & c) == ~a | ~c and ~(a | c) == ~a & ~c),
-        _check("cond_absorption", sw.conds(2),
-               lambda a, c: a & (a | c) == a and a | (a & c) == a),
-        _check("cond_involution", sw.conds(1), lambda a: ~~a == a),
-    ]
+    out = _run(Sweep(space, rng, samples), [
+        ("cond_commutative", "conds", 2,
+         lambda a, c: a ^ c == c ^ a and a | c == c | a and a & c == c & a),
+        ("cond_associative", "conds", 3,
+         lambda a, c, e: ((a ^ c) ^ e == a ^ (c ^ e))
+         and ((a | c) | e == a | (c | e))
+         and ((a & c) & e == a & (c & e))),
+        ("cond_identities", "conds", 1,
+         lambda a: a ^ zero == a and a | zero == a and a & one == a),
+        ("cond_mutual_distributivity", "conds", 3,
+         lambda a, c, e: (a & (c | e) == (a & c) | (a & e))
+         and (a | (c & e) == (a | c) & (a | e))),
+        ("cond_idempotent", "conds", 1, lambda a: a & a == a and a | a == a),
+        ("cond_de_morgan", "conds", 2,
+         lambda a, c: ~(a & c) == ~a | ~c and ~(a | c) == ~a & ~c),
+        ("cond_absorption", "conds", 2,
+         lambda a, c: a & (a | c) == a and a | (a & c) == a),
+        ("cond_involution", "conds", 1, lambda a: ~~a == a),
+    ])
     # additive inverses fail: a proper antecedent confines every sum
     # inside itself, so the embedded zero is unreachable.
     witness = cond(space.zero, ~space.atom(0))
-    out.append(_check("cond_no_additive_inverse", ((x,) for x in conditionals(space)),
-                      lambda x: witness ^ x != zero))
-    return out
+    return out + _run(Sweep(space), [
+        ("cond_no_additive_inverse", "conds", 1, lambda x: witness ^ x != zero)])
 
 
 def nary_consistency_suite(space: AtomSpace, rng=None, samples=10000) -> list[CheckResult]:
     """n-ary closed forms equal both fold orders of the binary ops."""
-    sw = Sweep(space, rng, samples)
 
     def folds_match(op, nary, a, c, e):
         return op(op(a, c), e) == op(a, op(c, e)) == nary([a, c, e])
 
-    return [
-        _check("nary_meet_matches_folds", sw.conds(3),
-               lambda a, c, e: folds_match(lambda x, y: x & y, conjoin_all, a, c, e)),
-        _check("nary_join_matches_folds", sw.conds(3),
-               lambda a, c, e: folds_match(lambda x, y: x | y, disjoin_all, a, c, e)),
-        _check("nary_sum_matches_folds", sw.conds(3),
-               lambda a, c, e: folds_match(lambda x, y: x ^ y, sum_all, a, c, e)),
-        _check("nary_singleton_identity", sw.conds(1),
-               lambda a: conjoin_all([a]) == disjoin_all([a]) == sum_all([a]) == a),
-    ]
+    return _run(Sweep(space, rng, samples), [
+        ("nary_meet_matches_folds", "conds", 3,
+         lambda a, c, e: folds_match(lambda x, y: x & y, conjoin_all, a, c, e)),
+        ("nary_join_matches_folds", "conds", 3,
+         lambda a, c, e: folds_match(lambda x, y: x | y, disjoin_all, a, c, e)),
+        ("nary_sum_matches_folds", "conds", 3,
+         lambda a, c, e: folds_match(lambda x, y: x ^ y, sum_all, a, c, e)),
+        ("nary_singleton_identity", "conds", 1,
+         lambda a: conjoin_all([a]) == disjoin_all([a]) == sum_all([a]) == a),
+    ])
 
 
 def partial_order_suite(space: AtomSpace, rng=None, samples=10000) -> list[CheckResult]:
     sw = Sweep(space, rng, samples)
-    out = [
-        _check("order_matches_meet_definition", sw.conds(2),
-               lambda a, c: (a <= c) == (a & c == a)),
-        _check("order_matches_join_definition", sw.conds(2),
-               lambda a, c: (a <= c) == (a | c == c)),
-        _check("order_reflexive", sw.conds(1), lambda a: a <= a),
-        _check("order_antisymmetric", sw.conds(2),
-               lambda a, c: not (a <= c and c <= a) or a == c),
-        _check("order_transitive", sw.conds(3),
-               lambda a, c, e: not (a <= c and c <= e) or a <= e),
-        _check("lower_bounds_via_meet", sw.conds(3),
-               lambda a, c, e: (a <= c and a <= e) == (a <= (c & e))),
-        _check("upper_bounds_via_join", sw.conds(3),
-               lambda a, c, e: (c <= a and e <= a) == ((c | e) <= a)),
-        _check("complement_reverses_order", sw.conds(2),
-               lambda a, c: not (a <= c) or (~c <= ~a)),
-    ]
+    out = _run(sw, [
+        ("order_matches_meet_definition", "conds", 2, lambda a, c: (a <= c) == (a & c == a)),
+        ("order_matches_join_definition", "conds", 2, lambda a, c: (a <= c) == (a | c == c)),
+        ("order_reflexive", "conds", 1, lambda a: a <= a),
+        ("order_antisymmetric", "conds", 2, lambda a, c: not (a <= c and c <= a) or a == c),
+        ("order_transitive", "conds", 3,
+         lambda a, c, e: not (a <= c and c <= e) or a <= e),
+        ("lower_bounds_via_meet", "conds", 3,
+         lambda a, c, e: (a <= c and a <= e) == (a <= (c & e))),
+        ("upper_bounds_via_join", "conds", 3,
+         lambda a, c, e: (c <= a and e <= a) == ((c | e) <= a)),
+        ("complement_reverses_order", "conds", 2, lambda a, c: not (a <= c) or (~c <= ~a)),
+    ])
     # monotonicity, swept over comparable pairs only
     if rng is None:
         comparable = [(a, c) for a in conditionals(space)
                       for c in conditionals(space) if a <= c]
     else:
         comparable = []
-        for a, c in Sweep(space, rng, min(samples, 100)).conds(2):
+        for a, c in Sweep(space, rng, min(samples, 100)).tuples("conds", 2):
             comparable.append((a, a | c))
     mono_cases = ((a, c, e, g) for a, c in comparable for e, g in comparable)
     out.append(_check("ops_monotone_in_both_arguments", mono_cases,
                       lambda a, c, e, g: (a & e) <= (c & g) and (a | e) <= (c | g)))
-    out.append(_check("bounds_are_coset_extremes", sw.conds(1), _bounds_extreme))
-    out.append(_check("event_sandwich", sw.conds(1),
-                      lambda a: embed(a.consequent) <= a
-                      and a <= embed(material_implies(a.antecedent, a.consequent))))
-    return out
+    return out + _run(sw, [
+        ("bounds_are_coset_extremes", "conds", 1, _bounds_extreme),
+        ("event_sandwich", "conds", 1,
+         lambda a: embed(a.consequent) <= a
+         and a <= embed(material_implies(a.antecedent, a.consequent))),
+    ])
 
 
 def _bounds_extreme(a: ConditionalObject) -> bool:
@@ -324,36 +317,7 @@ def _bounds_extreme(a: ConditionalObject) -> bool:
 def identity_suite(space: AtomSpace, rng=None, samples=10000) -> list[CheckResult]:
     """Special-value identities, mixed event/conditional forms, the
     chaining product and the Bayes decomposition."""
-    sw = Sweep(space, rng, samples)
     full = space.one
-    out = [
-        _check("zero_antecedent_gives_whole_algebra", sw.events(1),
-               lambda a: cond(a, space.zero) == cond(space.zero, space.zero)),
-        _check("unit_consequent_form", sw.events(1),
-               lambda b: cond(full, b) == cond(b, b)),
-        _check("meet_across_complementary_antecedents", sw.events(2),
-               lambda a, b: cond(a, b) & cond(a, ~b) == cond(space.zero, ~a)),
-        _check("ideal_coset_is_lower_set", sw.events(1),
-               lambda a: expand(cond(space.zero, ~a)).elements
-               == frozenset(x for x in space.events() if x <= a)),
-        _check("join_across_complementary_antecedents", sw.events(2),
-               lambda a, b: cond(a, b) | cond(a, ~b) == cond(a, a)),
-        _check("join_with_own_complement", sw.conds(1),
-               lambda a: (a | ~a) == cond(a.antecedent, a.antecedent)),
-        _check("event_plus_ideal_conditions", sw.events(2),
-               lambda a, b: (embed(a) ^ cond(space.zero, b)) == cond(a, b)
-               and (embed(~a) ^ cond(space.zero, b)) == ~cond(a, b)),
-        _check("event_join_mixed_form", sw.events(3),
-               lambda a, b, c: embed(c) | cond(a, b) == cond(a | c, b | c)),
-        _check("event_meet_mixed_form", sw.events(3),
-               lambda a, b, c: embed(c) & cond(a, b) == cond(c & a, b | ~c)),
-        _check("event_sum_mixed_form", sw.events(3),
-               lambda a, b, c: embed(c) ^ cond(a, b) == cond(c ^ a, b)),
-        _check("sum_as_xor_of_meets", sw.conds(2),
-               lambda a, c: a ^ c == (a & ~c) | (~a & c)),
-        _check("chaining_product", sw.events(3),
-               lambda a, b, c: chain(cond(a, b & c), cond(b, c)) == cond(a & b, c)),
-    ]
 
     def telescoping(a, b, c):
         first = a & b & c
@@ -361,75 +325,98 @@ def identity_suite(space: AtomSpace, rng=None, samples=10000) -> list[CheckResul
         links = [cond(first, mid), cond(mid, full)]
         return conjoin_all(links) == cond(first, full)
 
-    out.append(_check("ascending_chain_telescopes", sw.events(3), telescoping))
+    parts = [space.atom(i) for i in range(space.atom_count)]
 
     def bayes_ok(b):
-        parts = [space.atom(i) for i in range(space.atom_count)]
         comps = bayes_components(b, parts)
         return all(c == cond(b, aj) for c, aj in zip(comps, parts))
 
-    out.append(_check("bayes_atom_partition", sw.events(1), bayes_ok))
-    return out
+    return _run(Sweep(space, rng, samples), [
+        ("zero_antecedent_gives_whole_algebra", "events", 1,
+         lambda a: cond(a, space.zero) == cond(space.zero, space.zero)),
+        ("unit_consequent_form", "events", 1, lambda b: cond(full, b) == cond(b, b)),
+        ("meet_across_complementary_antecedents", "events", 2,
+         lambda a, b: cond(a, b) & cond(a, ~b) == cond(space.zero, ~a)),
+        ("ideal_coset_is_lower_set", "events", 1,
+         lambda a: expand(cond(space.zero, ~a)).elements
+         == frozenset(x for x in space.events() if x <= a)),
+        ("join_across_complementary_antecedents", "events", 2,
+         lambda a, b: cond(a, b) | cond(a, ~b) == cond(a, a)),
+        ("join_with_own_complement", "conds", 1,
+         lambda a: (a | ~a) == cond(a.antecedent, a.antecedent)),
+        ("event_plus_ideal_conditions", "events", 2,
+         lambda a, b: (embed(a) ^ cond(space.zero, b)) == cond(a, b)
+         and (embed(~a) ^ cond(space.zero, b)) == ~cond(a, b)),
+        ("event_join_mixed_form", "events", 3,
+         lambda a, b, c: embed(c) | cond(a, b) == cond(a | c, b | c)),
+        ("event_meet_mixed_form", "events", 3,
+         lambda a, b, c: embed(c) & cond(a, b) == cond(c & a, b | ~c)),
+        ("event_sum_mixed_form", "events", 3,
+         lambda a, b, c: embed(c) ^ cond(a, b) == cond(c ^ a, b)),
+        ("sum_as_xor_of_meets", "conds", 2, lambda a, c: a ^ c == (a & ~c) | (~a & c)),
+        ("chaining_product", "events", 3,
+         lambda a, b, c: chain(cond(a, b & c), cond(b, c)) == cond(a & b, c)),
+        ("ascending_chain_telescopes", "events", 3, telescoping),
+        ("bayes_atom_partition", "events", 1, bayes_ok),
+    ])
 
 
 def comparison_suite(space: AtomSpace, rng=None, samples=10000) -> list[CheckResult]:
     """Conditional objects side by side with material implication."""
-    sw = Sweep(space, rng, samples)
     imp = material_implies
     full = space.one
-    return [
-        _check("conditional_absorbs_implication", sw.events(2),
-               lambda a, b: cond(imp(b, a), b) == cond(a, b)),
-        _check("implication_disjunction_forms", sw.events(2),
-               lambda a, b: embed(imp(b, a)) == (cond(a, b) | embed(~b))
-               and imp(~a, ~b) == imp(b, a)
-               and embed(imp(b, a)) == (cond(~b, ~a) | embed(a))),
-        _check("conditional_recovered_from_implication", sw.events(2),
-               lambda a, b: (embed(imp(b, a)) & cond(b, b)) == cond(a, b)
-               and ((cond(~b, ~a) | embed(a)) & cond(b, b)) == cond(a, b)),
-        _check("converse_conditional_recovered", sw.events(2),
-               lambda a, b: (embed(imp(b, a)) & cond(~a, ~a)) == cond(~b, ~a)
-               and ((cond(a, b) | embed(~b)) & cond(~a, ~a)) == cond(~b, ~a)),
-        _check("biconditional_event_forms", sw.events(2),
-               lambda a, b: imp(a, b) & imp(b, a) == (a & b) | (~a & ~b)
-               and embed(imp(a, b) & imp(b, a))
-               == ((cond(a, b) & cond(b, a)) | embed(~a & ~b))),
-        _check("mutual_conditional_product", sw.events(2),
-               lambda a, b: (cond(a, b) & cond(b, a)) == cond(a & b, a | b)
-               and cond(a & b, a | b)
-               == (embed(imp(a, b) & imp(b, a)) & cond(a & b, a & b))),
-        _check("mutual_product_bounds", sw.events(2),
-               lambda a, b: bounds(cond(a, b) & cond(b, a))
-               == (a & b, (a & b) | (~a & ~b))),
-        _check("canonical_projection_both_sides", sw.events(2),
-               lambda a, b: cond(a, b) == cond(a & b, b)
-               and imp(b, a) == imp(b, a & b)),
-        _check("unit_and_zero_cases", sw.events(1),
-               lambda b: cond(full, b) == cond(b, b)
-               and imp(b, full) == full
-               and cond(b, full) == embed(b)
-               and imp(full, b) == b
-               and cond(b, space.zero) == cond(space.zero, space.zero)
-               and imp(space.zero, b) == full),
-        _check("complement_both_sides", sw.events(2),
-               lambda a, b: ~cond(a, b) == cond(~a & b, b)
-               and ~imp(b, a) == ~a & b),
-        _check("zero_consequent_both_sides", sw.events(1),
-               lambda b: cond(space.zero, b) == cond(~b, b)
-               and imp(b, space.zero) == ~b),
-        _check("product_with_antecedent_recovers_consequent", sw.events(2),
-               lambda a, b: (cond(a, b) & embed(b)) == embed(a & b)),
-        _check("meet_comparison", sw.events(4), _meet_comparison),
-        _check("join_comparison", sw.events(4),
-               lambda a, b, c, d: (cond(a, b) | cond(c, d))
-               == cond(a | c, (a & b) | (c & d) | (b & d))
-               and (imp(b, a) | imp(d, c)) == imp(b & d, a | c)),
-        _check("transitive_chain_comparison", sw.events(3), _transitive_comparison),
-        _check("information_improvement", sw.events(3), _information_improvement),
-        _check("iterated_implication_classical_form", sw.events(4),
-               lambda a, b, c, d: imp(imp(d, c), imp(b, a))
-               == imp(b & ((c & d) | ~d), a)),
-    ]
+    return _run(Sweep(space, rng, samples), [
+        ("conditional_absorbs_implication", "events", 2,
+         lambda a, b: cond(imp(b, a), b) == cond(a, b)),
+        ("implication_disjunction_forms", "events", 2,
+         lambda a, b: embed(imp(b, a)) == (cond(a, b) | embed(~b))
+         and imp(~a, ~b) == imp(b, a)
+         and embed(imp(b, a)) == (cond(~b, ~a) | embed(a))),
+        ("conditional_recovered_from_implication", "events", 2,
+         lambda a, b: (embed(imp(b, a)) & cond(b, b)) == cond(a, b)
+         and ((cond(~b, ~a) | embed(a)) & cond(b, b)) == cond(a, b)),
+        ("converse_conditional_recovered", "events", 2,
+         lambda a, b: (embed(imp(b, a)) & cond(~a, ~a)) == cond(~b, ~a)
+         and ((cond(a, b) | embed(~b)) & cond(~a, ~a)) == cond(~b, ~a)),
+        ("biconditional_event_forms", "events", 2,
+         lambda a, b: imp(a, b) & imp(b, a) == (a & b) | (~a & ~b)
+         and embed(imp(a, b) & imp(b, a))
+         == ((cond(a, b) & cond(b, a)) | embed(~a & ~b))),
+        ("mutual_conditional_product", "events", 2,
+         lambda a, b: (cond(a, b) & cond(b, a)) == cond(a & b, a | b)
+         and cond(a & b, a | b)
+         == (embed(imp(a, b) & imp(b, a)) & cond(a & b, a & b))),
+        ("mutual_product_bounds", "events", 2,
+         lambda a, b: bounds(cond(a, b) & cond(b, a))
+         == (a & b, (a & b) | (~a & ~b))),
+        ("canonical_projection_both_sides", "events", 2,
+         lambda a, b: cond(a, b) == cond(a & b, b)
+         and imp(b, a) == imp(b, a & b)),
+        ("unit_and_zero_cases", "events", 1,
+         lambda b: cond(full, b) == cond(b, b)
+         and imp(b, full) == full
+         and cond(b, full) == embed(b)
+         and imp(full, b) == b
+         and cond(b, space.zero) == cond(space.zero, space.zero)
+         and imp(space.zero, b) == full),
+        ("complement_both_sides", "events", 2,
+         lambda a, b: ~cond(a, b) == cond(~a & b, b)
+         and ~imp(b, a) == ~a & b),
+        ("zero_consequent_both_sides", "events", 1,
+         lambda b: cond(space.zero, b) == cond(~b, b)
+         and imp(b, space.zero) == ~b),
+        ("product_with_antecedent_recovers_consequent", "events", 2,
+         lambda a, b: (cond(a, b) & embed(b)) == embed(a & b)),
+        ("meet_comparison", "events", 4, _meet_comparison),
+        ("join_comparison", "events", 4,
+         lambda a, b, c, d: (cond(a, b) | cond(c, d))
+         == cond(a | c, (a & b) | (c & d) | (b & d))
+         and (imp(b, a) | imp(d, c)) == imp(b & d, a | c)),
+        ("transitive_chain_comparison", "events", 3, _transitive_comparison),
+        ("information_improvement", "events", 3, _information_improvement),
+        ("iterated_implication_classical_form", "events", 4,
+         lambda a, b, c, d: imp(imp(d, c), imp(b, a)) == imp(b & ((c & d) | ~d), a)),
+    ])
 
 
 def _meet_comparison(a, b, c, d) -> bool:
@@ -456,7 +443,6 @@ def _information_improvement(a, b, c) -> bool:
 
 def intersection_suite(space: AtomSpace, rng=None, samples=10000) -> list[CheckResult]:
     """Literal coset intersection and containment vs the compact criteria."""
-    sw = Sweep(space, rng, samples)
 
     def agrees(a, c):
         res = class_intersect(a, c)
@@ -471,12 +457,12 @@ def intersection_suite(space: AtomSpace, rng=None, samples=10000) -> list[CheckR
         literal = expand(a).elements <= expand(c).elements
         return literal == subset_criterion(a, c)
 
-    return [
-        _check("intersection_emptiness_criterion", sw.conds(2), agrees),
-        _check("intersection_self_identity", sw.conds(1),
-               lambda a: class_intersect(a, a).elements == expand(a).elements),
-        _check("subset_criterion_matches_literal", sw.conds(2), subset_agrees),
-    ]
+    return _run(Sweep(space, rng, samples), [
+        ("intersection_emptiness_criterion", "conds", 2, agrees),
+        ("intersection_self_identity", "conds", 1,
+         lambda a: class_intersect(a, a).elements == expand(a).elements),
+        ("subset_criterion_matches_literal", "conds", 2, subset_agrees),
+    ])
 
 
 def characterization_suite(space: AtomSpace) -> list[CheckResult]:
@@ -485,17 +471,17 @@ def characterization_suite(space: AtomSpace) -> list[CheckResult]:
     antecedent operations pass to classes, representation is unique,
     and fixed-antecedent classes partition the algebra."""
     sw = Sweep(space)
-    out = [
-        _check("membership_equation", sw.events(2),
-               lambda a, b: expand(cond(a, b)).elements
-               == frozenset(x for x in space.events() if (x & b) == (a & b))),
-        _check("canonical_projection_class", sw.events(2),
-               lambda a, b: expand(cond(a, b)) == expand(cond(a & b, b))),
-        _check("shared_antecedent_classwise_ops", sw.events(3), _shared_antecedent_ops),
-        _check("classwise_complement", sw.events(2),
-               lambda a, b: classwise_unary(lambda x: ~x, expand(cond(a, b)))
-               == expand(~cond(a, b)).elements),
-    ]
+    out = _run(sw, [
+        ("membership_equation", "events", 2,
+         lambda a, b: expand(cond(a, b)).elements
+         == frozenset(x for x in space.events() if (x & b) == (a & b))),
+        ("canonical_projection_class", "events", 2,
+         lambda a, b: expand(cond(a, b)) == expand(cond(a & b, b))),
+        ("shared_antecedent_classwise_ops", "events", 3, _shared_antecedent_ops),
+        ("classwise_complement", "events", 2,
+         lambda a, b: classwise_unary(lambda x: ~x, expand(cond(a, b)))
+         == expand(~cond(a, b)).elements),
+    ])
 
     expansions: dict = {}
     injective = True
@@ -532,10 +518,9 @@ def characterization_suite(space: AtomSpace) -> list[CheckResult]:
             break
     out.append(CheckResult("fixed_antecedent_classes_partition", partition_ok,
                            1 << space.atom_count, detail))
-
-    out.append(_check("recognize_inverts_expand", ((c,) for c in conditionals(space)),
-                      lambda c: recognize(space, expand(c).elements) == c))
-    return out
+    return out + _run(sw, [
+        ("recognize_inverts_expand", "conds", 1,
+         lambda c: recognize(space, expand(c).elements) == c)])
 
 
 def _shared_antecedent_ops(a, c, b) -> bool:
@@ -559,7 +544,6 @@ def higher_order_suite(space: AtomSpace, rng=None, samples=10000) -> list[CheckR
     is the total sampled-tuple budget, split across the sub-checks."""
     per = samples if rng is None else max(1, samples // HIGHER_SWEEP_COUNT)
     sw = Sweep(space, rng, per)
-    out = []
 
     def reduction_agrees(a, c):
         x = iter_cond(a, c)
@@ -572,40 +556,37 @@ def higher_order_suite(space: AtomSpace, rng=None, samples=10000) -> list[CheckR
             (c.consequent & c.antecedent) | (~num.consequent & ~c.antecedent))
         return r == cond(num.consequent, alpha)
 
-    out.append(_check("reduction_matches_closed_and_alpha_forms",
-                      sw.conds(2), reduction_agrees))
-    out.append(_check("reduction_identity_on_plain_conditionals", sw.conds(1),
-                      lambda a: reduce_u(iter_cond(a, embed(space.one))) == a))
-
     def members_ok(a, c):
         x = iter_cond(a, c)
         return x.numerator in x.members and all((m & c) == x.numerator for m in x.members)
-
-    out.append(_check("members_contain_numerator_and_satisfy_equation",
-                      sw.conds(2), members_ok))
-    out.append(_check("reduction_shared_antecedent_denominator", sw.events(3),
-                      lambda a, b, c: reduce_u(iter_cond(cond(a, b), cond(c, b)))
-                      == cond(a & b & c, b & c)))
-    out.append(_check("reduction_plain_event_denominator", sw.events(3),
-                      lambda a, b, c: reduce_u(iter_cond(cond(a, b), embed(c)))
-                      == cond(a & b & c, b & c)))
 
     def event_numerator(a, c, d):
         a = a & c & d  # normalization precondition: numerator below the product
         x = iter_cond(embed(a), cond(c, d))
         return reduce_u(x) == cond(a, ~(~c & d))
 
-    out.append(_check("reduction_event_numerator_normalized", sw.events(3),
-                      event_numerator))
-    out.append(_check("denominator_product_recovers_numerator", sw.conds(2),
-                      lambda a, c: (c & reduce_u(iter_cond(a, c))) == (a & c)))
+    out = _run(sw, [
+        ("reduction_matches_closed_and_alpha_forms", "conds", 2, reduction_agrees),
+        ("reduction_identity_on_plain_conditionals", "conds", 1,
+         lambda a: reduce_u(iter_cond(a, embed(space.one))) == a),
+        ("members_contain_numerator_and_satisfy_equation", "conds", 2, members_ok),
+        ("reduction_shared_antecedent_denominator", "events", 3,
+         lambda a, b, c: reduce_u(iter_cond(cond(a, b), cond(c, b)))
+         == cond(a & b & c, b & c)),
+        ("reduction_plain_event_denominator", "events", 3,
+         lambda a, b, c: reduce_u(iter_cond(cond(a, b), embed(c)))
+         == cond(a & b & c, b & c)),
+        ("reduction_event_numerator_normalized", "events", 3, event_numerator),
+        ("denominator_product_recovers_numerator", "conds", 2,
+         lambda a, c: (c & reduce_u(iter_cond(a, c))) == (a & c)),
+    ])
 
     if rng is None:
         family = [iter_cond(a, c) for a in conditionals(space)
                   for c in conditionals(space)]
         pairs = ((x, y) for x in family for y in family)
     else:
-        family = [iter_cond(a, c) for (a, c) in sw.conds(2)]
+        family = [iter_cond(a, c) for (a, c) in sw.tuples("conds", 2)]
         idx = random.Random(rng.randrange(1 << 30))
         pairs = ((family[idx.randrange(len(family))],
                   family[idx.randrange(len(family))]) for _ in range(per))

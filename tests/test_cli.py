@@ -8,6 +8,7 @@ import pytest
 
 from cea.data import bundled_golden_dir, bundled_kb_path, bundled_observation_path
 from cea.engine import build_space, evaluate, load_kb, load_observation
+from cea.formulas import MAX_DEPTH
 from cea.semantics import ProbabilityMeasure
 
 
@@ -81,17 +82,19 @@ def test_eval_classical_atom(kb_path, obs_path):
     assert grades == {"none": 0.0, "some": 1.0, "prog": 0.0}
 
 
+FL_POSS = {"poss": {
+    "a1": {"1": 0.5, "2": 0.5, "3": 0.5},
+    "a2": {"1": 0.5, "2": 0.5, "3": 0.5},
+    "a3": {"1": 0.5, "2": 0.5, "3": 0.5},
+    "b1": {"106-reddish": 0.9, "98-normal": 0.2},
+    "b2": {"1": 0.5, "2": 0.5, "3": 0.5},
+    "th1": {"none": 0.1, "some": 0.6, "prog": 0.3},
+}}
+
+
 def test_eval_fuzzy(kb_path, obs_path, tmp_path):
-    poss = {"poss": {
-        "a1": {"1": 0.5, "2": 0.5, "3": 0.5},
-        "a2": {"1": 0.5, "2": 0.5, "3": 0.5},
-        "a3": {"1": 0.5, "2": 0.5, "3": 0.5},
-        "b1": {"106-reddish": 0.9, "98-normal": 0.2},
-        "b2": {"1": 0.5, "2": 0.5, "3": 0.5},
-        "th1": {"none": 0.1, "some": 0.6, "prog": 0.3},
-    }}
     path = tmp_path / "poss.json"
-    path.write_text(json.dumps(poss))
+    path.write_text(json.dumps(FL_POSS))
     proc = run_cli("eval", "--kb", kb_path, "--observe", obs_path,
                    "--aldp", "fl", "--poss", str(path), "--format", "json")
     assert proc.returncode == 0
@@ -241,6 +244,81 @@ def test_eval_rejects_malformed_leaf(tmp_path, kb_path, obs_path, aldp, leaf, me
     assert proc.stderr.splitlines() == [f"error: {message}"]
 
 
+def nested_kb(kb_path, tmp_path, levels):
+    """The bundled KB with its first rule's "if" (a lone leaf) wrapped in
+    `levels` one-argument ands, which leave its meaning unchanged."""
+    with open(kb_path, encoding="utf-8") as fh:
+        kb = json.load(fh)
+    leaf = json.dumps(kb["rules"][0]["if"])
+    kb["rules"][0]["if"] = "IF"  # spliced in as text: json.dumps would overflow too
+    nested = '{"op": "and", "args": [' * levels + leaf + "]}" * levels
+    path = tmp_path / f"kb{levels}.json"
+    path.write_text(json.dumps(kb).replace('"IF"', nested))
+    return str(path)
+
+
+def test_eval_formula_at_the_depth_bound_evaluates(kb_path, obs_path, tmp_path):
+    (tmp_path / "poss.json").write_text(json.dumps(FL_POSS))
+    deep = nested_kb(kb_path, tmp_path, MAX_DEPTH - 1)
+    for semantics in (["--aldp", "fl", "--poss", str(tmp_path / "poss.json")],
+                      ["--aldp", "cpl", "--measure", "uniform"]):
+        flat = run_cli("eval", "--kb", kb_path, "--observe", obs_path, *semantics)
+        proc = run_cli("eval", "--kb", deep, "--observe", obs_path, *semantics)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout == flat.stdout
+
+
+@pytest.mark.parametrize("levels", [MAX_DEPTH, 600])
+def test_eval_refuses_deep_formula(kb_path, obs_path, tmp_path, levels):
+    proc = run_cli("eval", "--kb", nested_kb(kb_path, tmp_path, levels), "--observe", obs_path,
+                   "--aldp", "pl", "--measure", "uniform")
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    refused = f"error: formula nests deeper than {MAX_DEPTH} levels"
+    if levels == MAX_DEPTH:
+        assert proc.stderr.splitlines() == [refused]
+    else:  # whether json or the bound gives up first depends on the Python version
+        assert proc.stderr.splitlines() in (
+            [refused], ["error: cannot load inputs: a file nests too deeply to read"])
+
+
+@pytest.mark.parametrize("flag", ["--observe", "--measure", "--poss"])
+def test_eval_deeply_nested_input_file_exits_two(kb_path, obs_path, tmp_path, flag):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000 + "]" * 100_000)
+    files = {"--observe": obs_path, "--measure": "uniform", "--poss": None}
+    files[flag] = str(deep)
+    aldp = ["--aldp", "fl", "--poss", files["--poss"]] if flag == "--poss" else [
+        "--aldp", "pl", "--measure", files["--measure"]]
+    proc = run_cli("eval", "--kb", kb_path, "--observe", files["--observe"], *aldp)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    message = {"--observe": "cannot load inputs: a file nests too deeply to read"}.get(
+        flag, f"{deep} nests too deeply to read")
+    assert proc.stderr.splitlines() == [f"error: {message}"]
+
+
+@pytest.mark.parametrize("aldp,flag,section", [
+    pytest.param("fl", "--poss", {"poss": FL_POSS["poss"]}, id="poss"),
+    pytest.param("pl", "--measure", {"factors": UNIFORM_FACTORS}, id="factors"),
+])
+# each case is a valid grade and a valid factor, silently ignored if not checked
+@pytest.mark.parametrize("var,vals,message", [
+    pytest.param("zz", {"1": 1}, "names undeclared variable 'zz'", id="undeclared-variable"),
+    pytest.param("b1", {"106-reddish": 0.5, "98-normal": 0.5, "106-redish": 0},
+                 "entry for b1 names '106-redish', not in its domain", id="value-outside-domain"),
+])
+def test_eval_value_maps_checked_against_kb(kb_path, obs_path, tmp_path, aldp, flag, section,
+                                            var, vals, message):
+    [(name, maps)] = section.items()
+    (tmp_path / "input.json").write_text(json.dumps({name: {**maps, var: vals}}))
+    proc = run_cli("eval", "--kb", kb_path, "--observe", obs_path,
+                   "--aldp", aldp, flag, str(tmp_path / "input.json"))
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.splitlines() == [f'error: "{name}" {message}']
+
+
 def test_eval_refuses_elimination_over_budget(kb_path, obs_path):
     # A KB over the real bound has more than 65,536 atoms to ground, so
     # the bound is lowered to just under the bundled KB's largest table.
@@ -364,24 +442,27 @@ def test_algebra_selftest():
 SNAPSHOT_DIR = os.path.join(os.path.dirname(__file__), "snapshots")
 
 
-@pytest.mark.parametrize("snapshot, args", [
-    ("oracle_verify_atoms3_higher_order.txt", ["oracle", "verify", "--atoms", "3", "--higher-order"]),
-    ("oracle_verify_atoms4_seed7_samples300.txt",
-     ["oracle", "verify", "--atoms", "4", "--seed", "7", "--samples", "300"]),
-    ("oracle_verify_atoms4_seed7_samples300.json",
-     ["oracle", "verify", "--atoms", "4", "--seed", "7", "--samples", "300", "--format", "json"]),
-    ("oracle_verify_atoms2_golden.txt",
-     ["oracle", "verify", "--atoms", "2", "--golden", bundled_golden_dir()]),
-    ("algebra_selftest_atoms3.txt", ["algebra", "selftest", "--atoms", "3"]),
-    ("algebra_selftest_atoms5_seed3_samples200.txt",
-     ["algebra", "selftest", "--atoms", "5", "--seed", "3", "--samples", "200"]),
-])
-def test_verifier_stdout_matches_snapshot(snapshot, args):
+SNAPSHOTS = {
+    "oracle_verify_atoms3_higher_order.txt": ["oracle", "verify", "--atoms", "3", "--higher-order"],
+    "oracle_verify_atoms4_seed7_samples300.txt":
+        ["oracle", "verify", "--atoms", "4", "--seed", "7", "--samples", "300"],
+    "oracle_verify_atoms4_seed7_samples300.json":
+        ["oracle", "verify", "--atoms", "4", "--seed", "7", "--samples", "300", "--format", "json"],
+    "oracle_verify_atoms2_golden.txt":
+        ["oracle", "verify", "--atoms", "2", "--golden", bundled_golden_dir()],
+    "algebra_selftest_atoms3.txt": ["algebra", "selftest", "--atoms", "3"],
+    "algebra_selftest_atoms5_seed3_samples200.txt":
+        ["algebra", "selftest", "--atoms", "5", "--seed", "3", "--samples", "200"],
+}
+
+
+@pytest.mark.parametrize("snapshot", SNAPSHOTS)
+def test_verifier_stdout_matches_snapshot(snapshot):
     """Check names, order, case counts and settings lines are pinned:
     each file is the full stdout of the command, recorded once."""
     with open(os.path.join(SNAPSHOT_DIR, snapshot), encoding="utf-8") as fh:
         expected = fh.read()
-    proc = run_cli(*args)
+    proc = run_cli(*SNAPSHOTS[snapshot])
     assert (proc.returncode, proc.stderr) == (0, "")
     assert proc.stdout == expected
 

@@ -367,14 +367,14 @@ def test_sweep_sample_stream_matches_event_draws():
 
         rng = random.Random(seed)
         expected = [tuple(ev() for _ in range(arity)) for _ in range(300)]
-        got = list(Sweep(space, random.Random(seed), 300).events(arity))
+        got = list(Sweep(space, random.Random(seed), 300).tuples("events", arity))
         assert len(got) == 300
         for g, e in zip(got, expected):
             assert [(x.mask, x.space) for x in g] == [(x.mask, x.space) for x in e]
             assert all(x.space is space for x in g)
         rng = random.Random(seed)
         expected = [tuple(cnd() for _ in range(arity)) for _ in range(300)]
-        got = list(Sweep(space, random.Random(seed), 300).conds(arity))
+        got = list(Sweep(space, random.Random(seed), 300).tuples("conds", arity))
         assert len(got) == 300
         for g, e in zip(got, expected):
             assert len(g) == arity and all(same(x, y) for x, y in zip(g, e)), (g, e)

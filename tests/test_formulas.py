@@ -8,6 +8,7 @@ import pytest
 from cea.algebra import AtomSpace, material_implies
 from cea.formulas import (
     And,
+    MAX_DEPTH,
     FormulaError,
     Implies,
     Leaf,
@@ -49,6 +50,26 @@ def test_parse_round_trip():
 def test_parse_rejects_malformed(bad):
     with pytest.raises(FormulaError):
         from_json(bad)
+
+
+def test_parse_bounds_nesting_depth():
+    def chain(depth):
+        """depth nodes from root to leaf, every connective in turn, and
+        the fuzzy grade of the chain when its leaves grade 0.25"""
+        leaf = node = {"var": "x", "vals": ["1"]}
+        grade = 0.25
+        for i in range(depth - 1):
+            op = ("and", "or", "not", "implies")[i % 4]
+            node = {"op": op, "args": [leaf, node] if op == "implies" else [node]}
+            grade = {"not": 1.0 - grade, "implies": max(0.75, grade)}.get(op, grade)
+        return node, grade
+
+    node, grade = chain(MAX_DEPTH)
+    f = from_json(node)
+    assert to_json(f) == node
+    assert fl_eval(PossibilityAssignment({("x", "1"): 0.25}), f) == grade
+    with pytest.raises(FormulaError, match=f"nests deeper than {MAX_DEPTH} levels"):
+        from_json(chain(MAX_DEPTH + 1)[0])
 
 
 def test_ground_commutes_with_connectives():
