@@ -18,7 +18,8 @@ class MismatchedSpaceError(ValueError):
 _MISMATCH = "events belong to different atom spaces"
 
 # Spaces up to these sizes hash-cons their events (2^n, built with the
-# space) and their conditionals (up to 3^n, filled on first use).
+# space) and their conditionals, cosets and iterated conditionals (filled
+# on first use).
 EVENT_TABLE_ATOMS = 8
 COND_TABLE_ATOMS = 6
 
@@ -34,15 +35,23 @@ class AtomSpace:
     every Event it hands out is the one entry of ``_events`` for its
     mask. A space of at most COND_TABLE_ATOMS atoms does the same for
     conditionals through ``_conds``, indexed by ``ant << n | cons`` and
-    filled by :func:`cea.conditional._make`. So ``is`` may stand for
-    ``==`` only between results of one tabled space; larger spaces, and
-    equal spaces held in other objects, build a fresh object per result.
+    filled by :func:`cea.conditional._make`. The oracle side is tabled
+    too: on the same spaces ``_cosets``, indexed like ``_conds``, holds
+    the literal coset :func:`cea.coset.expand` built for each
+    conditional, and ``_iters`` maps each normalized pair (a & c, c) to
+    the one IteratedConditional :func:`cea.higher.iter_cond` scanned for
+    it (every space has the dict; iter_cond admits at most
+    MAX_ITER_ATOMS atoms). Each entry is built once, by the same
+    enumeration as on an untabled space, and is treated as immutable.
+    So ``is`` may stand for ``==`` only between results of one tabled
+    space; larger spaces, and equal spaces held in other objects, build
+    a fresh object per result.
     ``_expand_admitted`` is set once :func:`cea.coset.expand` has checked
     the space against its size bound.
     """
 
     __slots__ = ("atom_count", "atom_labels", "full_mask", "_label_index",
-                 "_events", "_conds", "_expand_admitted")
+                 "_events", "_conds", "_cosets", "_iters", "_expand_admitted")
 
     def __init__(self, atom_count: int, atom_labels: list[str] | None = None):
         if atom_count < 1:
@@ -57,13 +66,15 @@ class AtomSpace:
         self.atom_labels = list(atom_labels)
         self.full_mask = (1 << atom_count) - 1
         self._label_index = {lab: i for i, lab in enumerate(atom_labels)}
-        self._events = self._conds = None
+        self._events = self._conds = self._cosets = None
+        self._iters = {}
         self._expand_admitted = False
         if atom_count <= EVENT_TABLE_ATOMS:
             # _events is still None here, so _event allocates each entry
             self._events = [_event(self, m) for m in range(1 << atom_count)]
         if atom_count <= COND_TABLE_ATOMS:
             self._conds = [None] * (1 << 2 * atom_count)
+            self._cosets = [None] * (1 << 2 * atom_count)
 
     def __eq__(self, other) -> bool:
         return (

@@ -17,6 +17,7 @@ import json
 import os
 import random
 import sys
+from contextlib import contextmanager
 from fractions import Fraction
 
 from .algebra import AtomSpace
@@ -97,16 +98,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_json_file(path: str):
+@contextmanager
+def _reading(path: str):
+    """Turn a failure to read or parse the file at path into an
+    InputError that names it."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+        yield
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from None
     except json.JSONDecodeError as exc:
         raise InputError(f"{path} is not valid JSON: {exc}") from None
     except RecursionError:
         raise InputError(f"{path} nests too deeply to read") from None
+
+
+def _load_json_file(path: str):
+    with _reading(path), open(path, "r", encoding="utf-8") as fh:
+        return json.load(fh)
 
 
 def _parse_atom_assignment(text: str) -> dict[str, str]:
@@ -120,14 +128,11 @@ def _parse_atom_assignment(text: str) -> dict[str, str]:
 
 
 def cmd_eval(args) -> int:
-    try:
+    with _reading(args.kb):
         kb = load_kb(args.kb)
-        grounding = build_space(kb)
+    grounding = build_space(kb)
+    with _reading(args.observe):
         obs = load_observation(kb, args.observe)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise InputError(f"cannot load inputs: {exc}") from None
-    except RecursionError:
-        raise InputError("cannot load inputs: a file nests too deeply to read") from None
 
     query = args.query
     if query is None:

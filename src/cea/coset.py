@@ -73,7 +73,9 @@ class Coset:
 
 def expand(a: ConditionalObject) -> Coset:
     """The literal coset of a conditional: all events agreeing with the
-    consequent on the antecedent. Size is 2^(atoms outside antecedent)."""
+    consequent on the antecedent. Size is 2^(atoms outside antecedent).
+    A space with a coset table enumerates each coset once and returns
+    the table entry after that; larger spaces enumerate on every call."""
     space = a.space
     if not space._expand_admitted:
         # a refused space is not remembered: the bound may be raised later
@@ -84,6 +86,12 @@ def expand(a: ConditionalObject) -> Coset:
                 f"{bound} atoms (override with CEA_MAX_ATOMS)"
             )
         space._expand_admitted = True
+    table = space._cosets
+    if table is not None:
+        key = a.ant << space.atom_count | a.cons
+        out = table[key]
+        if out is not None:
+            return out
     outside = space.full_mask & ~a.ant
     cons = a.cons
     # enumerate subsets of the complement of the antecedent
@@ -94,7 +102,10 @@ def expand(a: ConditionalObject) -> Coset:
         if sub == 0:
             break
         sub = (sub - 1) & outside
-    return Coset(space, members)
+    out = Coset(space, members)
+    if table is not None:
+        table[key] = out
+    return out
 
 
 def classwise(

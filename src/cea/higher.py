@@ -34,9 +34,12 @@ class IteratedConditional:
     ``denominator``, ``members`` (frozenset of conditionals), and
     ``beta``, the event parameter that together with the numerator pair
     characterizes the member set up to equality.
+    ``_reduced`` holds the result of :func:`reduce_u` once it has
+    passed its checks. Treated as immutable: iter_cond hands out one
+    shared object per normalized pair and space (see AtomSpace).
     """
 
-    __slots__ = ("numerator", "denominator", "members", "beta")
+    __slots__ = ("numerator", "denominator", "members", "beta", "_reduced")
 
     def __init__(
         self,
@@ -49,6 +52,7 @@ class IteratedConditional:
         self.denominator = denominator
         self.members = members
         self.beta = beta
+        self._reduced = None
 
     @property
     def space(self) -> AtomSpace:
@@ -78,7 +82,8 @@ def iter_cond(a: ConditionalObject, c: ConditionalObject) -> IteratedConditional
 
     The member predicate only sees a through a & c, so the numerator is
     stored in that normalized form. The scan covers all 3^n canonical
-    pairs and is bounded to small spaces.
+    pairs and is bounded to small spaces. Each normalized pair is
+    scanned once per space; later calls return the same object.
     """
     space = a.space
     if space.atom_count > MAX_ITER_ATOMS:
@@ -86,8 +91,13 @@ def iter_cond(a: ConditionalObject, c: ConditionalObject) -> IteratedConditional
             f"iterated conditionals scan 3^n pairs; bound is {MAX_ITER_ATOMS} atoms"
         )
     numerator = a & c
-    members = frozenset(x for x in conditionals(space) if (x & c) == numerator)
-    return IteratedConditional(numerator, c, members, _beta(numerator, c))
+    key = (numerator.cons, numerator.ant, c.cons, c.ant)
+    out = space._iters.get(key)
+    if out is None:
+        members = frozenset(x for x in conditionals(space) if (x & c) == numerator)
+        out = space._iters[key] = IteratedConditional(
+            numerator, c, members, _beta(numerator, c))
+    return out
 
 
 def iter_equal(x: IteratedConditional, y: IteratedConditional) -> bool:
@@ -116,8 +126,11 @@ def reduce_u(x: IteratedConditional) -> ConditionalObject:
     Computes the literal union of the member cosets, recognizes it as a
     coset, and cross-checks the closed form: keep the numerator's
     consequent, and shrink the numerator's antecedent by the region
-    where the denominator fails outright.
+    where the denominator fails outright. The result is stored on x
+    only once both checks have passed, so a failing x fails every call.
     """
+    if x._reduced is not None:
+        return x._reduced
     space = x.space
     union = union_of_members(x.members)
     literal = recognize(space, union)
@@ -130,6 +143,7 @@ def reduce_u(x: IteratedConditional) -> ConditionalObject:
         raise ReductionMismatchError(
             f"literal union {literal!r} differs from closed form {closed!r}"
         )
+    x._reduced = literal
     return literal
 
 

@@ -42,7 +42,6 @@ from .conditional import (
 )
 from .coset import class_intersect, classwise, classwise_unary, expand, recognize, subset_criterion
 from .higher import (
-    ReductionMismatchError,
     iter_cond,
     iter_equal,
     members_complement,
@@ -67,12 +66,23 @@ class CheckResult:
 
 
 def _check(name: str, cases: Iterable, pred: Callable[..., bool]) -> CheckResult:
+    """Run pred on each case until one fails. A case on which pred
+    raises fails too, with the exception in the detail, so the rows
+    and sections after it still run."""
     count = 0
     for case in cases:
         count += 1
-        if not pred(*case):
+        try:
+            ok = pred(*case)
+        except Exception as exc:
+            return CheckResult(name, False, count, detail=_raised(case, exc))
+        if not ok:
             return CheckResult(name, False, count, detail=f"witness {case!r}")
     return CheckResult(name, True, count)
+
+
+def _raised(case: tuple, exc: Exception) -> str:
+    return f"witness {case!r} raised {type(exc).__name__}: {exc}"
 
 
 class Sweep:
@@ -547,10 +557,7 @@ def higher_order_suite(space: AtomSpace, rng=None, samples=10000) -> list[CheckR
 
     def reduction_agrees(a, c):
         x = iter_cond(a, c)
-        try:
-            r = reduce_u(x)
-        except ReductionMismatchError:
-            return False
+        r = reduce_u(x)
         num = x.numerator
         alpha = num.antecedent & (
             (c.consequent & c.antecedent) | (~num.consequent & ~c.antecedent))
@@ -641,7 +648,10 @@ def _restriction_bijections(space: AtomSpace, rng=None) -> list[CheckResult]:
             for a in space.events():
                 for b in space.events():
                     x = build(a, b, c)
-                    img = reduce_u(x)
+                    try:
+                        img = reduce_u(x)
+                    except Exception as exc:
+                        return CheckResult(name, False, cases, _raised((a, b, c), exc))
                     key = (x.numerator, x.beta)
                     if key in image_of:
                         if image_of[key] != img:

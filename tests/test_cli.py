@@ -6,6 +6,8 @@ from fractions import Fraction
 
 import pytest
 
+from cea.cli import main
+from cea.conditional import ConditionalObject
 from cea.data import bundled_golden_dir, bundled_kb_path, bundled_observation_path
 from cea.engine import build_space, evaluate, load_kb, load_observation
 from cea.formulas import MAX_DEPTH
@@ -270,7 +272,8 @@ def test_eval_formula_at_the_depth_bound_evaluates(kb_path, obs_path, tmp_path):
 
 @pytest.mark.parametrize("levels", [MAX_DEPTH, 600])
 def test_eval_refuses_deep_formula(kb_path, obs_path, tmp_path, levels):
-    proc = run_cli("eval", "--kb", nested_kb(kb_path, tmp_path, levels), "--observe", obs_path,
+    deep = nested_kb(kb_path, tmp_path, levels)
+    proc = run_cli("eval", "--kb", deep, "--observe", obs_path,
                    "--aldp", "pl", "--measure", "uniform")
     assert proc.returncode == 2
     assert proc.stdout == ""
@@ -279,7 +282,7 @@ def test_eval_refuses_deep_formula(kb_path, obs_path, tmp_path, levels):
         assert proc.stderr.splitlines() == [refused]
     else:  # whether json or the bound gives up first depends on the Python version
         assert proc.stderr.splitlines() in (
-            [refused], ["error: cannot load inputs: a file nests too deeply to read"])
+            [refused], [f"error: {deep} nests too deeply to read"])
 
 
 @pytest.mark.parametrize("flag", ["--observe", "--measure", "--poss"])
@@ -293,9 +296,20 @@ def test_eval_deeply_nested_input_file_exits_two(kb_path, obs_path, tmp_path, fl
     proc = run_cli("eval", "--kb", kb_path, "--observe", files["--observe"], *aldp)
     assert proc.returncode == 2
     assert proc.stdout == ""
-    message = {"--observe": "cannot load inputs: a file nests too deeply to read"}.get(
-        flag, f"{deep} nests too deeply to read")
-    assert proc.stderr.splitlines() == [f"error: {message}"]
+    assert proc.stderr.splitlines() == [f"error: {deep} nests too deeply to read"]
+
+
+@pytest.mark.parametrize("flag", ["--kb", "--observe"])
+def test_eval_malformed_kb_or_observation_names_the_file(kb_path, obs_path, tmp_path, flag):
+    bad = tmp_path / "bad.json"
+    bad.write_text("{bad")
+    files = {"--kb": kb_path, "--observe": obs_path, flag: str(bad)}
+    proc = run_cli("eval", "--kb", files["--kb"], "--observe", files["--observe"],
+                   "--aldp", "pl", "--measure", "uniform")
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    [line] = proc.stderr.splitlines()
+    assert line.startswith(f"error: {bad} is not valid JSON: Expecting property name")
 
 
 @pytest.mark.parametrize("aldp,flag,section", [
@@ -465,6 +479,22 @@ def test_verifier_stdout_matches_snapshot(snapshot):
     proc = run_cli(*SNAPSHOTS[snapshot])
     assert (proc.returncode, proc.stderr) == (0, "")
     assert proc.stdout == expected
+
+
+def test_predicate_exception_is_a_failed_check(monkeypatch, capsys):
+    """A law whose predicate raises fails with its witness and the
+    exception; the rows and sections after it still run."""
+    def broken(self, other):
+        raise RuntimeError("sum is broken")
+
+    monkeypatch.setattr(ConditionalObject, "__xor__", broken)
+    assert main(["oracle", "verify", "--atoms", "2"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert ("  FAIL coset_extension_sum (1 cases) -- witness (({}|{}), ({}|{})) "
+            "raised RuntimeError: sum is broken") in lines
+    assert "  PASS coset_extension_join (81 cases)" in lines
+    assert "[algebraic laws]" in lines
+    assert lines[-1].endswith("checks FAILED")
 
 
 def test_lewis_demo_text():

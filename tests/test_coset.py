@@ -70,6 +70,37 @@ def test_expansion_bound_read_once_per_space(monkeypatch):
     assert len(reads) == 4
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_expand_builds_each_coset_once(n):
+    """On a tabled space expand returns one object per conditional, and
+    its elements are still the literal membership set."""
+    space = AtomSpace(n)
+    for c in conditionals(space):
+        coset = expand(c)
+        assert expand(c) is coset
+        a, b = c.consequent, c.antecedent
+        assert coset.elements == {x for x in space.events() if x & b == a & b}
+
+
+def test_untabled_space_expands_on_every_call():
+    space = AtomSpace(7)
+    assert space._cosets is None
+    c = cond(space.event([0]), space.event([0, 1]))
+    first, second = expand(c), expand(c)
+    assert first == second
+    assert first is not second
+
+
+def test_refused_space_stores_no_coset(monkeypatch):
+    monkeypatch.setenv("CEA_MAX_ATOMS", "2")
+    space = AtomSpace(3)
+    with pytest.raises(SpaceTooLargeError):
+        expand(embed(space.event([0])))
+    assert all(entry is None for entry in space._cosets)
+    monkeypatch.setenv("CEA_MAX_ATOMS", "3")
+    assert expand(embed(space.event([0]))) is expand(embed(space.event([0])))
+
+
 def test_recognize_examples(s3):
     # reverse of the expand example
     got = recognize(s3, {s3.event([0]), s3.event([0, 2])})

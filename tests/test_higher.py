@@ -5,7 +5,10 @@ import pytest
 from cea.algebra import AtomSpace
 from cea.conditional import cond, conditionals, embed
 from cea.coset import SpaceTooLargeError, expand
-from cea.higher import iter_cond, iter_equal, reduce_u, union_of_members
+from cea.higher import (
+    IteratedConditional, ReductionMismatchError, iter_cond, iter_equal, reduce_u,
+    union_of_members,
+)
 from cea.verify import higher_order_suite
 
 
@@ -122,6 +125,33 @@ def test_union_of_members_is_reduction_coset(s3):
     c = cond(s3.event([1]), s3.event([1, 2]))
     x = iter_cond(a, c)
     assert union_of_members(x.members) == expand(reduce_u(x)).elements
+
+
+def test_iter_cond_builds_each_normalized_pair_once(s3):
+    """One object per (a & c, c), with the members a literal scan finds."""
+    pool = list(conditionals(s3))
+    for a in pool:
+        for c in pool:
+            x = iter_cond(a, c)
+            assert iter_cond(a & c, c) is x
+            assert x.members == {m for m in pool if m & c == a & c}
+
+
+def test_reduction_is_stored_only_once_checked(s3):
+    x = iter_cond(cond(s3.event([0]), s3.event([0, 1])), cond(s3.event([1]), s3.event([1, 2])))
+    assert x._reduced is None
+    assert reduce_u(x) is reduce_u(x) is x._reduced
+    for members, fault in [
+            # member cosets whose union (6 events) is no coset
+            ([cond(s3.event([0]), s3.event([0, 1])), cond(s3.event([1]), s3.event([1]))],
+             "not a coset"),
+            # a coset, (0|{1,2}), but not the closed form (0|{1})
+            ([x.numerator], "differs from closed form")]:
+        bogus = IteratedConditional(x.numerator, x.denominator, frozenset(members), x.beta)
+        for _ in range(2):
+            with pytest.raises(ReductionMismatchError, match=fault):
+                reduce_u(bogus)
+        assert bogus._reduced is None
 
 
 def test_iter_cond_space_bound():
