@@ -249,7 +249,7 @@ class PossibilityAssignment:
 
     def __init__(self, grades: Mapping[tuple[str, str], float]):
         for key, g in grades.items():
-            if not 0.0 <= float(g) <= 1.0:
+            if not 0 <= g <= 1:
                 raise ValueError(f"grade for {key} outside [0, 1]: {g}")
         self.grades = {k: float(v) for k, v in grades.items()}
 
@@ -262,10 +262,9 @@ class PossibilityAssignment:
         grades = {}
         for var, vals in _value_maps(data["poss"], "poss", domains).items():
             for val, g in vals.items():
-                try:
-                    grades[(var, val)] = float(g)
-                except TypeError:
-                    raise ValueError(f"grade for {var}[{val}] is not a number: {g!r}") from None
+                if isinstance(g, bool) or not isinstance(g, (int, float)):
+                    raise ValueError(f"grade for {var}[{val}] is not a number: {g!r}")
+                grades[(var, val)] = g
         return cls(grades)
 
     def grade(self, var: str, value: str) -> float:

@@ -6,14 +6,15 @@ tuples of a small space (or a seeded sample of tuples on larger ones).
 Each check returns a CheckResult carrying a witness on failure, so a
 broken law is reported with the exact inputs that break it.
 
-A swept law is one row (name, kind, arity, predicate), kind "events" or
-"conds"; `_run` checks a suite's rows in order against one Sweep, so
-they share its seeded stream. Checks whose failure detail is not a
-witness tuple are written out by hand.
+Every check is one row. A swept law is (name, kind, arity, predicate),
+kind "events" or "conds"; any other check is (name, source, predicate),
+whose cases source() produces when the row's turn comes. `_run` checks
+a suite's rows in order against one Sweep, so they share its seeded
+stream, and `_check` is the one place a row passes or fails.
 
 Where the printed source of an identity was ambiguous, the suite checks
 the empirically-true resolved form; the resolved choices are recorded
-as golden facts (see golden_facts) so they stay locked down.
+as golden facts (see GOLDEN_FACTS) so they stay locked down.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import json
 import operator
 import os
 import random
-from functools import reduce
+from functools import cache, partial, reduce
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .algebra import AtomSpace, Event, _event, material_implies
@@ -65,24 +66,31 @@ class CheckResult:
         return f"{status} {self.name} ({self.cases} cases)"
 
 
-def _check(name: str, cases: Iterable, pred: Callable[..., bool]) -> CheckResult:
-    """Run pred on each case until one fails. A case on which pred
-    raises fails too, with the exception in the detail, so the rows
-    and sections after it still run."""
+def _check(name: str, cases: Callable[[], Iterable], pred: Callable[..., object]) -> CheckResult:
+    """Run pred on each case that cases() produces until one fails. pred
+    returns True when its case holds, and False or a string naming what
+    broke when it does not. A case on which pred raises fails too, with
+    the exception in the detail, and so does an exception raised while
+    producing a case; either way the rows and sections after it still
+    run."""
     count = 0
-    for case in cases:
-        count += 1
-        try:
-            ok = pred(*case)
-        except Exception as exc:
-            return CheckResult(name, False, count, detail=_raised(case, exc))
-        if not ok:
-            return CheckResult(name, False, count, detail=f"witness {case!r}")
+    try:
+        for case in cases():
+            count += 1
+            try:
+                ok = pred(*case)
+            except Exception as exc:
+                return CheckResult(name, False, count, f"witness {case!r} {_raised(exc)}")
+            if ok is not True and (not ok or isinstance(ok, str)):
+                broke = f": {ok}" if ok else ""
+                return CheckResult(name, False, count, f"witness {case!r}{broke}")
+    except Exception as exc:
+        return CheckResult(name, False, count, f"drawing case {count + 1} {_raised(exc)}")
     return CheckResult(name, True, count)
 
 
-def _raised(case: tuple, exc: Exception) -> str:
-    return f"witness {case!r} raised {type(exc).__name__}: {exc}"
+def _raised(exc: Exception) -> str:
+    return f"raised {type(exc).__name__}: {exc}"
 
 
 class Sweep:
@@ -123,8 +131,14 @@ class Sweep:
 def _run(sweep: Sweep, rows: Iterable[tuple]) -> list[CheckResult]:
     """The driver: each row (name, kind, arity, predicate) is checked
     over its own tuples from the one sweep, in order, so the rows of a
-    sampled sweep share its seeded stream."""
-    return [_check(name, sweep.tuples(kind, arity), pred) for name, kind, arity, pred in rows]
+    sampled sweep share its seeded stream. A row (name, source,
+    predicate) takes its cases from source(), called when the row's
+    turn comes."""
+    out = []
+    for name, *source, pred in rows:
+        cases = source[0] if len(source) == 1 else partial(sweep.tuples, *source)
+        out.append(_check(name, cases, pred))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -171,7 +185,8 @@ def implication_identity_suite(space: AtomSpace, rng=None, samples=10000) -> lis
     the variants that actually hold (checked here, locked as golden)."""
     one = space.one
     imp = material_implies
-    out = _run(Sweep(space, rng, samples), [
+    quarter = Sweep(space, rng, max(1, samples // 4))
+    return _run(Sweep(space, rng, samples), [
         ("implication_absorbs_consequent", "events", 2,
          lambda a, b: imp(b, a) == imp(b, a & b)),
         ("unit_antecedent_collapses", "events", 1, lambda a: imp(one, a) == a),
@@ -189,12 +204,11 @@ def implication_identity_suite(space: AtomSpace, rng=None, samples=10000) -> lis
          lambda a1, a2, b: imp(b, a1) | imp(b, a2) == imp(b, a1 | a2)),
         ("shared_antecedent_meet", "events", 3,
          lambda a1, a2, b: imp(b, a1) & imp(b, a2) == imp(b, a1 & a2)),
+        # odd m: the implication form holds; even m: the restricted sum
+        *((f"shared_antecedent_sum_parity_m{m}", partial(quarter.tuples, "events", m + 1),
+           lambda *tup, even=m % 2 == 0: _sum_parity_forms(tup)[even])
+          for m in (1, 2, 3, 4)),
     ])
-    # odd m: the implication form holds; even m: the restricted sum
-    return out + _run(Sweep(space, rng, max(1, samples // 4)), [
-        (f"shared_antecedent_sum_parity_m{m}", "events", m + 1,
-         lambda *tup, even=m % 2 == 0: _sum_parity_forms(tup)[even])
-        for m in (1, 2, 3, 4)])
 
 
 def sum_parity_resolution(space: AtomSpace) -> dict:
@@ -238,7 +252,10 @@ def oracle_equivalence_suite(space: AtomSpace, rng=None, samples=10000) -> list[
 def conditional_law_suite(space: AtomSpace, rng=None, samples=10000) -> list[CheckResult]:
     zero = embed(space.zero)
     one = embed(space.one)
-    out = _run(Sweep(space, rng, samples), [
+    # additive inverses fail: a proper antecedent confines every sum
+    # inside itself, so the embedded zero is unreachable.
+    witness = cond(space.zero, ~space.atom(0))
+    return _run(Sweep(space, rng, samples), [
         ("cond_commutative", "conds", 2,
          lambda a, c: a ^ c == c ^ a and a | c == c | a and a & c == c & a),
         ("cond_associative", "conds", 3,
@@ -256,12 +273,9 @@ def conditional_law_suite(space: AtomSpace, rng=None, samples=10000) -> list[Che
         ("cond_absorption", "conds", 2,
          lambda a, c: a & (a | c) == a and a | (a & c) == a),
         ("cond_involution", "conds", 1, lambda a: ~~a == a),
+        ("cond_no_additive_inverse", partial(Sweep(space).tuples, "conds", 1),
+         lambda x: witness ^ x != zero),
     ])
-    # additive inverses fail: a proper antecedent confines every sum
-    # inside itself, so the embedded zero is unreachable.
-    witness = cond(space.zero, ~space.atom(0))
-    return out + _run(Sweep(space), [
-        ("cond_no_additive_inverse", "conds", 1, lambda x: witness ^ x != zero)])
 
 
 def nary_consistency_suite(space: AtomSpace, rng=None, samples=10000) -> list[CheckResult]:
@@ -283,8 +297,17 @@ def nary_consistency_suite(space: AtomSpace, rng=None, samples=10000) -> list[Ch
 
 
 def partial_order_suite(space: AtomSpace, rng=None, samples=10000) -> list[CheckResult]:
-    sw = Sweep(space, rng, samples)
-    out = _run(sw, [
+    def monotone_cases():
+        """Pairs of comparable pairs: every one, or pairs (a, a | c) of
+        seeded draws."""
+        if rng is None:
+            comparable = [(a, c) for a, c in Sweep(space).tuples("conds", 2) if a <= c]
+        else:
+            draws = Sweep(space, rng, min(samples, 100)).tuples("conds", 2)
+            comparable = [(a, a | c) for a, c in draws]
+        return (ac + eg for ac in comparable for eg in comparable)
+
+    return _run(Sweep(space, rng, samples), [
         ("order_matches_meet_definition", "conds", 2, lambda a, c: (a <= c) == (a & c == a)),
         ("order_matches_join_definition", "conds", 2, lambda a, c: (a <= c) == (a | c == c)),
         ("order_reflexive", "conds", 1, lambda a: a <= a),
@@ -296,19 +319,8 @@ def partial_order_suite(space: AtomSpace, rng=None, samples=10000) -> list[Check
         ("upper_bounds_via_join", "conds", 3,
          lambda a, c, e: (c <= a and e <= a) == ((c | e) <= a)),
         ("complement_reverses_order", "conds", 2, lambda a, c: not (a <= c) or (~c <= ~a)),
-    ])
-    # monotonicity, swept over comparable pairs only
-    if rng is None:
-        comparable = [(a, c) for a in conditionals(space)
-                      for c in conditionals(space) if a <= c]
-    else:
-        comparable = []
-        for a, c in Sweep(space, rng, min(samples, 100)).tuples("conds", 2):
-            comparable.append((a, a | c))
-    mono_cases = ((a, c, e, g) for a, c in comparable for e, g in comparable)
-    out.append(_check("ops_monotone_in_both_arguments", mono_cases,
-                      lambda a, c, e, g: (a & e) <= (c & g) and (a | e) <= (c | g)))
-    return out + _run(sw, [
+        ("ops_monotone_in_both_arguments", monotone_cases,
+         lambda a, c, e, g: (a & e) <= (c & g) and (a | e) <= (c | g)),
         ("bounds_are_coset_extremes", "conds", 1, _bounds_extreme),
         ("event_sandwich", "conds", 1,
          lambda a: embed(a.consequent) <= a
@@ -480,8 +492,24 @@ def characterization_suite(space: AtomSpace) -> list[CheckResult]:
     exactly the classes satisfying the membership equation, shared-
     antecedent operations pass to classes, representation is unique,
     and fixed-antecedent classes partition the algebra."""
-    sw = Sweep(space)
-    out = _run(sw, [
+    owner: dict = {}  # coset -> the first conditional expanding to it
+    everything = frozenset(space.events())
+
+    def own_coset(c):
+        other = owner.setdefault(expand(c).elements, c)
+        return other == c or f"shares a coset with {other!r}"
+
+    def classes_partition(b):
+        seen: set[Event] = set()
+        for a in space.events():
+            if a <= b:
+                members = expand(cond(a, b)).elements
+                if members & seen:
+                    return "overlapping classes"
+                seen |= members
+        return seen == everything or "classes do not cover"
+
+    return _run(Sweep(space), [
         ("membership_equation", "events", 2,
          lambda a, b: expand(cond(a, b)).elements
          == frozenset(x for x in space.events() if (x & b) == (a & b))),
@@ -491,46 +519,11 @@ def characterization_suite(space: AtomSpace) -> list[CheckResult]:
         ("classwise_complement", "events", 2,
          lambda a, b: classwise_unary(lambda x: ~x, expand(cond(a, b)))
          == expand(~cond(a, b)).elements),
-    ])
-
-    expansions: dict = {}
-    injective = True
-    detail = ""
-    total = 0
-    for c in conditionals(space):
-        total += 1
-        key = expand(c).elements
-        if key in expansions and expansions[key] != c:
-            injective = False
-            detail = f"{expansions[key]!r} and {c!r} share a coset"
-            break
-        expansions[key] = c
-    out.append(CheckResult("distinct_pairs_have_distinct_cosets", injective, total, detail))
-
-    partition_ok = True
-    detail = ""
-    everything = set(space.events())
-    for b in space.events():
-        seen: set[Event] = set()
-        for a in space.events():
-            if not a <= b:
-                continue
-            members = expand(cond(a, b)).elements
-            if members & seen:
-                partition_ok = False
-                detail = f"overlapping classes at antecedent {b!r}"
-                break
-            seen |= members
-        if partition_ok and seen != everything:
-            partition_ok = False
-            detail = f"classes at antecedent {b!r} do not cover"
-        if not partition_ok:
-            break
-    out.append(CheckResult("fixed_antecedent_classes_partition", partition_ok,
-                           1 << space.atom_count, detail))
-    return out + _run(sw, [
+        ("distinct_pairs_have_distinct_cosets", "conds", 1, own_coset),
+        ("fixed_antecedent_classes_partition", "events", 1, classes_partition),
         ("recognize_inverts_expand", "conds", 1,
-         lambda c: recognize(space, expand(c).elements) == c)])
+         lambda c: recognize(space, expand(c).elements) == c),
+    ])
 
 
 def _shared_antecedent_ops(a, c, b) -> bool:
@@ -550,8 +543,9 @@ HIGHER_SWEEP_COUNT = 8  # tuple-consuming sub-checks sharing the sample budget
 
 
 def higher_order_suite(space: AtomSpace, rng=None, samples=10000) -> list[CheckResult]:
-    """Reduction, equality criterion and homomorphism checks. `samples`
-    is the total sampled-tuple budget, split across the sub-checks."""
+    """Reduction, equality criterion, homomorphism and restriction
+    checks. `samples` is the total sampled-tuple budget, split across
+    the sub-checks."""
     per = samples if rng is None else max(1, samples // HIGHER_SWEEP_COUNT)
     sw = Sweep(space, rng, per)
 
@@ -572,7 +566,63 @@ def higher_order_suite(space: AtomSpace, rng=None, samples=10000) -> list[CheckR
         x = iter_cond(embed(a), cond(c, d))
         return reduce_u(x) == cond(a, ~(~c & d))
 
-    out = _run(sw, [
+    @cache
+    def family():
+        """The iterated conditionals of every pair, or of seeded pairs;
+        built once, when the first row that needs it comes up."""
+        return [iter_cond(a, c) for a, c in sw.tuples("conds", 2)]
+
+    def family_pairs():
+        xs = family()
+        if rng is None:
+            return itertools.product(xs, repeat=2)
+        idx = random.Random(rng.randrange(1 << 30))
+        return ((xs[idx.randrange(len(xs))], xs[idx.randrange(len(xs))]) for _ in range(per))
+
+    @cache
+    def hom_elems():
+        """One family member per distinct (numerator, beta); 15 seeded
+        picks of them when sampling."""
+        distinct: dict = {}
+        for x in family():
+            distinct.setdefault((x.numerator, x.beta), x)
+        elems = list(distinct.values())
+        if rng is not None and len(elems) > 15:
+            idx = random.Random(rng.randrange(1 << 30))
+            elems = [elems[idx.randrange(len(elems))] for _ in range(15)]
+        return elems
+
+    def hom_unary(x):
+        lhs = union_of_members(members_complement(x))
+        return lhs == expand(~reduce_u(x)).elements
+
+    def hom_binary(x, y, op):
+        lhs = union_of_members(members_extension(op, x, y))
+        return lhs == expand(op(reduce_u(x), reduce_u(y))).elements
+
+    # fixing the denominator to a plain event (or sharing one antecedent)
+    # makes the reduction a bijection onto the conditionals inside it
+    denominators = [(c,) for c in space.events()]
+    if rng is not None:
+        denominators = denominators[:: max(1, len(denominators) // 4)]
+
+    def restricts_bijectively(build):
+        def law(c):
+            image_of: dict = {}
+            for a, b in itertools.product(space.events(), repeat=2):
+                x = build(a, b, c)
+                img = reduce_u(x)
+                if image_of.setdefault((x.numerator, x.beta), img) != img:
+                    return "not a function"
+            images = set(image_of.values())
+            if len(images) < len(image_of):
+                return "not injective"
+            missing = sorted({x for x in conditionals(space) if x.antecedent <= c} - images,
+                             key=lambda t: (t.ant, t.cons))
+            return not missing or f"not surjective: missing {missing[0]!r}"
+        return law
+
+    return _run(sw, [
         ("reduction_matches_closed_and_alpha_forms", "conds", 2, reduction_agrees),
         ("reduction_identity_on_plain_conditionals", "conds", 1,
          lambda a: reduce_u(iter_cond(a, embed(space.one))) == a),
@@ -586,154 +636,62 @@ def higher_order_suite(space: AtomSpace, rng=None, samples=10000) -> list[CheckR
         ("reduction_event_numerator_normalized", "events", 3, event_numerator),
         ("denominator_product_recovers_numerator", "conds", 2,
          lambda a, c: (c & reduce_u(iter_cond(a, c))) == (a & c)),
+        ("triple_equality_matches_member_sets", family_pairs,
+         lambda x, y: iter_equal(x, y) == (x.members == y.members)),
+        ("reduction_homomorphism_complement", lambda: ((x,) for x in hom_elems()), hom_unary),
+        ("reduction_homomorphism_join", lambda: itertools.product(hom_elems(), repeat=2),
+         lambda x, y: hom_binary(x, y, lambda p, q: p | q)),
+        ("reduction_homomorphism_meet", lambda: itertools.product(hom_elems(), repeat=2),
+         lambda x, y: hom_binary(x, y, lambda p, q: p & q)),
+        ("restriction_bijective_event_denominator", lambda: denominators,
+         restricts_bijectively(lambda a, b, c: iter_cond(cond(a, b), embed(c)))),
+        ("restriction_bijective_shared_antecedent", lambda: denominators,
+         restricts_bijectively(lambda a, b, c: iter_cond(cond(a, c), cond(b, c)))),
     ])
-
-    if rng is None:
-        family = [iter_cond(a, c) for a in conditionals(space)
-                  for c in conditionals(space)]
-        pairs = ((x, y) for x in family for y in family)
-    else:
-        family = [iter_cond(a, c) for (a, c) in sw.tuples("conds", 2)]
-        idx = random.Random(rng.randrange(1 << 30))
-        pairs = ((family[idx.randrange(len(family))],
-                  family[idx.randrange(len(family))]) for _ in range(per))
-
-    out.append(_check("triple_equality_matches_member_sets", pairs,
-                      lambda x, y: iter_equal(x, y) == (x.members == y.members)))
-
-    distinct: dict = {}
-    for x in family:
-        distinct.setdefault((x.numerator, x.beta), x)
-    hom_elems = list(distinct.values())
-    if rng is not None and len(hom_elems) > 15:
-        idx = random.Random(rng.randrange(1 << 30))
-        hom_elems = [hom_elems[idx.randrange(len(hom_elems))] for _ in range(15)]
-
-    def hom_unary(x):
-        lhs = union_of_members(members_complement(x))
-        return lhs == expand(~reduce_u(x)).elements
-
-    def hom_binary(x, y, op):
-        lhs = union_of_members(members_extension(op, x, y))
-        return lhs == expand(op(reduce_u(x), reduce_u(y))).elements
-
-    out.append(_check("reduction_homomorphism_complement",
-                      ((x,) for x in hom_elems), hom_unary))
-    out.append(_check("reduction_homomorphism_join",
-                      ((x, y) for x in hom_elems for y in hom_elems),
-                      lambda x, y: hom_binary(x, y, lambda p, q: p | q)))
-    out.append(_check("reduction_homomorphism_meet",
-                      ((x, y) for x in hom_elems for y in hom_elems),
-                      lambda x, y: hom_binary(x, y, lambda p, q: p & q)))
-
-    out.extend(_restriction_bijections(space, rng))
-    return out
-
-
-def _restriction_bijections(space: AtomSpace, rng=None) -> list[CheckResult]:
-    """Fixing the denominator to a plain event (or sharing one
-    antecedent) turns the reduction into a bijection onto the
-    conditionals living inside that event."""
-    results = []
-    pool = list(space.events())
-    if rng is not None:
-        pool = pool[:: max(1, len(pool) // 4)]
-
-    def run(name: str, build) -> CheckResult:
-        cases = 0
-        for c in pool:
-            cases += 1
-            image_of: dict = {}
-            target = {x for x in conditionals(space) if x.antecedent <= c}
-            for a in space.events():
-                for b in space.events():
-                    x = build(a, b, c)
-                    try:
-                        img = reduce_u(x)
-                    except Exception as exc:
-                        return CheckResult(name, False, cases, _raised((a, b, c), exc))
-                    key = (x.numerator, x.beta)
-                    if key in image_of:
-                        if image_of[key] != img:
-                            return CheckResult(name, False, cases,
-                                               f"not a function at {c!r}")
-                        continue
-                    if img in image_of.values():
-                        return CheckResult(name, False, cases,
-                                           f"not injective at {c!r}")
-                    image_of[key] = img
-                    target.discard(img)
-            if target:
-                missing = sorted(target, key=lambda t: (t.ant, t.cons))[0]
-                return CheckResult(name, False, cases,
-                                   f"not surjective at {c!r}: missing {missing!r}")
-        return CheckResult(name, True, cases)
-
-    results.append(run("restriction_bijective_event_denominator",
-                       lambda a, b, c: iter_cond(cond(a, b), embed(c))))
-    results.append(run("restriction_bijective_shared_antecedent",
-                       lambda a, b, c: iter_cond(cond(a, c), cond(b, c))))
-    return results
 
 
 # ---------------------------------------------------------------------------
 # golden facts: empirically-resolved forms, locked down
 # ---------------------------------------------------------------------------
 
-def golden_facts() -> dict:
-    """Recompute every empirically-resolved fact from scratch."""
-    space2 = AtomSpace(2)
-    space3 = AtomSpace(3)
+def _reduction_antecedent() -> dict:
+    """Both candidate closed forms of the reduction's antecedent agree
+    with the literal union once the numerator is normalized below the
+    denominator."""
+    space = AtomSpace(2)
+    closed_ok = alpha_ok = True
+    for a, c in Sweep(space).tuples("conds", 2):
+        x = iter_cond(a, c)
+        literal = recognize(space, union_of_members(x.members))
+        num = x.numerator
+        closed = cond(num.consequent,
+                      num.antecedent & ~(~c.consequent & c.antecedent))
+        alpha = cond(num.consequent,
+                     num.antecedent & ((c.consequent & c.antecedent)
+                                       | (~num.consequent & ~c.antecedent)))
+        closed_ok &= literal == closed
+        alpha_ok &= literal == alpha
+    return {"closed_form_matches_literal_union": closed_ok,
+            "alpha_form_matches_literal_union": alpha_ok}
 
-    facts: dict = {}
-    facts["sum_of_implications_parity"] = sum_parity_resolution(space2)
 
-    # reduction antecedent: both candidate closed forms agree with the
-    # literal union once the numerator is normalized below the denominator
-    closed_ok = True
-    alpha_ok = True
-    for a in conditionals(space2):
-        for c in conditionals(space2):
-            x = iter_cond(a, c)
-            literal = recognize(space2, union_of_members(x.members))
-            num = x.numerator
-            closed = cond(num.consequent,
-                          num.antecedent & ~(~c.consequent & c.antecedent))
-            alpha = cond(num.consequent,
-                         num.antecedent & ((c.consequent & c.antecedent)
-                                           | (~num.consequent & ~c.antecedent)))
-            if literal != closed:
-                closed_ok = False
-            if literal != alpha:
-                alpha_ok = False
-    facts["reduction_antecedent"] = {
-        "closed_form_matches_literal_union": closed_ok,
-        "alpha_form_matches_literal_union": alpha_ok,
-    }
-
-    # the recorded higher-order example on three atoms
-    a = cond(space3.event([0]), space3.event([0, 1]))
-    c = cond(space3.event([1]), space3.event([1, 2]))
+def _iterated_example() -> dict:
+    """The recorded higher-order example on three atoms."""
+    space = AtomSpace(3)
+    a = cond(space.event([0]), space.event([0, 1]))
+    c = cond(space.event([1]), space.event([1, 2]))
     x = iter_cond(a, c)
-    members = sorted(
-        [sorted(m.consequent.atoms()), sorted(m.antecedent.atoms())]
-        for m in x.members
-    )
     r = reduce_u(x)
-    facts["iterated_example"] = {
-        "atoms": 3,
-        "numerator": [sorted(a.consequent.atoms()), sorted(a.antecedent.atoms())],
-        "denominator": [sorted(c.consequent.atoms()), sorted(c.antecedent.atoms())],
-        "member_count": len(x.members),
-        "members": members,
-        "reduction": [sorted(r.consequent.atoms()), sorted(r.antecedent.atoms())],
-    }
 
-    facts["pipeline_form"] = _pipeline_golden()
-    return facts
+    def pair(m):
+        return [sorted(m.consequent.atoms()), sorted(m.antecedent.atoms())]
+
+    return {"atoms": 3, "numerator": pair(a), "denominator": pair(c),
+            "member_count": len(x.members), "members": sorted(pair(m) for m in x.members),
+            "reduction": pair(r)}
 
 
-def _pipeline_golden() -> dict:
+def _pipeline_form() -> dict:
     from .data import load_bundled_kb, load_bundled_observation
     from .engine import build_space, integrate_out
 
@@ -751,33 +709,45 @@ def _pipeline_golden() -> dict:
     return out
 
 
+# fact name -> the function that recomputes it from scratch
+GOLDEN_FACTS = {
+    "sum_of_implications_parity": lambda: sum_parity_resolution(AtomSpace(2)),
+    "reduction_antecedent": _reduction_antecedent,
+    "iterated_example": _iterated_example,
+    "pipeline_form": _pipeline_form,
+}
+
+
 def golden_check(directory: str, record: bool = False) -> list[CheckResult]:
-    """Compare recomputed golden facts against the stored ones. A fact
-    file that does not exist fails, unless record is set: then it is
-    written (creating the directory) and reported as recorded."""
-    facts = golden_facts()
+    """Recompute each golden fact in its own row and compare it against
+    the stored one. A fact that raises fails its row and is never
+    written. A fact file that does not exist fails, unless record is
+    set: then it is written (creating the directory) and reported as
+    recorded."""
     results = []
     if record:
         os.makedirs(directory, exist_ok=True)
-    for name, value in sorted(facts.items()):
+    for name, fact in sorted(GOLDEN_FACTS.items()):
+        row = f"golden_{name}"
         path = os.path.join(directory, f"{name}.json")
-        if not os.path.exists(path):
-            if not record:
-                results.append(CheckResult(f"golden_{name}", False, 1,
-                                           detail=f"{path} is missing (--record writes it)"))
-                continue
+        try:
+            value = fact()
+        except Exception as exc:
+            results.append(CheckResult(row, False, 1, _raised(exc)))
+            continue
+        if os.path.exists(path):
+            with open(path, "r", encoding="utf-8") as fh:
+                stored = json.load(fh)
+            same = stored == value
+            results.append(CheckResult(row, same, 1,
+                                       "" if same else f"stored {stored!r} != computed {value!r}"))
+        elif record:
             with open(path, "w", encoding="utf-8") as fh:
                 json.dump(value, fh, indent=2, sort_keys=True)
                 fh.write("\n")
-            results.append(CheckResult(f"golden_{name}", True, 1, "recorded"))
-            continue
-        with open(path, "r", encoding="utf-8") as fh:
-            stored = json.load(fh)
-        if stored == value:
-            results.append(CheckResult(f"golden_{name}", True, 1))
+            results.append(CheckResult(row, True, 1, "recorded"))
         else:
-            results.append(CheckResult(f"golden_{name}", False, 1,
-                                       detail=f"stored {stored!r} != computed {value!r}"))
+            results.append(CheckResult(row, False, 1, f"{path} is missing (--record writes it)"))
     return results
 
 

@@ -6,8 +6,9 @@ from fractions import Fraction
 
 import pytest
 
+from cea import verify
 from cea.cli import main
-from cea.conditional import ConditionalObject
+from cea.conditional import ConditionalObject, _make, cond
 from cea.data import bundled_golden_dir, bundled_kb_path, bundled_observation_path
 from cea.engine import build_space, evaluate, load_kb, load_observation
 from cea.formulas import MAX_DEPTH
@@ -156,6 +157,8 @@ def test_eval_malformed_kb(tmp_path, obs_path):
     ("cpl", "--measure", {"factors": {**UNIFORM_FACTORS,
                                       "a1": {"1": NAN, "2": "1/2", "3": "1/2"}}}),
     ("cpl", "--measure", {"atoms": {ATOM: NAN, ATOM.replace("none", "some"): 1}}),
+    *(("fl", "--poss", {"poss": {**FL_POSS["poss"], "b1": {"106-reddish": g, "98-normal": 0.2}}})
+      for g in (True, "0.5", "abc", 10 ** 400)),
 ])
 def test_eval_malformed_value_map_exits_two(kb_path, obs_path, tmp_path, aldp, flag, content):
     path = tmp_path / "input.json"
@@ -495,6 +498,96 @@ def test_predicate_exception_is_a_failed_check(monkeypatch, capsys):
     assert "  PASS coset_extension_join (81 cases)" in lines
     assert "[algebraic laws]" in lines
     assert lines[-1].endswith("checks FAILED")
+
+
+def failed_verify(argv, capsys, fail_line, summary):
+    """Run a verifier command that must fail: the fail line is printed,
+    and so is every later row and section, up to the summary line."""
+    assert main(argv) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert fail_line in lines
+    assert lines[-1] == summary
+    return lines[lines.index(fail_line) + 1:]
+
+
+def test_iterated_family_exception_is_a_failed_check(monkeypatch, capsys):
+    def broken(self, other):
+        raise RuntimeError("meet is broken")
+
+    monkeypatch.setattr(ConditionalObject, "__and__", broken)
+    later = failed_verify(
+        ["oracle", "verify", "--atoms", "2", "--higher-order"], capsys,
+        "  FAIL triple_equality_matches_member_sets (0 cases) -- "
+        "drawing case 1 raised RuntimeError: meet is broken",
+        "38 of 82 checks FAILED")
+    assert [line.split(" (")[0] for line in later[:-1]] == [
+        "  FAIL reduction_homomorphism_complement", "  FAIL reduction_homomorphism_join",
+        "  FAIL reduction_homomorphism_meet", "  FAIL restriction_bijective_event_denominator",
+        "  FAIL restriction_bijective_shared_antecedent"]
+
+
+def test_case_drawing_exception_is_a_failed_check(monkeypatch, capsys):
+    """An exception raised while a row's cases are drawn fails that row."""
+    def broken(self, other):
+        raise RuntimeError("join is broken")
+
+    monkeypatch.setattr(ConditionalObject, "__or__", broken)
+    later = failed_verify(
+        ["oracle", "verify", "--atoms", "4", "--seed", "7", "--samples", "50"], capsys,
+        "  FAIL ops_monotone_in_both_arguments (0 cases) -- "
+        "drawing case 1 raised RuntimeError: join is broken",
+        "21 of 62 checks FAILED")
+    assert "  PASS event_sandwich (50 cases)" in later
+    assert [line for line in later if line.startswith("[")] == [
+        "[identity calculus]", "[implication comparison]", "[coset intersection]"]
+
+
+def test_golden_fact_exception_fails_its_row(monkeypatch, capsys, tmp_path):
+    """A golden fact that raises fails its own row, the other facts
+    still run, and --record does not write it."""
+    def broken_antecedent(self, other):
+        return _make(self.space, self.cons & other.cons, self.ant | other.ant, other.space)
+
+    monkeypatch.setattr(ConditionalObject, "__and__", broken_antecedent)
+    later = failed_verify(
+        ["oracle", "verify", "--atoms", "2", "--golden", bundled_golden_dir()], capsys,
+        "  FAIL golden_iterated_example (1 cases) -- raised ReductionMismatchError: "
+        "literal union ({}|{}) differs from closed form ({}|{0,1})",
+        "18 of 73 checks FAILED")
+    assert later[0] == "  PASS golden_pipeline_form (1 cases)"
+    assert later[2] == "  PASS golden_sum_of_implications_parity (1 cases)"
+
+    assert main(["oracle", "verify", "--atoms", "2", "--golden", str(tmp_path), "--record"]) == 1
+    assert "  FAIL golden_iterated_example" in capsys.readouterr().out
+    assert sorted(os.listdir(tmp_path)) == [
+        "pipeline_form.json", "reduction_antecedent.json", "sum_of_implications_parity.json"]
+
+
+def test_shared_coset_fails_with_its_witness(monkeypatch, capsys):
+    real = verify.expand
+
+    def merged(c):  # every (x|{0}) gets the coset of (0|0)
+        return real(cond(c.space.zero, c.space.zero) if c.ant == 1 else c)
+
+    monkeypatch.setattr(verify, "expand", merged)
+    later = failed_verify(
+        ["oracle", "verify", "--atoms", "2"], capsys,
+        "  FAIL distinct_pairs_have_distinct_cosets (2 cases) -- "
+        "witness (({}|{0}),): shares a coset with ({}|{})",
+        "10 of 69 checks FAILED")
+    assert later[0] == ("  FAIL fixed_antecedent_classes_partition (2 cases) -- "
+                        "witness ({0},): overlapping classes")
+
+
+def test_constant_reduction_fails_both_restriction_rows(monkeypatch, capsys):
+    monkeypatch.setattr(verify, "reduce_u", lambda x: cond(x.beta.space.zero, x.beta.space.zero))
+    later = failed_verify(
+        ["oracle", "verify", "--atoms", "2", "--higher-order"], capsys,
+        "  FAIL restriction_bijective_event_denominator (2 cases) -- "
+        "witness ({0},): not injective",
+        "11 of 82 checks FAILED")
+    assert later[0] == ("  FAIL restriction_bijective_shared_antecedent (2 cases) -- "
+                        "witness ({0},): not injective")
 
 
 def test_lewis_demo_text():
