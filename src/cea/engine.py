@@ -18,7 +18,10 @@ conjoin_all and disjoin_all for cpl (Kleene min and max on the
 true/false/undefined reading), each rule being (consequent | antecedent);
 formulas under And and Or for fl, read as MIN and MAX. So the
 disjunction over assignments is computed by bucket elimination (Dechter
-1999), one swept variable at a time, not one assignment at a time.
+1999), one swept variable at a time, not one assignment at a time. An
+unobserved query variable stays in the tables and is never eliminated,
+so one elimination per query leaves the query bucket: a form for every
+query value at once.
 """
 
 from __future__ import annotations
@@ -181,6 +184,8 @@ class Grounding:
             if sizes > MAX_SPACE_ATOMS:
                 raise KnowledgeBaseError("joint domain product exceeds the space bound")
         self.kb = kb
+        # integrate_out's one memo slot: (key, {query value: form}).
+        self._integrated = None
         labels = [""]
         for i, var in enumerate(kb.variables):
             sep = "," if i else ""
@@ -340,17 +345,21 @@ def sweep_variables(
     return out
 
 
-def elimination_order(scopes, domains: Mapping[str, Sequence[str]]) -> tuple[list[str], int]:
-    """Greedy elimination order over the variables the scopes name.
+def elimination_order(
+    scopes, domains: Mapping[str, Sequence[str]], keep: Optional[str] = None
+) -> tuple[list[str], int]:
+    """Greedy elimination order over the variables the scopes name,
+    `keep` excepted: it is never eliminated but counts in table sizes.
 
     Each step eliminates the variable whose resulting table is smallest,
     the first in `domains` order on a tie. Returns the order and the
-    entry count of the largest joint table a step builds. The order sets
-    only the cost: the lattice laws make every order give one result.
+    entry count of the largest table built, a scope's own or the joint
+    table of a step. The order sets only the cost: the lattice laws make
+    every order give one result.
     """
     scopes = [set(s) for s in scopes]
-    remaining = [v for v in domains if any(v in s for s in scopes)]
-    order, largest = [], 1
+    remaining = [v for v in domains if v != keep and any(v in s for s in scopes)]
+    order = []
 
     def size(names) -> int:
         return math.prod(len(domains[v]) for v in names)
@@ -358,6 +367,7 @@ def elimination_order(scopes, domains: Mapping[str, Sequence[str]]) -> tuple[lis
     def joint(var: str) -> set[str]:
         return set().union(*(s for s in scopes if var in s))
 
+    largest = max([1] + [size(s) for s in scopes])
     while remaining:
         var = min(remaining, key=lambda v: size(joint(v) - {v}))
         merged = joint(var)
@@ -400,24 +410,48 @@ def integrate_out(
     """The join, over every assignment of the swept variables, of the
     conjunction form, with the query variable pinned to one value.
 
-    Computed by variable elimination: each relevant rule becomes a table
-    over the swept variables its free leaves name, and the variables are
-    eliminated in `elimination_order`, whose largest table is checked
-    against MAX_ELIMINATION_TABLE before any rule is grounded. cl/pl
-    give an Event, cpl a ConditionalObject and fl a formula whose
-    sub-trees are shared between table entries.
+    One elimination serves every query value. After the argument
+    checks, the first call for a logic, query variable and observation
+    computes every value's form (`_query_forms`) and keeps them in the
+    grounding's one memo slot, keyed by `(aldp, query_var, ((var,
+    values), ...))` over the observed values: content, not identity.
+    Later calls with that key read the slot; a call that raises stores
+    nothing. cl/pl give an Event, cpl a ConditionalObject and fl a
+    formula whose sub-trees are shared between table entries.
     """
-    kb = grounding.kb
-    decl = kb.variable(query_var)
+    decl = grounding.kb.variable(query_var)
     if decl.kind != "diagnosis":
         raise KnowledgeBaseError(f"query variable {query_var} is not a diagnosis")
     if query_value not in decl.domain:
         raise KnowledgeBaseError(f"{query_value!r} not in the domain of {query_var}")
+    key = (aldp, query_var, tuple((var, tuple(vals)) for var, vals in obs.observed.items()))
+    if grounding._integrated is None or grounding._integrated[0] != key:
+        grounding._integrated = (key, _query_forms(grounding, obs, aldp, decl))
+    return grounding._integrated[1][query_value]
+
+
+def _query_forms(
+    grounding: Grounding, obs: Observation, aldp: str, query: VariableDecl
+) -> dict[str, ConjoinedForm]:
+    """Every query value's form from one variable elimination.
+
+    Each relevant rule becomes a table over the swept variables its free
+    leaves name, and over the query variable too when that is free there
+    and unobserved (an observed one resolves through the observation).
+    The swept variables are eliminated in `elimination_order`, whose
+    largest table, query dimension included, is checked against
+    MAX_ELIMINATION_TABLE before any rule is grounded. The tables left
+    are over () or (query,); a value's form is the meet of the base and
+    their entries at that value.
+    """
+    kb = grounding.kb
     meet, join, base, factor = lattice(grounding, obs, aldp)
     rules = relevant_rules(kb, obs)
-    domains = {v.name: v.domain for v in sweep_variables(kb, rules, obs, query_var)}
+    domains = {v.name: v.domain for v in sweep_variables(kb, rules, obs, query.name)}
+    if query.name not in obs:
+        domains[query.name] = query.domain
     scopes = [tuple(v for v in domains if v in rule.free_variables()) for rule in rules]
-    order, largest = elimination_order(scopes, domains)
+    order, largest = elimination_order(scopes, domains, keep=query.name)
     if largest > MAX_ELIMINATION_TABLE:
         raise KnowledgeBaseError(
             f"eliminating the swept variables needs a table of {largest} entries,"
@@ -427,13 +461,13 @@ def integrate_out(
     for rule, scope in zip(rules, scopes):
         entries = {}
         for combo in itertools.product(*(domains[v] for v in scope)):
-            assignment = dict(zip(scope, combo))
-            assignment[query_var] = query_value
-            entries[combo] = factor(rule, assignment)
+            entries[combo] = factor(rule, dict(zip(scope, combo)))
         tables.append((scope, entries))
     for var in order:
         tables = _eliminate(meet, join, tables, var, domains)
-    return _combine(meet, base + [entries[()] for _, entries in tables])
+    return {value: _combine(meet, base + [entries[(value,) if scope else ()]
+                                          for scope, entries in tables])
+            for value in query.domain}
 
 
 class EvalRow:

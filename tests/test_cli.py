@@ -353,6 +353,37 @@ def test_eval_refuses_elimination_over_budget(kb_path, obs_path):
         " over the bound of 26"]
 
 
+def test_elimination_bound_counts_the_query_dimension(tmp_path):
+    # Eliminating a with d pinned builds a 3-entry table; with d kept in
+    # the scopes the one table built is over (a, d), 9 entries.
+    kb = tmp_path / "kb.json"
+    kb.write_text(json.dumps({
+        "variables": [
+            {"name": "x", "kind": "data-attribute", "domain": ["0", "1"]},
+            {"name": "a", "kind": "auxiliary-attribute", "domain": ["1", "2", "3"]},
+            {"name": "d", "kind": "diagnosis", "domain": ["p", "q", "r"]},
+        ],
+        "rules": [{"id": "r", "if": {"var": "x"}, "then": {"var": "a"}},
+                  {"id": "s", "if": {"var": "a"}, "then": {"var": "d"}}],
+    }))
+    obs = tmp_path / "obs.json"
+    obs.write_text(json.dumps({"observe": {"x": ["0"]}}))
+    for bound, code, stderr in (
+            (8, 2, ["error: eliminating the swept variables needs a table of 9 entries,"
+                    " over the bound of 8"]),
+            (9, 0, [])):
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             f"import sys, cea.cli, cea.engine; cea.engine.MAX_ELIMINATION_TABLE = {bound}; "
+             "sys.exit(cea.cli.main(sys.argv[1:]))",
+             "eval", "--kb", str(kb), "--observe", str(obs), "--aldp", "pl",
+             "--measure", "uniform"],
+            capture_output=True, text=True,
+        )
+        assert (proc.returncode, proc.stderr.splitlines()) == (code, stderr)
+        assert (proc.stdout == "") == (code == 2)
+
+
 def test_oracle_verify_small():
     proc = run_cli("oracle", "verify", "--atoms", "2", "--higher-order")
     assert proc.returncode == 0

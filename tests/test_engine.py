@@ -6,6 +6,7 @@ from operator import or_
 
 import pytest
 
+from cea import engine
 from cea.conditional import disjoin_all
 from cea.data import load_bundled_kb, load_bundled_observation
 from cea.engine import (
@@ -355,6 +356,85 @@ def test_evidence_growth_grows_antecedent(bundled):
         small = integrate_out(grounding, narrow, "cpl", "th1", value)
         large = integrate_out(grounding, wide, "cpl", "th1", value)
         assert small.antecedent <= large.antecedent
+
+
+def _seeded_poss(kb):
+    rng = random.Random("poss")
+    return PossibilityAssignment({(v.name, val): rng.random()
+                                  for v in kb.variables for val in v.domain})
+
+
+def _assert_oracle_form(grounding, obs, aldp, query, value, poss):
+    got = integrate_out(grounding, obs, aldp, query, value)
+    want = enumerate_integrate_out(grounding, obs, aldp, query, value)
+    if aldp == "fl":
+        assert fl_eval(poss, got) == fl_eval(poss, want)
+    else:
+        assert got == want
+
+
+def test_stored_forms_never_go_stale(bundled):
+    """One grounding serves interleaved logics, query values in reverse
+    and two observations of different width; every call matches the
+    enumerating oracle."""
+    kb, grounding, _ = bundled
+    poss = _seeded_poss(kb)
+    narrow = Observation(kb, {"b1": ["106-reddish"]})
+    wide = Observation(kb, {"b1": ["106-reddish", "98-normal"]})
+    for value in reversed(kb.variable("th1").domain):
+        for aldp in ("cl", "fl", "pl", "cpl"):
+            for obs in (narrow, wide, narrow):
+                _assert_oracle_form(grounding, obs, aldp, "th1", value, poss)
+
+
+def test_observed_query_gets_one_form_for_every_value(bundled):
+    kb, grounding, _ = bundled
+    poss = _seeded_poss(kb)
+    obs = Observation(kb, {"b1": ["106-reddish"], "th1": ["some", "prog"]})
+    for aldp in ("cl", "fl", "pl", "cpl"):
+        forms = [integrate_out(grounding, obs, aldp, "th1", value)
+                 for value in kb.variable("th1").domain]
+        if aldp == "fl":
+            forms = [fl_eval(poss, form) for form in forms]
+        assert forms[1:] == forms[:-1]
+        for value in kb.variable("th1").domain:
+            _assert_oracle_form(grounding, obs, aldp, "th1", value, poss)
+
+
+def test_rules_that_never_name_the_query():
+    kb = kb_from_json({
+        "variables": [
+            {"name": "x", "kind": "data-attribute", "domain": ["0", "1"]},
+            {"name": "a", "kind": "auxiliary-attribute", "domain": ["1", "2", "3"]},
+            {"name": "d", "kind": "diagnosis", "domain": ["p", "q", "r"]},
+        ],
+        "rules": [{"id": "r", "if": {"var": "x"}, "then": {"var": "a", "vals": ["1", "2"]}},
+                  {"id": "s", "if": {"var": "a"}, "then": {"var": "d", "vals": ["q"]}}],
+    })
+    grounding = build_space(kb)
+    obs = Observation(kb, {"x": ["1"]})
+    assert all("d" not in r.free_variables() for r in relevant_rules(kb, obs))
+    poss = _seeded_poss(kb)
+    for aldp in ("cl", "fl", "pl", "cpl"):
+        for value in ("r", "p", "q"):
+            _assert_oracle_form(grounding, obs, aldp, "d", value, poss)
+
+
+def test_refused_call_leaves_nothing_behind(bundled, monkeypatch):
+    kb, grounding, obs = bundled
+    poss = _seeded_poss(kb)
+    integrate_out(grounding, obs, "pl", "th1", "none")
+    with pytest.raises(KnowledgeBaseError, match="not a diagnosis"):
+        integrate_out(grounding, obs, "cpl", "a1", "1")
+    _assert_oracle_form(grounding, obs, "cpl", "th1", "some", poss)
+    with pytest.raises(KnowledgeBaseError, match="not in the domain"):
+        integrate_out(grounding, obs, "fl", "th1", "nonsense")
+    _assert_oracle_form(grounding, obs, "fl", "th1", "prog", poss)
+    monkeypatch.setattr(engine, "MAX_ELIMINATION_TABLE", 26)
+    with pytest.raises(KnowledgeBaseError, match="table of 27 entries"):
+        integrate_out(grounding, obs, "pl", "th1", "none")
+    monkeypatch.undo()
+    _assert_oracle_form(grounding, obs, "pl", "th1", "none", poss)
 
 
 def test_kb_validation_errors():
