@@ -8,7 +8,7 @@ plus material implication and the subset partial order.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator, Sequence
 
 
 class MismatchedSpaceError(ValueError):
@@ -29,7 +29,13 @@ class AtomSpace:
 
     Atoms are indexed 0..n-1; every event is a subset of the atoms,
     stored as an int bitmask. Two spaces are equal when they have the
-    same labels in the same order.
+    same labels in the same order; a space hashes by its atom count.
+
+    Labels are given as a list, checked for uniqueness here, or as a
+    function that returns that list, called (and its result checked) the
+    first time ``atom_labels`` or ``atom_index`` reads them; no labels
+    means "0".."n-1", built the same way. So a space whose labels nobody
+    reads never builds them, nor the label -> index dict.
 
     A space of at most EVENT_TABLE_ATOMS atoms hash-conses its events:
     every Event it hands out is the one entry of ``_events`` for its
@@ -50,22 +56,21 @@ class AtomSpace:
     the space against its size bound.
     """
 
-    __slots__ = ("atom_count", "atom_labels", "full_mask", "_label_index",
+    __slots__ = ("atom_count", "full_mask", "_labels", "_label_index",
                  "_events", "_conds", "_cosets", "_iters", "_expand_admitted")
 
-    def __init__(self, atom_count: int, atom_labels: list[str] | None = None):
+    def __init__(self, atom_count: int,
+                 atom_labels: Sequence[str] | Callable[[], Sequence[str]] | None = None):
         if atom_count < 1:
             raise ValueError("atom space needs at least one atom")
         if atom_labels is None:
-            atom_labels = [str(i) for i in range(atom_count)]
-        if len(atom_labels) != atom_count:
-            raise ValueError("label count does not match atom count")
-        if len(set(atom_labels)) != atom_count:
-            raise ValueError("atom labels must be unique")
+            atom_labels = lambda: [str(i) for i in range(atom_count)]
         self.atom_count = atom_count
-        self.atom_labels = list(atom_labels)
         self.full_mask = (1 << atom_count) - 1
-        self._label_index = {lab: i for i, lab in enumerate(atom_labels)}
+        self._labels = atom_labels
+        self._label_index = None
+        if not callable(atom_labels):
+            self._index_labels()
         self._events = self._conds = self._cosets = None
         self._iters = {}
         self._expand_admitted = False
@@ -76,14 +81,32 @@ class AtomSpace:
             self._conds = [None] * (1 << 2 * atom_count)
             self._cosets = [None] * (1 << 2 * atom_count)
 
+    def _index_labels(self) -> dict[str, int]:
+        """Build (once) and check the labels and the label -> index dict."""
+        if self._label_index is None:
+            labels = list(self._labels() if callable(self._labels) else self._labels)
+            if len(labels) != self.atom_count:
+                raise ValueError("label count does not match atom count")
+            index = {lab: i for i, lab in enumerate(labels)}
+            if len(index) != self.atom_count:
+                raise ValueError("atom labels must be unique")
+            self._labels, self._label_index = labels, index
+        return self._label_index
+
+    @property
+    def atom_labels(self) -> list[str]:
+        self._index_labels()
+        return self._labels
+
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, AtomSpace)
-            and (self is other or self.atom_labels == other.atom_labels)
+            and (self is other or (self.atom_count == other.atom_count
+                                   and self.atom_labels == other.atom_labels))
         )
 
     def __hash__(self) -> int:
-        return hash((self.atom_count, self.atom_labels[0], self.atom_labels[-1]))
+        return hash(self.atom_count)
 
     def __repr__(self) -> str:
         return f"AtomSpace({self.atom_count})"
@@ -100,7 +123,7 @@ class AtomSpace:
         return _event(self, mask & self.full_mask)
 
     def atom_index(self, label: str) -> int:
-        return self._label_index[label]
+        return self._index_labels()[label]
 
     @property
     def zero(self) -> "Event":

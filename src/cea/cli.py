@@ -13,6 +13,7 @@ Identical inputs and seed produce byte-identical output.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import random
@@ -46,7 +47,10 @@ def format_grade(grade) -> str:
     return f"{float(grade):.12g}"
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argparse tree, built on the first call and shared by every
+    later one: parse_args keeps no state between calls."""
     parser = argparse.ArgumentParser(
         prog="cea",
         description="Conditional event algebra: evaluation, verification, demos",
@@ -123,7 +127,10 @@ def _parse_atom_assignment(text: str) -> dict[str, str]:
         if "=" not in part:
             raise InputError(f"--atom entries must be var=value, got {part!r}")
         var, value = part.split("=", 1)
-        assignment[var.strip()] = value.strip()
+        var = var.strip()
+        if var in assignment:
+            raise InputError(f"--atom names {var} twice")
+        assignment[var] = value.strip()
     return assignment
 
 

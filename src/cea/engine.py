@@ -173,7 +173,11 @@ class Grounding:
     Atoms are joint assignments in itertools.product order over the
     declaration order, so atom indices are reproducible: the atom of an
     assignment is its mixed-radix number, the first variable most
-    significant, and its label is "var=value,..." in declaration order.
+    significant, and its label is "var=value,..." in declaration order
+    (`_atom_labels`). The space builds its labels only when something
+    reads them (the "atoms" measure form does), unless a variable name or
+    value contains "," or "=": only then can two labels coincide, so only
+    then are they built, and checked for uniqueness, up front.
     Grounds primitive events and whole formulas to events.
     """
 
@@ -186,12 +190,13 @@ class Grounding:
         self.kb = kb
         # integrate_out's one memo slot: (key, {query value: form}).
         self._integrated = None
-        labels = [""]
-        for i, var in enumerate(kb.variables):
-            sep = "," if i else ""
-            parts = [f"{sep}{var.name}={val}" for val in var.domain]
-            labels = [lab + part for lab in labels for part in parts]
-        self.space = AtomSpace(len(labels), labels)
+        variables = kb.variables
+        if any("," in s or "=" in s for v in variables for s in [v.name, *v.domain]):
+            labels = _atom_labels(variables)
+        else:
+            # looked up at call time, so that a patched module attribute is seen
+            labels = lambda: _atom_labels(variables)
+        self.space = AtomSpace(sizes, labels)
         # In product order a variable with d values and stride s holds
         # value j on a block of s atoms at offset j*s of every period of
         # d*s atoms; multiplying the block by `repeat` tiles it.
@@ -236,6 +241,16 @@ class Grounding:
         first, then the domain-variable assignment."""
         vals_of = leaf_values(observation, assignment or {})
         return ground(f, lambda var, vals: self.values_event(var, vals_of(var, vals)))
+
+
+def _atom_labels(variables: Sequence[VariableDecl]) -> list[str]:
+    """Every atom's "var=value,..." label, in atom order."""
+    labels = [""]
+    for i, var in enumerate(variables):
+        sep = "," if i else ""
+        parts = [f"{sep}{var.name}={val}" for val in var.domain]
+        labels = [lab + part for lab in labels for part in parts]
+    return labels
 
 
 def leaf_values(observation: Optional[Observation], assignment: Mapping[str, str]):

@@ -70,45 +70,68 @@ _BIT_SELECTORS = bytes.maketrans(b"01", b"\x00\x01")
 class ProbabilityMeasure:
     """Nonnegative atom weights summing to one.
 
-    An exact measure also keeps its weights as integer numerators over
-    one common denominator, so p(e) is one integer sum and one Fraction.
-    A float (or mixed) measure adds the weights of e's atoms in
-    ascending atom order, starting from 0.0.
+    An exact measure keeps its weights as integer numerators over one
+    common denominator, so p(e) is one integer sum and one Fraction. Built
+    from them (`from_numerators`), it makes its `weights` list of
+    Fractions only when that is read. A float (or mixed) measure adds the
+    weights of e's atoms in ascending atom order, starting from 0.0.
     """
 
-    __slots__ = ("space", "weights", "exact", "_numerators", "_denominator")
+    __slots__ = ("space", "exact", "_weights", "_numerators", "_denominator")
 
     def __init__(self, space: AtomSpace, weights: Sequence[Weight]):
         if len(weights) != space.atom_count:
             raise ValueError("one weight per atom required")
         weights = [w if isinstance(w, (float, Fraction)) else parse_weight(w)
                    for w in weights]
-        exact = all(isinstance(w, Fraction) for w in weights)
-        if exact:
+        self.space = space
+        self.exact = all(isinstance(w, Fraction) for w in weights)
+        self._weights = weights
+        if self.exact:
             denominator = math.lcm(*{w.denominator for w in weights})
-            numerators = [w.numerator * (denominator // w.denominator) for w in weights]
-            if min(numerators) < 0:
-                raise ValueError("weights must be nonnegative")
-            total = Fraction(sum(numerators), denominator)
-            if total != 1:
-                raise ValueError(f"weights sum to {total}, expected 1")
+            self._set_numerators(
+                [w.numerator * (denominator // w.denominator) for w in weights], denominator)
         else:
             if any(w < 0 for w in weights):
                 raise ValueError("weights must be nonnegative")
             total = sum(weights)
             if not abs(float(total) - 1.0) <= TOLERANCE:
                 raise ValueError(f"weights sum to {total}, expected 1")
-            numerators, denominator = None, None
-        self.space = space
-        self.weights = weights
-        self.exact = exact
+            self._numerators = self._denominator = None
+
+    @classmethod
+    def from_numerators(cls, space: AtomSpace, numerators: list[int],
+                        denominator: int) -> "ProbabilityMeasure":
+        """The exact measure giving atom i the weight
+        numerators[i] / denominator."""
+        if len(numerators) != space.atom_count:
+            raise ValueError("one weight per atom required")
+        p = object.__new__(cls)
+        p.space, p.exact, p._weights = space, True, None
+        p._set_numerators(numerators, denominator)
+        return p
+
+    def _set_numerators(self, numerators: list[int], denominator: int) -> None:
+        if min(numerators) < 0:
+            raise ValueError("weights must be nonnegative")
+        total = Fraction(sum(numerators), denominator)
+        if total != 1:
+            raise ValueError(f"weights sum to {total}, expected 1")
         self._numerators = numerators
         self._denominator = denominator
+
+    @property
+    def weights(self) -> list[Weight]:
+        """One weight per atom, in atom order."""
+        if self._weights is None:
+            denominator = self._denominator
+            self._weights = [Fraction(n, denominator) for n in self._numerators]
+        return self._weights
 
     @classmethod
     def uniform(cls, space: AtomSpace) -> "ProbabilityMeasure":
         n = space.atom_count
-        return cls(space, [Fraction(1, n)] * n)
+        return cls.from_numerators(space, [1] * n, n)
 
     def __call__(self, e: Event) -> Weight:
         if e.space != self.space:
@@ -118,7 +141,7 @@ class ProbabilityMeasure:
         if self.exact:
             return Fraction(sum(compress(self._numerators, selectors)), self._denominator)
         # reduce, not sum(): from Python 3.12 sum() of floats is compensated
-        return reduce(add, compress(self.weights, selectors), 0.0)
+        return reduce(add, compress(self._weights, selectors), 0.0)
 
     def __repr__(self) -> str:
         return f"ProbabilityMeasure({self.weights!r})"
@@ -131,8 +154,7 @@ def random_measure(
     n = space.atom_count
     if exact:
         raw = [rng.randrange(1, 1000) for _ in range(n)]
-        total = sum(raw)
-        return ProbabilityMeasure(space, [Fraction(k, total) for k in raw])
+        return ProbabilityMeasure.from_numerators(space, raw, sum(raw))
     raw = [rng.random() + 1e-3 for _ in range(n)]
     total = sum(raw)
     weights = [w / total for w in raw]
@@ -322,7 +344,11 @@ def measure_from_json(
     product measure over a variable-grounded space and requires that
     grounding's (name, domain) pairs in declaration order. Its weights
     are the Kronecker product of the factors, each atom's product taken
-    left to right in declaration order.
+    left to right in declaration order. When every factor weight is
+    exact, each factor becomes integer numerators over its own common
+    denominator, and the measure is their Kronecker product over the
+    product of those denominators: the same rationals, with no Fraction
+    per atom.
     """
     if not isinstance(data, dict):
         raise ValueError("measure file must be a JSON object")
@@ -352,9 +378,17 @@ def measure_from_json(
             elif abs(float(total) - 1.0) > TOLERANCE:
                 raise ValueError(f"factor for {var} sums to {total}")
         _check_factors_cover(factors, domains)
+        columns = [[factors[var][val] for val in domain] for var, domain in domains]
+        if all(isinstance(w, Fraction) for column in columns for w in column):
+            numerators, denominator = [1], 1
+            for column in columns:
+                d = math.lcm(*(w.denominator for w in column))
+                column = [w.numerator * (d // w.denominator) for w in column]
+                numerators = [n * c for n in numerators for c in column]
+                denominator *= d
+            return ProbabilityMeasure.from_numerators(space, numerators, denominator)
         weights = [Fraction(1)]
-        for var, domain in domains:
-            column = [factors[var][val] for val in domain]
+        for column in columns:
             weights = [w * f for w in weights for f in column]
         return ProbabilityMeasure(space, weights)
     raise ValueError('measure file needs an "atoms" or "factors" section')

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from cea import verify
-from cea.cli import main
+from cea.cli import build_parser, main
 from cea.conditional import ConditionalObject, _make, cond
 from cea.data import bundled_golden_dir, bundled_kb_path, bundled_observation_path
 from cea.engine import build_space, evaluate, load_kb, load_observation
@@ -126,6 +126,58 @@ def test_eval_factor_measure(kb_path, obs_path, tmp_path):
     assert proc.returncode == 0
     for r in json.loads(proc.stdout)["results"]:
         assert r["grade"] == pytest.approx(1 / 6)
+
+
+def test_eval_atom_naming_a_variable_twice_exits_two(kb_path, obs_path):
+    proc = run_cli("eval", "--kb", kb_path, "--observe", obs_path, "--aldp", "cl",
+                   "--atom", "a1=1,a1=2,a2=1,a3=1,b1=106-reddish,b2=1,th1=none")
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == "error: --atom names a1 twice\n"
+
+
+@pytest.mark.parametrize("aldp", ["pl", "cpl"])
+def test_eval_colliding_atom_labels_exit_two(tmp_path, aldp):
+    """x=a with y="b,y=c" and x="a,y=b" with y=c share one label."""
+    kb = tiny_kb(["a", "a,y=b"])
+    kb["variables"][1] = {"name": "y", "kind": "diagnosis", "domain": ["b,y=c", "c"]}
+    kb["rules"][0]["then"] = {"var": "y"}
+    kb_file, obs_file = tmp_path / "kb.json", tmp_path / "obs.json"
+    kb_file.write_text(json.dumps(kb))
+    obs_file.write_text(json.dumps({"observe": {"x": ["a"]}}))
+    proc = run_cli("eval", "--kb", str(kb_file), "--observe", str(obs_file),
+                   "--aldp", aldp, "--measure", "uniform")
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == "error: atom labels must be unique\n"
+
+
+def test_one_parser_serves_every_command_in_a_process(kb_path, obs_path, tmp_path,
+                                                      monkeypatch, capsys):
+    """main builds its argparse tree once; every later call, after a
+    usage error too, answers as a fresh process does."""
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage to the terminal
+    poss = tmp_path / "poss.json"
+    poss.write_text(json.dumps(FL_POSS))
+    inputs = ["eval", "--kb", kb_path, "--observe", obs_path]
+    bad = ["eval", "--aldp", "nonsense"]
+    commands = [
+        bad,
+        inputs + ["--aldp", "cl", "--atom", ATOM],
+        inputs + ["--aldp", "pl", "--measure", "uniform"],
+        inputs + ["--aldp", "cpl", "--measure", "uniform", "--format", "json"],
+        inputs + ["--aldp", "fl", "--poss", str(poss)],
+        ["oracle", "verify", "--atoms", "2"],
+        bad,
+    ]
+    parser = build_parser()
+    for argv in commands:
+        code = main(argv)
+        out, err = capsys.readouterr()
+        proc = run_cli(*argv)
+        assert (code, out, err) == (proc.returncode, proc.stdout, proc.stderr), argv
+    assert build_parser() is parser
+    assert code == 2 and err.startswith("usage: cea eval")
 
 
 def test_eval_missing_measure_names_flag(kb_path, obs_path):

@@ -7,6 +7,7 @@ from operator import or_
 import pytest
 
 from cea import engine
+from cea.algebra import AtomSpace
 from cea.conditional import disjoin_all
 from cea.data import load_bundled_kb, load_bundled_observation
 from cea.engine import (
@@ -651,3 +652,101 @@ def test_factor_gaps_reported_as_the_atom_scan_meets_them():
         with pytest.raises(ValueError) as got:
             measure_from_json(space, {"factors": factors}, domains)
         assert str(got.value) == str(want.value)
+
+
+def test_evaluation_never_builds_atom_labels(monkeypatch):
+    """Grounding and every logic's evaluation run without the labels;
+    only the "atoms" measure form reads them."""
+    def refuse(variables):
+        raise AssertionError("atom labels built")
+
+    monkeypatch.setattr(engine, "_atom_labels", refuse)
+    kb = load_bundled_kb()
+    grounding = build_space(kb)
+    obs = load_bundled_observation(kb)
+    domains = [(v.name, v.domain) for v in kb.variables]
+    factors = _random_factors(random.Random("labels"), kb, "exact")
+    atom = grounding.atom_of_assignment({v.name: v.domain[-1] for v in kb.variables})
+    inputs = {
+        "cl": atom,
+        "pl": ProbabilityMeasure.uniform(grounding.space),
+        "cpl": measure_from_json(grounding.space, {"factors": factors}, domains),
+        "fl": _seeded_poss(kb),
+    }
+    for aldp, sem_input in inputs.items():
+        assert len(evaluate(grounding, obs, aldp, "th1", sem_input)) == 3
+    assert grounding.space in {grounding.space}  # hashing reads no label
+    with pytest.raises(AssertionError, match="atom labels built"):
+        grounding.space.atom_index("a1=1,a2=1,a3=1,b1=106-reddish,b2=1,th1=none")
+
+
+def _two_variable_kb(x_domain, y_domain):
+    return kb_from_json({
+        "variables": [
+            {"name": "x", "kind": "data-attribute", "domain": x_domain},
+            {"name": "y", "kind": "diagnosis", "domain": y_domain},
+        ],
+        "rules": [{"id": "r", "if": {"var": "x"}, "then": {"var": "y"}}],
+    })
+
+
+def test_labels_that_can_collide_are_checked_up_front(monkeypatch):
+    """Only a "," or "=" in a name or value lets two labels coincide;
+    such a grounding builds and checks its labels at once."""
+    with pytest.raises(ValueError, match="atom labels must be unique"):
+        build_space(_two_variable_kb(["a", "a,y=b"], ["b,y=c", "c"]))
+    kb = _two_variable_kb(["a", "a,y=d"], ["b,y=c", "c"])
+    assert build_space(kb).space.atom_labels == [
+        "x=a,y=b,y=c", "x=a,y=c", "x=a,y=d,y=b,y=c", "x=a,y=d,y=c"]
+
+    def refuse(variables):
+        raise AssertionError("atom labels built")
+
+    monkeypatch.setattr(engine, "_atom_labels", refuse)
+    with pytest.raises(AssertionError, match="atom labels built"):
+        build_space(kb)
+    build_space(_two_variable_kb(["a", "b"], ["c", "d"]))
+
+
+def test_exact_factor_measure_matches_the_fraction_oracle():
+    """Unreduced "p/q" strings, a zero and an int weight: the integer
+    Kronecker product gives the oracle's Fractions, value and type."""
+    kb = chain_kb(2)
+    assignments = scan_assignments(kb)
+    domains = [(v.name, v.domain) for v in kb.variables]
+    space = build_space(kb).space
+    factors = {
+        "b1": {"x": 1, "y": 0},
+        "a0": {"1": "2/4", "2": "2/8", "3": "3/12"},
+        "a1": {"1": "0", "2": "4/6", "3": "1/3"},
+        "th": {"t0": "5/10", "t1": "1/6", "t2": "2/6"},
+    }
+    p = measure_from_json(space, {"factors": factors}, domains)
+    want = scan_factor_weights(assignments, factors)
+    assert p.exact
+    assert p.weights == want
+    assert all(type(w) is Fraction for w in p.weights)
+    for e in _random_events(random.Random("exact"), space):
+        got = p(e)
+        assert got == sum((w for i, w in enumerate(want) if e.mask >> i & 1), Fraction(0))
+        assert type(got) is Fraction
+    uniform = ProbabilityMeasure.uniform(space)
+    assert uniform.weights == [Fraction(1, space.atom_count)] * space.atom_count
+    _assert_same_measure(uniform, _random_events(random.Random("uniform"), space))
+
+    negative = dict(factors, b1={"x": "3/2", "y": "-1/2"})
+    with pytest.raises(ValueError, match="^weights must be nonnegative$"):
+        measure_from_json(space, {"factors": negative}, domains)
+    short = dict(factors, a0={"1": "2/4", "2": "1/8", "3": "1/8"})
+    with pytest.raises(ValueError, match="^factor for a0 sums to 3/4$"):
+        measure_from_json(space, {"factors": short}, domains)
+
+
+@pytest.mark.parametrize("numerators,denominator", [([3, -1], 2), ([1, 1], 3)])
+def test_numerator_measure_checks_as_the_weight_list_does(numerators, denominator):
+    space = AtomSpace(2)
+    with pytest.raises(ValueError) as want:
+        ProbabilityMeasure(space, [Fraction(n, denominator) for n in numerators])
+    with pytest.raises(ValueError) as got:
+        ProbabilityMeasure.from_numerators(space, numerators, denominator)
+    assert str(got.value) == str(want.value)
