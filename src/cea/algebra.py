@@ -33,9 +33,9 @@ class AtomSpace:
 
     Labels are given as a list, checked for uniqueness here, or as a
     function that returns that list, called (and its result checked) the
-    first time ``atom_labels`` or ``atom_index`` reads them; no labels
-    means "0".."n-1", built the same way. So a space whose labels nobody
-    reads never builds them, nor the label -> index dict.
+    first time ``atom_labels`` reads them; no labels means "0".."n-1",
+    built the same way. So a space whose labels nobody reads never
+    builds them.
 
     A space of at most EVENT_TABLE_ATOMS atoms hash-conses its events:
     every Event it hands out is the one entry of ``_events`` for its
@@ -56,7 +56,7 @@ class AtomSpace:
     the space against its size bound.
     """
 
-    __slots__ = ("atom_count", "full_mask", "_labels", "_label_index",
+    __slots__ = ("atom_count", "full_mask", "_labels",
                  "_events", "_conds", "_cosets", "_iters", "_expand_admitted")
 
     def __init__(self, atom_count: int,
@@ -67,10 +67,7 @@ class AtomSpace:
             atom_labels = lambda: [str(i) for i in range(atom_count)]
         self.atom_count = atom_count
         self.full_mask = (1 << atom_count) - 1
-        self._labels = atom_labels
-        self._label_index = None
-        if not callable(atom_labels):
-            self._index_labels()
+        self._labels = atom_labels if callable(atom_labels) else self._checked(atom_labels)
         self._events = self._conds = self._cosets = None
         self._iters = {}
         self._expand_admitted = False
@@ -81,21 +78,19 @@ class AtomSpace:
             self._conds = [None] * (1 << 2 * atom_count)
             self._cosets = [None] * (1 << 2 * atom_count)
 
-    def _index_labels(self) -> dict[str, int]:
-        """Build (once) and check the labels and the label -> index dict."""
-        if self._label_index is None:
-            labels = list(self._labels() if callable(self._labels) else self._labels)
-            if len(labels) != self.atom_count:
-                raise ValueError("label count does not match atom count")
-            index = {lab: i for i, lab in enumerate(labels)}
-            if len(index) != self.atom_count:
-                raise ValueError("atom labels must be unique")
-            self._labels, self._label_index = labels, index
-        return self._label_index
+    def _checked(self, labels: Sequence[str]) -> list[str]:
+        labels = list(labels)
+        if len(labels) != self.atom_count:
+            raise ValueError("label count does not match atom count")
+        if len(set(labels)) != self.atom_count:
+            raise ValueError("atom labels must be unique")
+        return labels
 
     @property
     def atom_labels(self) -> list[str]:
-        self._index_labels()
+        """The labels, built and checked on the first read."""
+        if callable(self._labels):
+            self._labels = self._checked(self._labels())
         return self._labels
 
     def __eq__(self, other) -> bool:
@@ -121,9 +116,6 @@ class AtomSpace:
 
     def event_from_mask(self, mask: int) -> "Event":
         return _event(self, mask & self.full_mask)
-
-    def atom_index(self, label: str) -> int:
-        return self._index_labels()[label]
 
     @property
     def zero(self) -> "Event":
@@ -193,13 +185,6 @@ class Event:
 
     def atoms(self) -> list[int]:
         return [i for i in range(self.space.atom_count) if self.mask >> i & 1]
-
-    def cardinality(self) -> int:
-        return self.mask.bit_count()
-
-    @property
-    def is_zero(self) -> bool:
-        return self.mask == 0
 
     @property
     def is_one(self) -> bool:

@@ -24,11 +24,14 @@ from fractions import Fraction
 from .algebra import AtomSpace
 from .coset import max_expand_atoms
 from .engine import (
+    ALDP_TAGS,
+    KnowledgeBase,
     KnowledgeBaseError,
+    Observation,
     build_space,
     evaluate,
-    load_kb,
-    load_observation,
+    kb_from_json,
+    observation_from_json,
 )
 from .semantics import (
     PossibilityAssignment,
@@ -60,7 +63,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval = sub.add_parser("eval", help="evaluate a knowledge base under one logic")
     p_eval.add_argument("--kb", required=True, help="knowledge base JSON file")
     p_eval.add_argument("--observe", required=True, help="observation JSON file")
-    p_eval.add_argument("--aldp", required=True, choices=["cl", "fl", "pl", "cpl"],
+    p_eval.add_argument("--aldp", required=True, choices=ALDP_TAGS,
                         help="logic: classical, fuzzy, probability, conditional probability")
     p_eval.add_argument("--query", help="diagnosis variable (default: first declared)")
     p_eval.add_argument("--measure", help='measure JSON file or "uniform" (pl, cpl)')
@@ -114,11 +117,27 @@ def _reading(path: str):
         raise InputError(f"{path} is not valid JSON: {exc}") from None
     except RecursionError:
         raise InputError(f"{path} nests too deeply to read") from None
+    except UnicodeDecodeError:
+        raise InputError(f"{path} is not UTF-8 text") from None
+    except ValueError:  # json's int() past sys.get_int_max_str_digits()
+        raise InputError(f"{path} holds a number too long to read") from None
 
 
 def _load_json_file(path: str):
     with _reading(path), open(path, "r", encoding="utf-8") as fh:
         return json.load(fh)
+
+
+def load_kb(path: str) -> KnowledgeBase:
+    return kb_from_json(_load_json_file(path))
+
+
+def load_observation(kb: KnowledgeBase, path: str) -> Observation:
+    return observation_from_json(kb, _load_json_file(path))
+
+
+# the flag naming what each logic grades at: an atom, a possibility or a measure
+LOGIC_INPUT = {"cl": "atom", "fl": "poss", "pl": "measure", "cpl": "measure"}
 
 
 def _parse_atom_assignment(text: str) -> dict[str, str]:
@@ -135,11 +154,9 @@ def _parse_atom_assignment(text: str) -> dict[str, str]:
 
 
 def cmd_eval(args) -> int:
-    with _reading(args.kb):
-        kb = load_kb(args.kb)
+    kb = load_kb(args.kb)
     grounding = build_space(kb)
-    with _reading(args.observe):
-        obs = load_observation(kb, args.observe)
+    obs = load_observation(kb, args.observe)
 
     query = args.query
     if query is None:
@@ -148,25 +165,19 @@ def cmd_eval(args) -> int:
             raise InputError("knowledge base declares no diagnosis variable")
         query = diagnoses[0].name
 
-    if args.aldp in ("pl", "cpl"):
-        if not args.measure:
-            raise InputError(f"--aldp {args.aldp} needs --measure")
-        if args.measure == "uniform":
-            sem_input = ProbabilityMeasure.uniform(grounding.space)
-        else:
-            sem_input = measure_from_json(
-                grounding.space, _load_json_file(args.measure),
-                [(v.name, v.domain) for v in kb.variables],
-            )
-    elif args.aldp == "fl":
-        if not args.poss:
-            raise InputError("--aldp fl needs --poss")
-        sem_input = PossibilityAssignment.from_json(
-            _load_json_file(args.poss), [(v.name, v.domain) for v in kb.variables])
+    flag = LOGIC_INPUT[args.aldp]
+    given = getattr(args, flag)
+    if not given:
+        raise InputError(f"--aldp {args.aldp} needs --{flag}")
+    domains = [(v.name, v.domain) for v in kb.variables]
+    if flag == "atom":
+        sem_input = grounding.atom_of_assignment(_parse_atom_assignment(given))
+    elif flag == "poss":
+        sem_input = PossibilityAssignment.from_json(_load_json_file(given), domains)
+    elif given == "uniform":
+        sem_input = ProbabilityMeasure.uniform(grounding.space)
     else:
-        if not args.atom:
-            raise InputError("--aldp cl needs --atom")
-        sem_input = grounding.atom_of_assignment(_parse_atom_assignment(args.atom))
+        sem_input = measure_from_json(grounding.space, _load_json_file(given), domains)
 
     rows = evaluate(grounding, obs, args.aldp, query, sem_input)
 
@@ -174,20 +185,17 @@ def cmd_eval(args) -> int:
         results = []
         for row in rows:
             if row.error:
-                results.append({"value": row.value, "error": row.error})
+                result = {"value": row.value, "error": row.error}
             else:
                 result = {"value": row.value, "grade": float(row.grade)}
-                if isinstance(row.grade, Fraction):
-                    result["exact"] = f"{row.grade.numerator}/{row.grade.denominator}"
-                results.append(result)
+            if isinstance(row.grade, Fraction):
+                result["exact"] = f"{row.grade.numerator}/{row.grade.denominator}"
+            results.append(result)
         print(json.dumps({"query": query, "aldp": args.aldp, "results": results}))
     else:
         print(f"query {query} ({args.aldp})")
         for row in rows:
-            if row.error:
-                print(f"  {row.value}: {row.error}")
-            else:
-                print(f"  {row.value}: {format_grade(row.grade)}")
+            print(f"  {row.value}: {row.error or format_grade(row.grade)}")
     return 0
 
 

@@ -87,11 +87,6 @@ class ConditionalObject:
         c1, a1, c2, a2 = self.cons, self.ant, other.cons, other.ant
         return c1 & ~c2 == 0 and a2 & ~c2 & ~(a1 & ~c1) == 0
 
-    @property
-    def is_embedded_event(self) -> bool:
-        """True when the antecedent is 1, i.e. this is a plain event."""
-        return self.ant == self.space.full_mask
-
 
 def _make(space: AtomSpace, cons: int, ant: int, peer=None) -> ConditionalObject:
     """The conditional (cons|ant) of space: the table entry when the

@@ -27,11 +27,10 @@ query value at once.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from functools import reduce
 from operator import and_, or_
-from typing import Mapping, Optional, Sequence, Union
+from typing import Mapping, NamedTuple, Optional, Sequence, Union
 
 from .algebra import AtomSpace, Event, material_implies
 from .conditional import ConditionalObject, _make, conjoin_all, disjoin_all, embed
@@ -485,18 +484,10 @@ def _query_forms(
             for value in query.domain}
 
 
-class EvalRow:
-    __slots__ = ("value", "grade", "error")
-
-    def __init__(self, value: str, grade=None, error: Optional[str] = None):
-        self.value = value
-        self.grade = grade
-        self.error = error
-
-    def __repr__(self) -> str:
-        if self.error:
-            return f"EvalRow({self.value}: {self.error})"
-        return f"EvalRow({self.value}: {self.grade})"
+class EvalRow(NamedTuple):
+    value: str
+    grade: object = None
+    error: Optional[str] = None
 
 
 def evaluate(
@@ -512,22 +503,17 @@ def evaluate(
     for fl, and a ProbabilityMeasure for pl/cpl. A zero-probability
     antecedent under cpl yields a per-value error row, not a failure.
     """
-    kb = grounding.kb
-    decl = kb.variable(query_var)
+    decl = grounding.kb.variable(query_var)
+    # looked up at call time, so that a patched module attribute is seen;
+    # an unknown tag gets None here and is refused by integrate_out
+    grade = {"cl": cl_eval, "fl": fl_eval, "pl": pl_eval, "cpl": cpl_eval}.get(aldp)
     rows = []
     for value in decl.domain:
         form = integrate_out(grounding, obs, aldp, query_var, value)
-        if aldp == "cl":
-            rows.append(EvalRow(value, cl_eval(semantics_input, form)))
-        elif aldp == "pl":
-            rows.append(EvalRow(value, pl_eval(semantics_input, form)))
-        elif aldp == "cpl":
-            try:
-                rows.append(EvalRow(value, cpl_eval(semantics_input, form)))
-            except UndefinedConditionalError:
-                rows.append(EvalRow(value, error="undefined"))
-        else:
-            rows.append(EvalRow(value, fl_eval(semantics_input, form)))
+        try:
+            rows.append(EvalRow(value, grade(semantics_input, form)))
+        except UndefinedConditionalError:
+            rows.append(EvalRow(value, error="undefined"))
     return rows
 
 
@@ -558,13 +544,3 @@ def observation_from_json(kb: KnowledgeBase, data) -> Observation:
     if not isinstance(data, dict) or not isinstance(data.get("observe"), dict):
         raise KnowledgeBaseError('observation file must look like {"observe": {...}}')
     return Observation(kb, data["observe"])
-
-
-def load_kb(path: str) -> KnowledgeBase:
-    with open(path, "r", encoding="utf-8") as fh:
-        return kb_from_json(json.load(fh))
-
-
-def load_observation(kb: KnowledgeBase, path: str) -> Observation:
-    with open(path, "r", encoding="utf-8") as fh:
-        return observation_from_json(kb, json.load(fh))

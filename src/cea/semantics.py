@@ -50,7 +50,7 @@ def parse_weight(value) -> Weight:
     if isinstance(value, str):
         try:
             return Fraction(value)
-        except ZeroDivisionError:
+        except (ValueError, ZeroDivisionError):  # not p/q, q = 0 or too many digits
             raise ValueError(f"not a weight: {value!r}") from None
     if isinstance(value, Fraction):
         return value

@@ -7,10 +7,10 @@ from fractions import Fraction
 import pytest
 
 from cea import verify
-from cea.cli import build_parser, main
+from cea.cli import build_parser, load_kb, load_observation, main
 from cea.conditional import ConditionalObject, _make, cond
 from cea.data import bundled_golden_dir, bundled_kb_path, bundled_observation_path
-from cea.engine import build_space, evaluate, load_kb, load_observation
+from cea.engine import build_space, evaluate
 from cea.formulas import MAX_DEPTH
 from cea.semantics import ProbabilityMeasure
 
@@ -184,6 +184,44 @@ def test_eval_missing_measure_names_flag(kb_path, obs_path):
     proc = run_cli("eval", "--kb", kb_path, "--observe", obs_path, "--aldp", "pl")
     assert proc.returncode == 2
     assert "--measure" in proc.stderr
+
+
+@pytest.mark.parametrize("aldp,flag", [
+    ("cl", "atom"), ("fl", "poss"), ("pl", "measure"), ("cpl", "measure")])
+def test_eval_without_its_logic_input_names_the_flag(kb_path, obs_path, capsys, aldp, flag):
+    assert main(["eval", "--kb", kb_path, "--observe", obs_path, "--aldp", aldp]) == 2
+    assert capsys.readouterr() == ("", f"error: --aldp {aldp} needs --{flag}\n")
+
+
+def refusal_reading(flag, content, kb_path, obs_path, tmp_path, capsys):
+    """The stderr of a `cea eval` that exits 2, with flag naming a file
+    of these bytes and every other input valid."""
+    path = tmp_path / "input.json"
+    path.write_bytes(content)
+    files = {"--kb": kb_path, "--observe": obs_path, "--measure": "uniform", flag: str(path)}
+    logic = ["--aldp", "fl", "--poss", str(path)] if flag == "--poss" else [
+        "--aldp", "cpl", "--measure", files["--measure"]]
+    assert main(["eval", "--kb", files["--kb"], "--observe", files["--observe"], *logic]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    return path, err
+
+
+@pytest.mark.parametrize("flag", ["--kb", "--observe", "--measure", "--poss"])
+def test_eval_file_not_utf8_is_named(kb_path, obs_path, tmp_path, capsys, flag):
+    path, err = refusal_reading(flag, b'{"observe": {"b1": ["\xff"]}}',
+                                kb_path, obs_path, tmp_path, capsys)
+    assert err == f"error: {path} is not UTF-8 text\n"
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                    reason="no limit on the digits int() reads")
+@pytest.mark.parametrize("flag", ["--kb", "--observe", "--measure", "--poss"])
+def test_eval_file_with_an_over_long_number_is_named(kb_path, obs_path, tmp_path, capsys,
+                                                     flag):
+    path, err = refusal_reading(flag, b"[" + b"9" * 5000 + b"]",
+                                kb_path, obs_path, tmp_path, capsys)
+    assert err == f"error: {path} holds a number too long to read\n"
 
 
 def test_eval_malformed_kb(tmp_path, obs_path):

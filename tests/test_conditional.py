@@ -50,7 +50,7 @@ def test_canonical_form(s3):
 def test_embedding(s3):
     a = s3.event([1, 2])
     assert cond(a, s3.one) == embed(a)
-    assert embed(a).is_embedded_event
+    assert embed(a).ant == a.space.full_mask
 
 
 def test_zero_antecedent_is_whole_algebra(s3):

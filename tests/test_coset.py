@@ -31,7 +31,7 @@ def test_expand_examples(s3):
 
 def test_expand_sizes(s3):
     for c in conditionals(s3):
-        outside = 3 - c.antecedent.cardinality()
+        outside = 3 - c.antecedent.mask.bit_count()
         assert len(expand(c)) == 2 ** outside
 
 

@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -40,6 +41,12 @@ def test_measure_validation(s3):
         ProbabilityMeasure(s3, [nan, 0.5, 0.5])
     for bad in (nan, inf, -inf):
         with pytest.raises(ValueError):
+            parse_weight(bad)
+    bad_strings = ["", "abc", "1/", "1/0"]
+    if hasattr(sys, "get_int_max_str_digits"):
+        bad_strings.append("1/" + "9" * 5000)  # more digits than int() reads
+    for bad in bad_strings:
+        with pytest.raises(ValueError, match="^not a weight: "):
             parse_weight(bad)
     p = ProbabilityMeasure.uniform(s3)
     assert p.exact
