@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from cea import verify
+from cea.algebra import Event, _event
 from cea.cli import build_parser, load_kb, load_observation, main
 from cea.conditional import ConditionalObject, _make, cond
 from cea.data import bundled_golden_dir, bundled_kb_path, bundled_observation_path
@@ -603,6 +604,43 @@ def test_verifier_stdout_matches_snapshot(snapshot):
     proc = run_cli(*SNAPSHOTS[snapshot])
     assert (proc.returncode, proc.stderr) == (0, "")
     assert proc.stdout == expected
+
+
+def union_antecedent_meet(self, other):
+    """The conditional meet with its antecedent term (a1 & a2) made (a1 | a2)."""
+    c1, a1, c2, a2 = self.cons, self.ant, other.cons, other.ant
+    return _make(self.space, c1 & c2, (a1 & ~c1) | (a2 & ~c2) | (a1 | a2), other.space)
+
+
+def sum_clearing_atom_0(self, other):
+    """The event sum with atom 0 cleared from its result."""
+    return _event(self.space, (self.mask ^ other.mask) & ~1, other.space)
+
+
+FAILING_SNAPSHOTS = {
+    "oracle_verify_atoms4_seed7_samples300_union_meet.txt":
+        (ConditionalObject, "__and__", union_antecedent_meet,
+         ["oracle", "verify", "--atoms", "4", "--seed", "7", "--samples", "300"]),
+    "oracle_verify_atoms7_seed1_samples60_union_meet.txt":
+        (ConditionalObject, "__and__", union_antecedent_meet,
+         ["oracle", "verify", "--atoms", "7", "--seed", "1", "--samples", "60"]),
+    "algebra_selftest_atoms9_seed5_samples200_sum_atom0.txt":
+        (Event, "__xor__", sum_clearing_atom_0,
+         ["algebra", "selftest", "--atoms", "9", "--seed", "5", "--samples", "200"]),
+}
+
+
+@pytest.mark.parametrize("snapshot", FAILING_SNAPSHOTS)
+def test_failing_verifier_stdout_matches_snapshot(snapshot, monkeypatch, capsys):
+    """With one operator broken, each sampled row that fails prints its
+    first witness, so these files pin the seeded stream tuple for tuple
+    (the passing snapshots only pin the case counts)."""
+    owner, name, broken, argv = FAILING_SNAPSHOTS[snapshot]
+    with open(os.path.join(SNAPSHOT_DIR, snapshot), encoding="utf-8") as fh:
+        expected = fh.read()
+    monkeypatch.setattr(owner, name, broken)
+    assert main(argv) == 1
+    assert capsys.readouterr().out == expected
 
 
 def test_predicate_exception_is_a_failed_check(monkeypatch, capsys):

@@ -355,8 +355,12 @@ def test_mask_slots_and_event_views():
 
 def test_sweep_sample_stream_matches_event_draws():
     """The sampled Sweep draws masks; the stream of the Event-built draws
-    it replaced, kept here as its oracle, must come out tuple for tuple."""
-    for n, seed, arity in itertools.product((3, 4), range(5), range(1, 5)):
+    it replaced, kept here as its oracle, must come out tuple for tuple,
+    each object the table entry where the space has a table, and must
+    leave the generator in the oracle's state after a whole row and after
+    a row stopped at its k-th tuple, as a failing row stops. 3 and 4
+    atoms are fully tabled, 7 has no conditional table, 9 no table."""
+    for n, seed, arity in itertools.product((3, 4, 7, 9), range(5), range(1, 5)):
         space = AtomSpace(n)
 
         def ev():
@@ -365,19 +369,29 @@ def test_sweep_sample_stream_matches_event_draws():
         def cnd():
             return cond(ev(), ev())
 
-        rng = random.Random(seed)
-        expected = [tuple(ev() for _ in range(arity)) for _ in range(300)]
-        got = list(Sweep(space, random.Random(seed), 300).tuples("events", arity))
-        assert len(got) == 300
-        for g, e in zip(got, expected):
-            assert [(x.mask, x.space) for x in g] == [(x.mask, x.space) for x in e]
-            assert all(x.space is space for x in g)
-        rng = random.Random(seed)
-        expected = [tuple(cnd() for _ in range(arity)) for _ in range(300)]
-        got = list(Sweep(space, random.Random(seed), 300).tuples("conds", arity))
-        assert len(got) == 300
-        for g, e in zip(got, expected):
-            assert len(g) == arity and all(same(x, y) for x, y in zip(g, e)), (g, e)
+        def same_event(x, y):
+            return (x.mask, x.space) == (y.mask, y.space) and x.space is space
+
+        for kind, draw, agree, table in (("events", ev, same_event, space._events),
+                                         ("conds", cnd, same, space._conds)):
+            stops = (1, 2, 1 + seed * 50 + arity, 300)
+            rng = random.Random(seed)
+            expected, states = [], {}
+            for k in range(1, 301):
+                expected.append(tuple(draw() for _ in range(arity)))
+                if k in stops:
+                    states[k] = rng.getstate()
+            sweep_rng = random.Random(seed)
+            got = list(Sweep(space, sweep_rng, 300).tuples(kind, arity))
+            assert len(got) == 300 and sweep_rng.getstate() == states[300]
+            for g, e in zip(got, expected):
+                assert len(g) == arity and all(agree(x, y) for x, y in zip(g, e)), (g, e)
+                assert all((x is y) == (table is not None) for x, y in zip(g, e))
+            for k in stops[:-1]:
+                sweep_rng = random.Random(seed)
+                rows = Sweep(space, sweep_rng, 300).tuples(kind, arity)
+                assert [next(rows) for _ in range(k)] == got[:k]
+                assert sweep_rng.getstate() == states[k], (n, seed, arity, kind, k)
 
 
 # The allocating builders the hash-consing tables replaced, kept as their
