@@ -19,6 +19,7 @@ import os
 import random
 import sys
 from contextlib import contextmanager
+from decimal import Decimal
 from fractions import Fraction
 
 from .algebra import AtomSpace
@@ -189,7 +190,8 @@ def cmd_eval(args) -> int:
             else:
                 result = {"value": row.value, "grade": float(row.grade)}
             if isinstance(row.grade, Fraction):
-                result["exact"] = f"{row.grade.numerator}/{row.grade.denominator}"
+                # str(Decimal(k)) is str(k) without the 4,300-digit limit of int to text
+                result["exact"] = "/".join(str(Decimal(k)) for k in row.grade.as_integer_ratio())
             results.append(result)
         print(json.dumps({"query": query, "aldp": args.aldp, "results": results}))
     else:

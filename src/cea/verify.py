@@ -94,7 +94,16 @@ def _raised(exc: Exception) -> str:
 
 
 class Sweep:
-    """Tuple source: exhaustive for small spaces, seeded-random otherwise."""
+    """Tuple source: exhaustive for small spaces, seeded-random otherwise.
+
+    A sampled event is one mask draw, and a sampled conditional two, the
+    consequent's first, giving (cons & ant | ant). A draw on n atoms
+    reads getrandbits(n + 1) until the top bit is clear, as randrange(1
+    << n) does on CPython 3.10-3.13, so the stream is randrange's; the
+    stream test in tests/test_conditional.py pins the tuples and the
+    generator's state after a row. rng must be a random.Random, not a
+    subclass that overrides random(), whose randrange draws otherwise.
+    Objects come from the space's tables where it has them."""
 
     def __init__(self, space: AtomSpace, rng: Optional[random.Random] = None,
                  samples: int = 10000):
@@ -103,29 +112,30 @@ class Sweep:
         self.samples = samples
         self.exhaustive = rng is None
 
-    def _random_event(self) -> Event:
-        return _event(self.space, self.rng.randrange(1 << self.space.atom_count))
-
-    def _random_cond(self) -> ConditionalObject:
-        """Two draws, consequent first: the same stream, and the same
-        conditionals, as cond() of two random events."""
-        top = 1 << self.space.atom_count
-        cons = self.rng.randrange(top)
-        ant = self.rng.randrange(top)
-        return _make(self.space, cons & ant, ant)
-
-    # kind -> (every element of a space, one seeded draw)
-    KINDS = {"events": (AtomSpace.events, _random_event),
-             "conds": (conditionals, _random_cond)}
-
     def tuples(self, kind: str, arity: int) -> Iterator[tuple]:
-        """Every arity-tuple of the kind's elements, or `samples` drawn ones."""
-        pool, draw = self.KINDS[kind]
+        """Every arity-tuple of the kind's elements, or `samples` drawn
+        ones, each drawn when it is asked for and not before."""
+        space, n = self.space, self.space.atom_count
         if self.exhaustive:
-            yield from itertools.product(list(pool(self.space)), repeat=arity)
+            pool = space.events() if kind == "events" else conditionals(space)
+            return itertools.product(list(pool), repeat=arity)
+        # randrange(1 << n): getrandbits(n + 1) until the top bit is clear
+        draws = map(self.rng.getrandbits, itertools.repeat(n + 1))
+        masks = filter(partial(operator.gt, 1 << n), draws)
+        if kind == "events":
+            table = space._events
+            objects = map(partial(_event, space) if table is None else table.__getitem__, masks)
         else:
-            for _ in range(self.samples):
-                yield tuple(draw(self) for _ in range(arity))
+            table = space._conds
+
+            def conditional(cons: int, ant: int) -> ConditionalObject:
+                cons &= ant
+                # the table's entry, or _make's, which fills an empty slot
+                return table and table[ant << n | cons] or _make(space, cons, ant)
+
+            objects = map(conditional, masks, masks)  # consequent first
+        # zip over one iterator repeated: each tuple takes the next arity objects
+        return itertools.islice(zip(*[objects] * arity), self.samples)
 
 
 def _run(sweep: Sweep, rows: Iterable[tuple]) -> list[CheckResult]:

@@ -7,6 +7,9 @@ dropped, a value swapped for one of the wrong type, NaN, a bool or a
 that is not UTF-8 or an integer of 5,000 digits. Whatever the input, the
 command exits 0, or 2 with one line on stderr, nothing on stdout and no
 file written; a file that cannot be read is named in that line.
+
+A fixed corpus of inputs that once broke the command checks each one's
+recorded exit code and message.
 """
 
 import json
@@ -114,3 +117,57 @@ def test_mutated_input_files_exit_zero_or_two(seed, tmp_path, capsys, monkeypatc
         assert "Traceback" not in err and "set_int_max_str_digits" not in err, (case_id, err)
         if unreadable:
             assert f"{name}.json" in err, (case_id, err)
+
+
+def _long_exact_factors(inputs):
+    """Exact factors whose grades run past 4,300 digits: a variable's
+    first value weighs (q-k+1)/q and every other 1/q, q = 10**2500 + 7."""
+    q = 10 ** 2500 + 7
+    inputs["measure"] = {"factors": {
+        v["name"]: {val: f"{q - len(v['domain']) + 1 if i == 0 else 1}/{q}"
+                    for i, val in enumerate(v["domain"])}
+        for v in inputs["kb"]["variables"]}}
+
+
+# Fixed cases, from inputs that once made `cea eval` misbehave: (id, edit
+# of the bundled inputs, logic, format, exit code, the line on stderr).
+CORPUS = [
+    ("poss_undeclared_variable", lambda i: i["poss"]["poss"].update(zz={"x": 0.5}),
+     "fl", "text", 2, "error: \"poss\" names undeclared variable 'zz'"),
+    ("poss_misspelt_value",
+     lambda i: i["poss"]["poss"].update(b1={"106-redish": 0.9, "98-normal": 0.1}),
+     "fl", "text", 2, "error: \"poss\" entry for b1 names '106-redish', not in its domain"),
+    ("factors_undeclared_variable", lambda i: i["measure"]["factors"].update(zz={"x": "1"}),
+     "pl", "text", 2, "error: \"factors\" names undeclared variable 'zz'"),
+    ("observe_not_json", lambda i: i.update(observe=b"{bad"), "cpl", "text", 2,
+     "error: observe.json is not valid JSON: Expecting property name enclosed in double "
+     "quotes: line 1 column 2 (char 1)"),
+    ("observe_value_not_a_list", lambda i: i["observe"]["observe"].update(b1="98-normal"),
+     "pl", "text", 2, "error: observation of b1 must be a list of strings, got '98-normal'"),
+    ("domain_not_a_list", lambda i: i["kb"]["variables"][0].update(domain="ab"),
+     "pl", "text", 2, "error: domain of a1 must be a list of strings, got 'ab'"),
+    ("variables_not_a_list", lambda i: i["kb"].update(variables="xy"),
+     "pl", "text", 2, "error: \"variables\" must be a list of objects, got 'xy'"),
+    ("variable_not_an_object", lambda i: i["kb"].update(variables=[["x"]]),
+     "pl", "text", 2, "error: \"variables\" must be a list of objects, got [['x']]"),
+    ("rules_not_a_list", lambda i: i["kb"].update(rules="ab"),
+     "pl", "text", 2, "error: \"rules\" must be a list of objects, got 'ab'"),
+    ("long_exact_factors_text", _long_exact_factors, "pl", "text", 0, ""),
+    ("long_exact_factors_json", _long_exact_factors, "pl", "json", 0, ""),
+]
+
+
+@pytest.mark.parametrize("case", CORPUS, ids=[c[0] for c in CORPUS])
+def test_corpus_input_exits_as_recorded(case, tmp_path, capsys, monkeypatch):
+    _, edit, aldp, fmt, code, message = case
+    monkeypatch.chdir(tmp_path)
+    inputs = bundled_inputs()
+    edit(inputs)
+    for flag, content in inputs.items():
+        write(tmp_path / f"{flag}.json", content)
+    got = main(["eval", "--kb", "kb.json", "--observe", "observe.json", "--aldp", aldp,
+                "--atom", "a1=1,a2=1,a3=2,b1=106-reddish,b2=1,th1=some",
+                "--poss", "poss.json", "--measure", "measure.json", "--format", fmt])
+    out, err = capsys.readouterr()
+    assert (got, err) == (code, message and message + "\n")
+    assert bool(out) == (code == 0)
