@@ -2,7 +2,6 @@ import json
 import os
 import subprocess
 import sys
-from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -14,7 +13,7 @@ from cea.conditional import ConditionalObject, _make, cond
 from cea.data import bundled_golden_dir, bundled_kb_path, bundled_observation_path
 from cea.engine import build_space, evaluate
 from cea.formulas import MAX_DEPTH
-from cea.semantics import ProbabilityMeasure, measure_from_json
+from cea.semantics import ProbabilityMeasure
 
 
 def run_cli(*args, env_extra=None):
@@ -75,43 +74,6 @@ def test_eval_json_exact_grade(kb_path, obs_path, aldp):
         assert isinstance(row.grade, Fraction)
         assert Fraction(r["exact"]) == row.grade
         assert r["grade"] == float(row.grade)
-
-
-def long_exact_factors(kb_path) -> dict:
-    """A valid factors measure whose exact grades run past 4,300 digits:
-    each variable's first value weighs (q-k+1)/q and every other one 1/q,
-    with q = 10**2500 + 7 and k the number of values."""
-    with open(kb_path, encoding="utf-8") as fh:
-        variables = json.load(fh)["variables"]
-    q = 10 ** 2500 + 7
-    return {"factors": {
-        v["name"]: {val: f"{q - len(v['domain']) + 1 if i == 0 else 1}/{q}"
-                    for i, val in enumerate(v["domain"])}
-        for v in variables}}
-
-
-def test_eval_json_prints_exact_grades_past_the_int_digit_limit(kb_path, obs_path, tmp_path,
-                                                                capsys):
-    path = tmp_path / "measure.json"
-    data = long_exact_factors(kb_path)
-    path.write_text(json.dumps(data))
-    argv = ["eval", "--kb", kb_path, "--observe", obs_path, "--aldp", "pl", "--measure", str(path)]
-    assert main(argv) == 0
-    capsys.readouterr()
-    assert main(argv + ["--format", "json"]) == 0
-    out, err = capsys.readouterr()
-    assert err == ""
-    grounding = build_space(load_kb(kb_path))
-    domains = [(v.name, v.domain) for v in grounding.kb.variables]
-    rows = evaluate(grounding, load_observation(grounding.kb, obs_path), "pl", "th1",
-                    measure_from_json(grounding.space, data, domains))
-    results = json.loads(out)["results"]
-    assert [r["value"] for r in results] == [row.value for row in rows]
-    assert max(len(r["exact"]) for r in results) > 4300
-    for r, row in zip(results, rows):
-        # Fraction(text) would meet the same limit: read the digits as Decimals
-        num, den = (int(Decimal(k)) for k in r["exact"].split("/"))
-        assert Fraction(num, den) == row.grade
 
 
 def test_eval_classical_atom(kb_path, obs_path):

@@ -15,11 +15,15 @@ recorded exit code and message.
 import json
 import math
 import random
+from decimal import Decimal
+from fractions import Fraction
 
 import pytest
 
 from cea.cli import main
 from cea.data import bundled_kb_path, bundled_observation_path
+from cea.engine import build_space, evaluate, kb_from_json, observation_from_json
+from cea.semantics import measure_from_json
 
 FILES = ("kb", "observe", "measure", "poss")
 WRONG_VALUES = [None, True, False, math.nan, -math.inf, 10 ** 400, -1, 0, 2.5,
@@ -171,3 +175,25 @@ def test_corpus_input_exits_as_recorded(case, tmp_path, capsys, monkeypatch):
     out, err = capsys.readouterr()
     assert (got, err) == (code, message and message + "\n")
     assert bool(out) == (code == 0)
+
+
+def test_json_exact_grades_past_the_int_digit_limit_equal_evaluate(tmp_path, capsys,
+                                                                    monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    inputs = bundled_inputs()
+    _long_exact_factors(inputs)
+    for flag in ("kb", "observe", "measure"):
+        write(tmp_path / f"{flag}.json", inputs[flag])
+    assert main(["eval", "--kb", "kb.json", "--observe", "observe.json", "--aldp", "pl",
+                 "--measure", "measure.json", "--format", "json"]) == 0
+    results = json.loads(capsys.readouterr().out)["results"]
+    grounding = build_space(kb_from_json(inputs["kb"]))
+    domains = [(v.name, v.domain) for v in grounding.kb.variables]
+    rows = evaluate(grounding, observation_from_json(grounding.kb, inputs["observe"]), "pl", "th1",
+                    measure_from_json(grounding.space, inputs["measure"], domains))
+    assert [r["value"] for r in results] == [row.value for row in rows]
+    assert max(len(r["exact"]) for r in results) > 4300
+    for r, row in zip(results, rows):
+        # Fraction(text) meets the same limit: read the digits as Decimals
+        num, den = (int(Decimal(k)) for k in r["exact"].split("/"))
+        assert Fraction(num, den) == row.grade
