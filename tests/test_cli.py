@@ -606,6 +606,27 @@ def test_verifier_stdout_matches_snapshot(snapshot):
     assert proc.stdout == expected
 
 
+EVAL_LOGICS = {
+    "cl": ["cl", "--atom", "a1=1,a2=1,a3=2,b1=106-reddish,b2=1,th1=some"],
+    "pl_uniform": ["pl", "--measure", "uniform"],
+    "cpl_uniform": ["cpl", "--measure", "uniform"],
+    "fl": ["fl", "--poss", os.path.join(SNAPSHOT_DIR, "eval_fever_poss.json")],
+}
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("logic", EVAL_LOGICS)
+def test_eval_stdout_matches_snapshot(kb_path, obs_path, capsys, logic, fmt):
+    """Each file is the full stdout of one `cea eval` on the bundled KB
+    and observation; the fl run reads the committed poss file."""
+    snapshot = f"eval_fever_{logic}.{'txt' if fmt == 'text' else 'json'}"
+    with open(os.path.join(SNAPSHOT_DIR, snapshot), encoding="utf-8") as fh:
+        expected = fh.read()
+    assert main(["eval", "--kb", kb_path, "--observe", obs_path,
+                 "--aldp", *EVAL_LOGICS[logic], "--format", fmt]) == 0
+    assert capsys.readouterr() == (expected, "")
+
+
 def union_antecedent_meet(self, other):
     """The conditional meet with its antecedent term (a1 & a2) made (a1 | a2)."""
     c1, a1, c2, a2 = self.cons, self.ant, other.cons, other.ant
