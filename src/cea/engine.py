@@ -83,10 +83,14 @@ class VariableDecl:
 
 
 class Rule:
-    """An immutable rule; its leaves are read once, here."""
+    """An immutable rule; its leaves are read once, here.
 
-    __slots__ = ("id", "antecedent", "consequent", "leaves", "_variables",
-                 "_free_variables")
+    side_free_variables holds the free variables of the antecedent and
+    of the consequent, in that order: what each side's grounding reads
+    besides the observation."""
+
+    __slots__ = ("id", "antecedent", "consequent", "leaves", "side_free_variables",
+                 "_variables", "_free_variables")
 
     def __init__(self, rule_id: str, antecedent: Formula, consequent: Formula):
         if not isinstance(rule_id, str):
@@ -94,9 +98,12 @@ class Rule:
         self.id = rule_id
         self.antecedent = antecedent
         self.consequent = consequent
-        self.leaves = frozenset(antecedent.leaves() | consequent.leaves())
+        sides = (antecedent.leaves(), consequent.leaves())
+        self.leaves = frozenset(sides[0] | sides[1])
         self._variables = frozenset(var for var, _ in self.leaves)
-        self._free_variables = frozenset(var for var, vals in self.leaves if vals is None)
+        self.side_free_variables = tuple(
+            frozenset(var for var, vals in side if vals is None) for side in sides)
+        self._free_variables = self.side_free_variables[0] | self.side_free_variables[1]
 
     def variables(self) -> frozenset[str]:
         return self._variables
@@ -220,13 +227,20 @@ class Grounding:
         return reduce(lambda x, y: x | y, (self.primitive(var, v) for v in values))
 
     def atom_of_assignment(self, assignment: Mapping[str, str]) -> int:
-        if set(assignment) != {v.name for v in self.kb.variables}:
-            raise KnowledgeBaseError("assignment must cover every variable exactly")
+        """The atom of a value for every variable; the first fault found
+        (an undeclared variable, then a missing one, then a value out of
+        its domain) is named."""
+        for var in assignment:
+            if var not in self.kb._by_name:
+                raise KnowledgeBaseError(f"assignment names undeclared variable {var!r}")
         idx = 0
         for var in self.kb.variables:
+            if var.name not in assignment:
+                raise KnowledgeBaseError(f"assignment gives no value for {var.name}")
             value = assignment[var.name]
             if value not in var.domain:
-                raise KnowledgeBaseError("assignment names an undeclared value")
+                raise KnowledgeBaseError(
+                    f"assignment binds {var.name} to {value!r}, not in its domain")
             idx = idx * len(var.domain) + var.domain.index(value)
         return idx
 
@@ -297,38 +311,31 @@ ConjoinedForm = Union[Event, ConditionalObject, Formula]
 
 def lattice(grounding: Grounding, obs: Observation, aldp: str):
     """How one logic conjoins and disjoins evidence: (meet, join, base,
-    factor). meet and join take a nonempty list; base lists what the
-    observation contributes; factor(rule, assignment) is what one rule
-    contributes, its free leaves resolved through the observation and
-    then the assignment. cl/pl: events, each rule a material
-    implication. cpl: conditional objects, each rule (consequent |
-    antecedent). fl: formula trees, each rule with its leaves bound."""
+    side, arrow). meet and join take a nonempty list; base lists what
+    the observation contributes. A rule contributes the arrow of its two
+    sides: side(formula, assignment) is one rule side with its free
+    leaves resolved through the observation and then the assignment,
+    and arrow(antecedent, consequent) joins two such sides. cl/pl:
+    events, the arrow material implication. cpl: conditional objects,
+    the arrow (consequent | antecedent). fl: formula trees with their
+    leaves bound, the arrow an Implies node."""
     if aldp not in ALDP_TAGS:
         raise KnowledgeBaseError(f"unknown logic tag {aldp!r}")
     if aldp == "fl":
-        def fl_factor(rule, assignment):
-            vals_of = leaf_values(obs, assignment)
-            return Implies(bind_leaves(rule.antecedent, vals_of),
-                           bind_leaves(rule.consequent, vals_of))
+        return (And, Or, [Leaf(var, vals) for var, vals in obs.observed.items()],
+                lambda f, assignment: bind_leaves(f, leaf_values(obs, assignment)), Implies)
 
-        return And, Or, [Leaf(var, vals) for var, vals in obs.observed.items()], fl_factor
-
-    def grounded(rule, assignment):
-        return (grounding.ground_formula(rule.antecedent, obs, assignment),
-                grounding.ground_formula(rule.consequent, obs, assignment))
+    def side(f, assignment):
+        return grounding.ground_formula(f, obs, assignment)
 
     y = reduce(and_, (grounding.values_event(var, vals)
                       for var, vals in obs.observed.items()))
     if aldp == "cpl":
-        def cpl_factor(rule, assignment):
-            ant, cons = grounded(rule, assignment)
-            return _make(ant.space, cons.mask & ant.mask, ant.mask)
-
         # looked up at call time, so that a patched module attribute is seen
-        return ((lambda xs: conjoin_all(xs)), (lambda xs: disjoin_all(xs)), [embed(y)],
-                cpl_factor)
-    return ((lambda xs: reduce(and_, xs)), (lambda xs: reduce(or_, xs)), [y],
-            lambda rule, assignment: material_implies(*grounded(rule, assignment)))
+        return ((lambda xs: conjoin_all(xs)), (lambda xs: disjoin_all(xs)), [embed(y)], side,
+                lambda ant, cons: _make(ant.space, cons.mask & ant.mask, ant.mask))
+    return ((lambda xs: reduce(and_, xs)), (lambda xs: reduce(or_, xs)), [y], side,
+            material_implies)
 
 
 def conjoin_f(
@@ -340,8 +347,9 @@ def conjoin_f(
 ) -> ConjoinedForm:
     """The conjunction of the observed data with the relevant rules,
     at one assignment of the domain variables, in the logic's lattice."""
-    meet, _, base, factor = lattice(grounding, obs, aldp)
-    return meet(base + [factor(rule, assignment) for rule in rules])
+    meet, _, base, side, arrow = lattice(grounding, obs, aldp)
+    return meet(base + [arrow(side(rule.antecedent, assignment),
+                              side(rule.consequent, assignment)) for rule in rules])
 
 
 def sweep_variables(
@@ -452,6 +460,12 @@ def _query_forms(
     Each relevant rule becomes a table over the swept variables its free
     leaves name, and over the query variable too when that is free there
     and unobserved (an observed one resolves through the observation).
+    A table's entry is the arrow of the rule's two sides. Each side is
+    grounded once per assignment of its own free, unobserved variables,
+    the first time an entry needs it (antecedent before consequent), and
+    kept for this call only, keyed by the formula object and those
+    (variable, value) pairs: a side shared by many entries, or by two
+    rules, is one object in all of them.
     The swept variables are eliminated in `elimination_order`, whose
     largest table, query dimension included, is checked against
     MAX_ELIMINATION_TABLE before any rule is grounded. The tables left
@@ -459,7 +473,7 @@ def _query_forms(
     their entries at that value.
     """
     kb = grounding.kb
-    meet, join, base, factor = lattice(grounding, obs, aldp)
+    meet, join, base, side, arrow = lattice(grounding, obs, aldp)
     rules = relevant_rules(kb, obs)
     domains = {v.name: v.domain for v in sweep_variables(kb, rules, obs, query.name)}
     if query.name not in obs:
@@ -471,11 +485,24 @@ def _query_forms(
             f"eliminating the swept variables needs a table of {largest} entries,"
             f" over the bound of {MAX_ELIMINATION_TABLE}")
 
+    sides = {}
+
+    def grounded(f, own, env):
+        pairs = tuple((v, env[v]) for v in own)
+        key = (f, pairs)
+        if key not in sides:
+            sides[key] = side(f, dict(pairs))
+        return sides[key]
+
     tables = []
     for rule, scope in zip(rules, scopes):
+        own_ant, own_cons = ([v for v in scope if v in free]
+                             for free in rule.side_free_variables)
         entries = {}
         for combo in itertools.product(*(domains[v] for v in scope)):
-            entries[combo] = factor(rule, dict(zip(scope, combo)))
+            env = dict(zip(scope, combo))
+            entries[combo] = arrow(grounded(rule.antecedent, own_ant, env),
+                                   grounded(rule.consequent, own_cons, env))
         tables.append((scope, entries))
     for var in order:
         tables = _eliminate(meet, join, tables, var, domains)

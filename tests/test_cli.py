@@ -137,6 +137,19 @@ def test_eval_atom_naming_a_variable_twice_exits_two(kb_path, obs_path):
     assert proc.stderr == "error: --atom names a1 twice\n"
 
 
+@pytest.mark.parametrize("atom,message", [
+    ("a1=1,a2=1,a3=2,b1=106-reddish,b2=1,th1=some,zz=1",
+     "assignment names undeclared variable 'zz'"),
+    ("a1=1,a2=1,a3=2,b1=106-reddish,b2=1", "assignment gives no value for th1"),
+    ("a1=1,a2=1,a3=2,b1=106-reddish,b2=1,th1=bogus",
+     "assignment binds th1 to 'bogus', not in its domain"),
+])
+def test_eval_atom_fault_is_named(kb_path, obs_path, capsys, atom, message):
+    assert main(["eval", "--kb", kb_path, "--observe", obs_path, "--aldp", "cl",
+                 "--atom", atom]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
 @pytest.mark.parametrize("aldp", ["pl", "cpl"])
 def test_eval_colliding_atom_labels_exit_two(tmp_path, aldp):
     """x=a with y="b,y=c" and x="a,y=b" with y=c share one label."""

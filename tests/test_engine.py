@@ -11,8 +11,11 @@ from cea.algebra import AtomSpace
 from cea.conditional import disjoin_all
 from cea.data import load_bundled_kb, load_bundled_observation
 from cea.engine import (
+    KnowledgeBase,
     KnowledgeBaseError,
     Observation,
+    Rule,
+    VariableDecl,
     build_space,
     conjoin_f,
     elimination_order,
@@ -23,7 +26,7 @@ from cea.engine import (
     relevant_rules,
     sweep_variables,
 )
-from cea.formulas import Or, from_json
+from cea.formulas import And, Leaf, Not, Or, from_json
 from cea.semantics import (
     PossibilityAssignment,
     ProbabilityMeasure,
@@ -580,6 +583,63 @@ def test_elimination_matches_enumeration_on_chains(k):
     poss = PossibilityAssignment({(v.name, val): rng.random()
                                   for v in kb.variables for val in v.domain})
     _assert_same_integration(kb, Observation(kb, {"b1": ["x"]}), poss)
+
+
+@pytest.mark.parametrize("aldp", ["cl", "pl", "cpl", "fl"])
+def test_each_rule_side_is_grounded_once_per_assignment_of_its_own_variables(
+        bundled, monkeypatch, aldp):
+    """On the bundled KB a query grounds 34 rule sides: 1 + 3 for
+    b1 => a1, 3 + 9 for b1 | b2 => a2 | a3, 3 + 3 for b2 => th1 and
+    9 + 3 for a1 | a2 => th1. Grounding both sides at every one of the
+    66 table entries would take 132."""
+    kb, _, obs = bundled
+    assignments, grounded = [], []
+
+    def recording_leaf_values(observation, assignment):
+        assignments.append(assignment)
+        return leaf_values(observation, assignment)
+
+    def counting(fn):
+        def wrapper(f, resolve):
+            own = f.free_variables() - set(obs.observed)
+            grounded.append((f, tuple(sorted((v, assignments[-1][v]) for v in own))))
+            return fn(f, resolve)
+        return wrapper
+
+    leaf_values = engine.leaf_values
+    monkeypatch.setattr(engine, "leaf_values", recording_leaf_values)
+    monkeypatch.setattr(engine, "ground", counting(engine.ground))
+    monkeypatch.setattr(engine, "bind_leaves", counting(engine.bind_leaves))
+    integrate_out(build_space(kb), obs, aldp, "th1", "none")
+    assert len(grounded) == 34
+    assert len(set(grounded)) == 34
+
+
+def _shared_side_kb(rules):
+    variables = [VariableDecl("x", "data-attribute", ["0", "1"]),
+                 VariableDecl("a", "auxiliary-attribute", ["1", "2", "3"]),
+                 VariableDecl("b", "auxiliary-attribute", ["1", "2"]),
+                 VariableDecl("d", "diagnosis", ["p", "q", "r"])]
+    return KnowledgeBase(variables, rules)
+
+
+def test_shared_rule_sides_match_enumeration():
+    """Python API rules may hold one Formula object twice: as both sides
+    of a rule, or as a side of two rules (once as a consequent, once as
+    an antecedent). Each still grades as the enumerating oracle does."""
+    both = Or([Leaf("a", ["1"]), Not(Leaf("d"))])
+    shared = And([Leaf("a"), Not(Leaf("b", ["1"])), Leaf("x")])
+    kbs = [
+        _shared_side_kb([Rule("r", both, both), Rule("s", Leaf("x"), Leaf("a"))]),
+        _shared_side_kb([Rule("r", Leaf("x"), shared), Rule("s", shared, Leaf("d")),
+                         Rule("t", shared, Or([Leaf("b"), Leaf("d", ["q"])]))]),
+    ]
+    rng = random.Random("shared")
+    for kb in kbs:
+        poss = PossibilityAssignment({(v.name, val): rng.random()
+                                      for v in kb.variables for val in v.domain})
+        for observed in ({"x": ["1"]}, {"x": ["0", "1"], "d": ["q", "r"]}):
+            _assert_same_integration(kb, Observation(kb, observed), poss)
 
 
 def _random_factors(rng, kb, kind):
