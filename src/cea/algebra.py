@@ -52,12 +52,10 @@ class AtomSpace:
     So ``is`` may stand for ``==`` only between results of one tabled
     space; larger spaces, and equal spaces held in other objects, build
     a fresh object per result.
-    ``_expand_admitted`` is set once :func:`cea.coset.expand` has checked
-    the space against its size bound.
     """
 
     __slots__ = ("atom_count", "full_mask", "_labels",
-                 "_events", "_conds", "_cosets", "_iters", "_expand_admitted")
+                 "_events", "_conds", "_cosets", "_iters")
 
     def __init__(self, atom_count: int,
                  atom_labels: Sequence[str] | Callable[[], Sequence[str]] | None = None):
@@ -70,7 +68,6 @@ class AtomSpace:
         self._labels = atom_labels if callable(atom_labels) else self._checked(atom_labels)
         self._events = self._conds = self._cosets = None
         self._iters = {}
-        self._expand_admitted = False
         if atom_count <= EVENT_TABLE_ATOMS:
             # _events is still None here, so _event allocates each entry
             self._events = [_event(self, m) for m in range(1 << atom_count)]

@@ -23,7 +23,7 @@ from decimal import Decimal
 from fractions import Fraction
 
 from .algebra import AtomSpace
-from .coset import max_expand_atoms
+from .coset import MAX_EXPAND_ATOMS
 from .engine import (
     ALDP_TAGS,
     KnowledgeBase,
@@ -201,15 +201,16 @@ def cmd_eval(args) -> int:
     return 0
 
 
+# a sampled oracle verify sweeps about samples x 2^atoms events, each
+# costing a few microseconds: this budget caps a run near two minutes
+MAX_SWEEP_EVENTS = 1 << 23
+
+
 def _check_atoms_bound(atoms: int) -> None:
-    bound = max_expand_atoms()
     if atoms < 1:
         raise InputError("--atoms must be at least 1")
-    if atoms > bound:
-        raise InputError(
-            f"--atoms {atoms} exceeds the expansion bound of {bound} "
-            "(override with CEA_MAX_ATOMS)"
-        )
+    if atoms > MAX_EXPAND_ATOMS:
+        raise InputError(f"--atoms {atoms} exceeds the expansion bound of {MAX_EXPAND_ATOMS}")
 
 
 def _run_suites(args, title: str, max_exhaustive: int, suites, header) -> int:
@@ -270,6 +271,10 @@ def cmd_oracle_verify(args) -> int:
                              " (--record creates it)")
 
     def suites(space, rng):
+        sweep = args.samples << args.atoms
+        if rng is not None and sweep > MAX_SWEEP_EVENTS:  # exhaustive runs ignore --samples
+            raise InputError(f"--atoms {args.atoms} --samples {args.samples} would sweep "
+                             f"{sweep} events, over the budget of {MAX_SWEEP_EVENTS}")
         sections = oracle_suites(space, rng, args.samples,
                                  higher_order=args.higher_order, seed=args.seed)
         if args.golden:

@@ -9,32 +9,17 @@ the compact formulas in :mod:`cea.conditional` are validated.
 
 from __future__ import annotations
 
-import os
 from typing import Callable, Iterable, Optional
 
 from .algebra import _MISMATCH, AtomSpace, Event, MismatchedSpaceError, _event
 from .conditional import ConditionalObject, cond
 
-DEFAULT_MAX_ATOMS = 12
+# a coset holds up to 2^n events on n atoms
+MAX_EXPAND_ATOMS = 12
 
 
 class SpaceTooLargeError(ValueError):
     """Raised when a coset expansion would enumerate too many events."""
-
-
-def max_expand_atoms() -> int:
-    """Expansion bound; the CEA_MAX_ATOMS environment variable overrides.
-    Raises ValueError when it is set to anything but a positive integer."""
-    raw = os.environ.get("CEA_MAX_ATOMS")
-    if raw is None:
-        return DEFAULT_MAX_ATOMS
-    try:
-        bound = int(raw)
-    except ValueError:
-        bound = 0
-    if bound < 1:
-        raise ValueError(f"CEA_MAX_ATOMS must be a positive integer, got {raw!r}")
-    return bound
 
 
 class Coset:
@@ -75,23 +60,21 @@ def expand(a: ConditionalObject) -> Coset:
     """The literal coset of a conditional: all events agreeing with the
     consequent on the antecedent. Size is 2^(atoms outside antecedent).
     A space with a coset table enumerates each coset once and returns
-    the table entry after that; larger spaces enumerate on every call."""
+    the table entry after that; larger spaces enumerate on every call.
+    A space over MAX_EXPAND_ATOMS atoms raises SpaceTooLargeError (a
+    tabled space never is: COND_TABLE_ATOMS is below the bound)."""
     space = a.space
-    if not space._expand_admitted:
-        # a refused space is not remembered: the bound may be raised later
-        bound = max_expand_atoms()
-        if space.atom_count > bound:
-            raise SpaceTooLargeError(
-                f"expansion needs 2^{space.atom_count} events; bound is "
-                f"{bound} atoms (override with CEA_MAX_ATOMS)"
-            )
-        space._expand_admitted = True
     table = space._cosets
     if table is not None:
         key = a.ant << space.atom_count | a.cons
         out = table[key]
         if out is not None:
             return out
+    if space.atom_count > MAX_EXPAND_ATOMS:
+        raise SpaceTooLargeError(
+            f"expansion needs 2^{space.atom_count} events; bound is "
+            f"{MAX_EXPAND_ATOMS} atoms"
+        )
     outside = space.full_mask & ~a.ant
     cons = a.cons
     # enumerate subsets of the complement of the antecedent

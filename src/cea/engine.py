@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from functools import reduce
+from functools import partial, reduce
 from operator import and_, or_
 from typing import Mapping, NamedTuple, Optional, Sequence, Union
 
@@ -331,11 +331,9 @@ def lattice(grounding: Grounding, obs: Observation, aldp: str):
     y = reduce(and_, (grounding.values_event(var, vals)
                       for var, vals in obs.observed.items()))
     if aldp == "cpl":
-        # looked up at call time, so that a patched module attribute is seen
-        return ((lambda xs: conjoin_all(xs)), (lambda xs: disjoin_all(xs)), [embed(y)], side,
+        return (conjoin_all, disjoin_all, [embed(y)], side,
                 lambda ant, cons: _make(ant.space, cons.mask & ant.mask, ant.mask))
-    return ((lambda xs: reduce(and_, xs)), (lambda xs: reduce(or_, xs)), [y], side,
-            material_implies)
+    return partial(reduce, and_), partial(reduce, or_), [y], side, material_implies
 
 
 def conjoin_f(

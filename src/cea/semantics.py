@@ -201,10 +201,8 @@ def cpl_eval(p: ProbabilityMeasure, a: ConditionalObject) -> Weight:
     denom = p(a.antecedent)
     if denom == 0:
         raise UndefinedConditionalError("antecedent has probability zero")
-    num = p(a.consequent)
-    if isinstance(num, Fraction) and isinstance(denom, Fraction):
-        return num / denom
-    return float(num) / float(denom)
+    # both Fractions (an exact measure) or both floats
+    return p(a.consequent) / denom
 
 
 def lewis_gap(p: ProbabilityMeasure, a: Event, b: Event):

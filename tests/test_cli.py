@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from cea import verify
+from cea import cli, verify
 from cea.algebra import Event, _event
 from cea.cli import build_parser, load_kb, load_observation, main
 from cea.conditional import ConditionalObject, _make, cond
@@ -16,13 +16,10 @@ from cea.formulas import MAX_DEPTH
 from cea.semantics import ProbabilityMeasure
 
 
-def run_cli(*args, env_extra=None):
-    env = dict(os.environ)
-    if env_extra:
-        env.update(env_extra)
+def run_cli(*args):
     return subprocess.run(
         [sys.executable, "-m", "cea", *args],
-        capture_output=True, text=True, env=env,
+        capture_output=True, text=True,
     )
 
 
@@ -507,23 +504,37 @@ def test_oracle_verify_json():
 
 def test_oracle_verify_atoms_bound():
     proc = run_cli("oracle", "verify", "--atoms", "13")
-    assert proc.returncode == 2
-    assert "CEA_MAX_ATOMS" in proc.stderr
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == "error: --atoms 13 exceeds the expansion bound of 12\n"
 
 
-def test_oracle_verify_env_override():
-    proc = run_cli("oracle", "verify", "--atoms", "3",
-                   env_extra={"CEA_MAX_ATOMS": "2"})
-    assert proc.returncode == 2
+@pytest.mark.parametrize("command", [["oracle", "verify"], ["algebra", "selftest"],
+                                     ["lewis", "demo"]], ids=" ".join)
+def test_atoms_past_expansion_bound_exits_two(command, capsys):
+    assert main([*command, "--atoms", "13"]) == 2
+    assert capsys.readouterr() == ("", "error: --atoms 13 exceeds the expansion bound of 12\n")
 
 
-@pytest.mark.parametrize("bound", ["abc", "0"])
-def test_oracle_verify_bad_env_bound_exits_two(bound):
-    proc = run_cli("oracle", "verify", "--atoms", "2", env_extra={"CEA_MAX_ATOMS": bound})
-    assert proc.returncode == 2
-    assert proc.stdout == ""
-    assert proc.stderr.splitlines() == [
-        f"error: CEA_MAX_ATOMS must be a positive integer, got {bound!r}"]
+def test_oracle_verify_sweep_budget_refuses_up_front(capsys):
+    """samples x 2^atoms past MAX_SWEEP_EVENTS exits 2 before any section runs."""
+    assert main(["oracle", "verify", "--atoms", "12"]) == 2
+    assert capsys.readouterr() == ("", "error: --atoms 12 --samples 10000 would sweep "
+                                       "40960000 events, over the budget of 8388608\n")
+
+
+@pytest.mark.parametrize("argv, code, err", [
+    (["--atoms", "4", "--samples", "8"], 0, ""),
+    (["--atoms", "4", "--samples", "9"], 2,
+     "error: --atoms 4 --samples 9 would sweep 144 events, over the budget of 128\n"),
+    # exhaustive runs ignore --samples, and the flag checks come first
+    (["--atoms", "3", "--samples", "1000"], 0, ""),
+    (["--atoms", "4", "--samples", "9", "--record"], 2, "error: --record needs --golden\n"),
+], ids=["at-budget", "over-budget", "exhaustive", "flags-first"])
+def test_oracle_verify_sweep_budget_edges(argv, code, err, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "MAX_SWEEP_EVENTS", 4 << 5)
+    assert main(["oracle", "verify", *argv]) == code
+    out, got = capsys.readouterr()
+    assert (bool(out), got) == (code == 0, err)
 
 
 def test_oracle_verify_golden_roundtrip(tmp_path):
@@ -781,6 +792,15 @@ def test_constant_reduction_fails_both_restriction_rows(monkeypatch, capsys):
         "11 of 82 checks FAILED")
     assert later[0] == ("  FAIL restriction_bijective_shared_antecedent (2 cases) -- "
                         "witness ({0},): not injective")
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_lewis_demo_stdout_matches_snapshot(fmt, capsys):
+    snapshot = f"lewis_demo_atoms10.{'txt' if fmt == 'text' else 'json'}"
+    with open(os.path.join(SNAPSHOT_DIR, snapshot), encoding="utf-8") as fh:
+        expected = fh.read()
+    assert main(["lewis", "demo", "--atoms", "10", "--format", fmt]) == 0
+    assert capsys.readouterr() == (expected, "")
 
 
 def test_lewis_demo_text():

@@ -9,11 +9,10 @@ from cea.coset import (
     classwise,
     classwise_unary,
     expand,
-    max_expand_atoms,
     recognize,
     subset_criterion,
 )
-from cea.verify import characterization_suite, intersection_suite, oracle_suites
+from cea.verify import characterization_suite, intersection_suite
 
 
 @pytest.fixture
@@ -35,39 +34,13 @@ def test_expand_sizes(s3):
         assert len(expand(c)) == 2 ** outside
 
 
-def test_expansion_bound(monkeypatch):
+def test_expansion_bound():
     big = AtomSpace(13)
-    with pytest.raises(SpaceTooLargeError):
+    with pytest.raises(SpaceTooLargeError, match=r"^expansion needs 2\^13 events; bound is 12 atoms$"):
         expand(embed(big.event([0])))
-    monkeypatch.setenv("CEA_MAX_ATOMS", "13")
-    assert max_expand_atoms() == 13
-    assert len(expand(embed(big.event([0])))) == 1
-    for bad in ("junk", "0", "-3", ""):
-        monkeypatch.setenv("CEA_MAX_ATOMS", bad)
-        with pytest.raises(ValueError, match="CEA_MAX_ATOMS"):
-            max_expand_atoms()
-
-
-def test_expansion_bound_read_once_per_space(monkeypatch):
-    reads = []
-
-    def counted():
-        reads.append(1)
-        return max_expand_atoms()
-
-    monkeypatch.setattr(coset_module, "max_expand_atoms", counted)
-    sections = oracle_suites(AtomSpace(2), higher_order=True)
-    assert all(c.passed for _, checks in sections for c in checks)
-    assert len(reads) == 1
-    # a refused space is not remembered: raising the bound admits it
-    big = AtomSpace(13)
-    for _ in range(2):
-        with pytest.raises(SpaceTooLargeError, match="bound is 12 atoms"):
-            expand(embed(big.event([0])))
-    monkeypatch.setenv("CEA_MAX_ATOMS", "13")
-    expand(embed(big.event([0])))
-    expand(embed(big.event([1])))
-    assert len(reads) == 4
+    at_bound = AtomSpace(12)
+    assert len(expand(embed(at_bound.event([0])))) == 1
+    assert len(expand(cond(at_bound.event([0]), at_bound.event([0, 1])))) == 1 << 10
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -92,12 +65,12 @@ def test_untabled_space_expands_on_every_call():
 
 
 def test_refused_space_stores_no_coset(monkeypatch):
-    monkeypatch.setenv("CEA_MAX_ATOMS", "2")
+    monkeypatch.setattr(coset_module, "MAX_EXPAND_ATOMS", 2)
     space = AtomSpace(3)
     with pytest.raises(SpaceTooLargeError):
         expand(embed(space.event([0])))
     assert all(entry is None for entry in space._cosets)
-    monkeypatch.setenv("CEA_MAX_ATOMS", "3")
+    monkeypatch.setattr(coset_module, "MAX_EXPAND_ATOMS", 3)
     assert expand(embed(space.event([0]))) is expand(embed(space.event([0])))
 
 
