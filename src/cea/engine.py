@@ -408,14 +408,16 @@ def _eliminate(meet, join, tables: list, var: str, domains) -> list:
     touching = [t for t in tables if var in t[0]]
     names = {v for scope, _ in touching for v in scope} - {var}
     scope = tuple(v for v in domains if v in names)
+    # where each touching table's key lies in a row: a combo, then var's value
+    row_scope = scope + (var,)
+    keyed = [(tuple(map(row_scope.index, s)), entries_of) for s, entries_of in touching]
     entries = {}
     for combo in itertools.product(*(domains[v] for v in scope)):
-        env = dict(zip(scope, combo))
         column = []
         for value in domains[var]:
-            env[var] = value
-            column.append(_combine(meet, [
-                entries_of[tuple(env[v] for v in s)] for s, entries_of in touching]))
+            row = combo + (value,)
+            column.append(_combine(meet, [entries_of[tuple(map(row.__getitem__, idx))]
+                                          for idx, entries_of in keyed]))
         entries[combo] = _combine(join, column)
     return [t for t in tables if var not in t[0]] + [(scope, entries)]
 
@@ -461,9 +463,11 @@ def _query_forms(
     A table's entry is the arrow of the rule's two sides. Each side is
     grounded once per assignment of its own free, unobserved variables,
     the first time an entry needs it (antecedent before consequent), and
-    kept for this call only, keyed by the formula object and those
-    (variable, value) pairs: a side shared by many entries, or by two
-    rules, is one object in all of them.
+    kept for this call only, keyed by the formula object and the values
+    of those variables, in `domains` order (the formula alone fixes which
+    variables they are): a side shared by many entries, or by two rules,
+    is one object in all of them. Table keys are read by position, from
+    index tuples computed once per table.
     The swept variables are eliminated in `elimination_order`, whose
     largest table, query dimension included, is checked against
     MAX_ELIMINATION_TABLE before any rule is grounded. The tables left
@@ -485,22 +489,24 @@ def _query_forms(
 
     sides = {}
 
-    def grounded(f, own, env):
-        pairs = tuple((v, env[v]) for v in own)
-        key = (f, pairs)
+    def grounded(f, own, values):
+        key = (f, values)
         if key not in sides:
-            sides[key] = side(f, dict(pairs))
+            sides[key] = side(f, dict(zip(own, values)))
         return sides[key]
 
     tables = []
     for rule, scope in zip(rules, scopes):
-        own_ant, own_cons = ([v for v in scope if v in free]
-                             for free in rule.side_free_variables)
+        # each side's own variables, and their positions in the scope
+        (own_ant, ant_idx), (own_cons, cons_idx) = (
+            (tuple(v for v in scope if v in free),
+             tuple(i for i, v in enumerate(scope) if v in free))
+            for free in rule.side_free_variables)
         entries = {}
         for combo in itertools.product(*(domains[v] for v in scope)):
-            env = dict(zip(scope, combo))
-            entries[combo] = arrow(grounded(rule.antecedent, own_ant, env),
-                                   grounded(rule.consequent, own_cons, env))
+            entries[combo] = arrow(
+                grounded(rule.antecedent, own_ant, tuple(map(combo.__getitem__, ant_idx))),
+                grounded(rule.consequent, own_cons, tuple(map(combo.__getitem__, cons_idx))))
         tables.append((scope, entries))
     for var in order:
         tables = _eliminate(meet, join, tables, var, domains)

@@ -18,7 +18,7 @@ import math
 import random
 from fractions import Fraction
 from functools import reduce
-from itertools import combinations, compress
+from itertools import combinations, compress, repeat
 from operator import add
 from typing import Mapping, Sequence, Union
 
@@ -75,24 +75,36 @@ class ProbabilityMeasure:
     from them (`from_numerators`), it makes its `weights` list of
     Fractions only when that is read. A float (or mixed) measure adds the
     weights of e's atoms in ascending atom order, starting from 0.0.
+
+    The constructor copies the weights it is given. When each is already
+    a float or a Fraction, its per-atom checks (types, signs, the total)
+    are C-level passes over the list. Each measure remembers the mass of
+    every event mask it has summed: cpl asks for one antecedent once per
+    query value.
     """
 
-    __slots__ = ("space", "exact", "_weights", "_numerators", "_denominator")
+    __slots__ = ("space", "exact", "_weights", "_numerators", "_denominator", "_masses")
 
     def __init__(self, space: AtomSpace, weights: Sequence[Weight]):
         if len(weights) != space.atom_count:
             raise ValueError("one weight per atom required")
-        weights = [w if isinstance(w, (float, Fraction)) else parse_weight(w)
-                   for w in weights]
+        if all(map(isinstance, weights, repeat((float, Fraction)))):
+            weights = list(weights)
+        else:
+            weights = [w if isinstance(w, (float, Fraction)) else parse_weight(w)
+                       for w in weights]
         self.space = space
-        self.exact = all(isinstance(w, Fraction) for w in weights)
+        self.exact = all(map(isinstance, weights, repeat(Fraction)))
         self._weights = weights
+        self._masses = {}
         if self.exact:
             denominator = math.lcm(*{w.denominator for w in weights})
             self._set_numerators(
                 [w.numerator * (denominator // w.denominator) for w in weights], denominator)
         else:
-            if any(w < 0 for w in weights):
+            # min() >= 0 rules out a negative weight; otherwise (a negative
+            # weight, or a NaN met first) the scan decides
+            if not min(weights) >= 0 and any(w < 0 for w in weights):
                 raise ValueError("weights must be nonnegative")
             total = sum(weights)
             if not abs(float(total) - 1.0) <= TOLERANCE:
@@ -107,7 +119,7 @@ class ProbabilityMeasure:
         if len(numerators) != space.atom_count:
             raise ValueError("one weight per atom required")
         p = object.__new__(cls)
-        p.space, p.exact, p._weights = space, True, None
+        p.space, p.exact, p._weights, p._masses = space, True, None, {}
         p._set_numerators(numerators, denominator)
         return p
 
@@ -136,12 +148,18 @@ class ProbabilityMeasure:
     def __call__(self, e: Event) -> Weight:
         if e.space != self.space:
             raise ValueError("event from a different space")
-        # one 0/1 selector per atom, atom 0 first
-        selectors = bin(e.mask)[:1:-1].encode().translate(_BIT_SELECTORS)
-        if self.exact:
-            return Fraction(sum(compress(self._numerators, selectors)), self._denominator)
-        # reduce, not sum(): from Python 3.12 sum() of floats is compensated
-        return reduce(add, compress(self._weights, selectors), 0.0)
+        mask = e.mask
+        mass = self._masses.get(mask)
+        if mass is None:
+            # one 0/1 selector per atom, atom 0 first
+            selectors = bin(mask)[:1:-1].encode().translate(_BIT_SELECTORS)
+            if self.exact:
+                mass = Fraction(sum(compress(self._numerators, selectors)), self._denominator)
+            else:
+                # reduce, not sum(): from Python 3.12 sum() of floats is compensated
+                mass = reduce(add, compress(self._weights, selectors), 0.0)
+            self._masses[mask] = mass
+        return mass
 
     def __repr__(self) -> str:
         return f"ProbabilityMeasure({self.weights!r})"
@@ -156,10 +174,12 @@ def random_measure(
         raw = [rng.randrange(1, 1000) for _ in range(n)]
         return ProbabilityMeasure.from_numerators(space, raw, sum(raw))
     raw = [rng.random() + 1e-3 for _ in range(n)]
-    total = sum(raw)
+    # reduce, not sum(), as in ProbabilityMeasure.__call__: the same
+    # weights on every Python version
+    total = reduce(add, raw, 0.0)
     weights = [w / total for w in raw]
-    # nudge the last weight so the sum is exactly representable
-    weights[-1] = 1.0 - sum(weights[:-1])
+    # nudge the last weight so that the measure of the whole space is 1.0
+    weights[-1] = 1.0 - reduce(add, weights[:-1], 0.0)
     return ProbabilityMeasure(space, weights)
 
 

@@ -802,6 +802,43 @@ def test_exact_factor_measure_matches_the_fraction_oracle():
         measure_from_json(space, {"factors": short}, domains)
 
 
+def test_float_factor_measure_refuses_a_negative_weight():
+    """A float factor that sums to one but holds a negative weight is
+    refused by the measure's sign check, with the exact case's message."""
+    kb = chain_kb(2)
+    domains = [(v.name, v.domain) for v in kb.variables]
+    space = build_space(kb).space
+    factors = {
+        "b1": {"x": 1.5, "y": -0.5},
+        "a0": {"1": 0.5, "2": 0.25, "3": 0.25},
+        "a1": {"1": 0.0, "2": 0.7, "3": 0.3},
+        "th": {"t0": 0.1, "t1": 0.6, "t2": 0.3},
+    }
+    with pytest.raises(ValueError, match="^weights must be nonnegative$"):
+        measure_from_json(space, {"factors": factors}, domains)
+    factors["b1"] = {"x": 0.25, "y": 0.75}
+    assert not measure_from_json(space, {"factors": factors}, domains).exact
+
+
+def test_remembered_masses_match_the_atom_scan(bundled):
+    """Every mass a measure remembers is the one the scan gives, value
+    and type: asked again, and again after other events were asked."""
+    grounding = bundled[1]
+    kb, space = grounding.kb, grounding.space
+    rng = random.Random("memo")
+    domains = [(v.name, v.domain) for v in kb.variables]
+    measures = [measure_from_json(space, {"factors": _random_factors(rng, kb, kind)}, domains)
+                for kind in ("exact", "float", "mixed")]
+    measures += [ProbabilityMeasure.uniform(space), random_measure(space, rng, exact=True),
+                 random_measure(space, rng)]
+    for p in measures:
+        events, others = _random_events(rng, space), _random_events(rng, space)
+        _assert_same_measure(p, events)
+        _assert_same_measure(p, events)
+        _assert_same_measure(p, others)
+        _assert_same_measure(p, events)
+
+
 @pytest.mark.parametrize("numerators,denominator", [([3, -1], 2), ([1, 1], 3)])
 def test_numerator_measure_checks_as_the_weight_list_does(numerators, denominator):
     space = AtomSpace(2)

@@ -8,6 +8,7 @@ from cea.algebra import AtomSpace, material_implies
 from cea.conditional import cond, embed
 from cea.formulas import Leaf, Or, bind_leaves, from_json, to_json
 from cea.semantics import (
+    TOLERANCE,
     PossibilityAssignment,
     ProbabilityMeasure,
     UndefinedConditionalError,
@@ -52,6 +53,82 @@ def test_measure_validation(s3):
     assert p.exact
     assert p(s3.zero) == 0
     assert p(s3.one) == 1
+
+
+def reference_measure_checks(space, weights):
+    """The constructor's checks as one Python pass per atom each: the
+    normalized weights and whether they are exact, or the message that
+    refuses them."""
+    if len(weights) != space.atom_count:
+        return "one weight per atom required"
+    try:
+        weights = [w if isinstance(w, (float, Fraction)) else parse_weight(w)
+                   for w in weights]
+    except ValueError as exc:
+        return str(exc)
+    exact = all(isinstance(w, Fraction) for w in weights)
+    if any(w < 0 for w in weights):
+        return "weights must be nonnegative"
+    total = sum(weights)
+    if exact and total != 1 or not exact and not abs(float(total) - 1.0) <= TOLERANCE:
+        return f"weights sum to {total}, expected 1"
+    return weights, exact
+
+
+def test_measure_checks_match_the_per_atom_reference(s3):
+    nan, inf = float("nan"), float("inf")
+    half, quarter = Fraction(1, 2), Fraction(1, 4)
+    cases = [
+        [0.5, 0.25, 0.25], [0.5, -0.25, 0.75], [-0.0, 0.5, 0.5], [0.5, 0.5],
+        [nan, 0.5, 0.5], [0.5, nan, 0.5], [0.5, 0.5, nan], [nan, -0.5, 1.5],
+        [-0.5, nan, 1.5], [1.5, nan, -0.5], [inf, 0.0, 0.0], [-inf, inf, 1.0],
+        [1, 0, 0], ["1/2", "1/4", 0.25], [1, -1, 1], [half, quarter, quarter],
+        [half, quarter, 0.25], [half, -0.25, 0.75], [half, quarter, "1/3"],
+        [True, 0, 0], [0.5, "x", 0.5], [0.5, 0.25, 0.25 + 2e-12], (0.5, 0.5, 0.0),
+    ]
+    rng = random.Random("checks")
+    for _ in range(200):
+        cases.append([rng.choice([rng.random(), -rng.random(), Fraction(rng.randint(-2, 3), 4),
+                                  rng.randint(0, 1), nan]) for _ in range(3)])
+    for weights in cases:
+        want = reference_measure_checks(s3, weights)
+        try:
+            p = ProbabilityMeasure(s3, weights)
+        except ValueError as exc:
+            assert str(exc) == want
+            continue
+        got_weights, exact = want
+        assert p.exact == exact
+        assert p.weights == got_weights
+        assert [type(w) for w in p.weights] == [type(w) for w in got_weights]
+
+
+@pytest.mark.parametrize("weights", [[0.5, 0.25, 0.25], [Fraction(1, 2), 0.25, 0.25],
+                                     [Fraction(1, 2), Fraction(1, 4), Fraction(1, 4)],
+                                     [1, 0, 0]])
+def test_measure_keeps_its_own_copy_of_the_weights(s3, weights):
+    given = list(weights)
+    p = ProbabilityMeasure(s3, given)
+    first = p(s3.atom(0))
+    given[0], given[1] = given[1], given[0]
+    assert p.weights == list(weights)
+    assert p(s3.atom(0)) == first
+    assert p(s3.event([0, 2])) == ProbabilityMeasure(s3, weights)(s3.event([0, 2]))
+
+
+def test_random_measure_is_the_same_on_every_python():
+    """Float weights are totalled and nudged by a left-to-right sum from
+    0.0, as p() sums them, so the whole space has measure 1.0 exactly. A
+    compensated sum (sum() of floats from Python 3.12) in the nudge breaks
+    that for about a third of these measures, and changes the weights."""
+    for n in range(1, 40):
+        space = AtomSpace(n)
+        for seed in range(30):
+            assert random_measure(space, random.Random(seed))(space.one) == 1.0
+    p = random_measure(AtomSpace(5), random.Random(7))
+    assert [repr(w) for w in p.weights] == [
+        "0.18679986333897408", "0.0873231028643365", "0.37490451596642027",
+        "0.042230617716979287", "0.30874190011328984"]
 
 
 def test_cl_eval(s3):
