@@ -20,12 +20,12 @@ from .conditional import (
     sum_all,
 )
 from .coset import (
-    Coset,
     SpaceTooLargeError,
     class_intersect,
     classwise,
     classwise_unary,
     expand,
+    intersection_criterion,
     recognize,
     subset_criterion,
 )

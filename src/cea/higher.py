@@ -114,10 +114,7 @@ def iter_equal(x: IteratedConditional, y: IteratedConditional) -> bool:
 
 def union_of_members(members: Iterable[ConditionalObject]) -> frozenset[Event]:
     """Union of the literal cosets of a class of conditionals."""
-    out: set[Event] = set()
-    for m in members:
-        out |= expand(m).elements
-    return frozenset(out)
+    return frozenset().union(*map(expand, members))
 
 
 def reduce_u(x: IteratedConditional) -> ConditionalObject:

@@ -24,6 +24,7 @@ import json
 import operator
 import os
 import random
+from contextlib import contextmanager, nullcontext
 from functools import cache, partial, reduce
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
@@ -41,7 +42,8 @@ from .conditional import (
     embed,
     sum_all,
 )
-from .coset import class_intersect, classwise, classwise_unary, expand, recognize, subset_criterion
+from .coset import (class_intersect, classwise, classwise_unary, expand,
+                    intersection_criterion, recognize, subset_criterion)
 from .higher import (
     iter_cond,
     iter_equal,
@@ -242,16 +244,13 @@ def oracle_equivalence_suite(space: AtomSpace, rng=None, samples=10000) -> list[
     """Compact formulas vs the classwise extension of expanded cosets."""
     return _run(Sweep(space, rng, samples), [
         ("coset_extension_complement", "conds", 1,
-         lambda a: classwise_unary(lambda x: ~x, expand(a)) == expand(~a).elements),
+         lambda a: classwise_unary(lambda x: ~x, expand(a)) == expand(~a)),
         ("coset_extension_sum", "conds", 2,
-         lambda a, c: classwise(lambda x, y: x ^ y, expand(a), expand(c))
-         == expand(a ^ c).elements),
+         lambda a, c: classwise(lambda x, y: x ^ y, expand(a), expand(c)) == expand(a ^ c)),
         ("coset_extension_join", "conds", 2,
-         lambda a, c: classwise(lambda x, y: x | y, expand(a), expand(c))
-         == expand(a | c).elements),
+         lambda a, c: classwise(lambda x, y: x | y, expand(a), expand(c)) == expand(a | c)),
         ("coset_extension_meet", "conds", 2,
-         lambda a, c: classwise(lambda x, y: x & y, expand(a), expand(c))
-         == expand(a & c).elements),
+         lambda a, c: classwise(lambda x, y: x & y, expand(a), expand(c)) == expand(a & c)),
     ])
 
 
@@ -340,7 +339,7 @@ def partial_order_suite(space: AtomSpace, rng=None, samples=10000) -> list[Check
 
 def _bounds_extreme(a: ConditionalObject) -> bool:
     lo, hi = bounds(a)
-    members = expand(a).elements
+    members = expand(a)
     if lo not in members or hi not in members:
         return False
     return all(lo <= x and x <= hi for x in members)
@@ -370,8 +369,7 @@ def identity_suite(space: AtomSpace, rng=None, samples=10000) -> list[CheckResul
         ("meet_across_complementary_antecedents", "events", 2,
          lambda a, b: cond(a, b) & cond(a, ~b) == cond(space.zero, ~a)),
         ("ideal_coset_is_lower_set", "events", 1,
-         lambda a: expand(cond(space.zero, ~a)).elements
-         == frozenset(x for x in space.events() if x <= a)),
+         lambda a: expand(cond(space.zero, ~a)) == {x for x in space.events() if x <= a}),
         ("join_across_complementary_antecedents", "events", 2,
          lambda a, b: cond(a, b) | cond(a, ~b) == cond(a, a)),
         ("join_with_own_complement", "conds", 1,
@@ -477,22 +475,21 @@ def intersection_suite(space: AtomSpace, rng=None, samples=10000) -> list[CheckR
     """Literal coset intersection and containment vs the compact criteria."""
 
     def agrees(a, c):
-        res = class_intersect(a, c)
-        if res.is_empty != res.predicted_empty:
-            return False
-        if not res.is_empty:
-            if res.conditional is None or not res.antecedent_matches:
-                return False
-        return True
+        inter = class_intersect(a, c)
+        if not inter:
+            return intersection_criterion(a, c)
+        joined = recognize(space, inter)
+        return (not intersection_criterion(a, c)
+                and joined is not None and joined.ant == a.ant | c.ant)
 
     def subset_agrees(a, c):
-        literal = expand(a).elements <= expand(c).elements
+        literal = expand(a) <= expand(c)
         return literal == subset_criterion(a, c)
 
     return _run(Sweep(space, rng, samples), [
         ("intersection_emptiness_criterion", "conds", 2, agrees),
         ("intersection_self_identity", "conds", 1,
-         lambda a: class_intersect(a, a).elements == expand(a).elements),
+         lambda a: class_intersect(a, a) == expand(a)),
         ("subset_criterion_matches_literal", "conds", 2, subset_agrees),
     ])
 
@@ -506,14 +503,14 @@ def characterization_suite(space: AtomSpace) -> list[CheckResult]:
     everything = frozenset(space.events())
 
     def own_coset(c):
-        other = owner.setdefault(expand(c).elements, c)
+        other = owner.setdefault(expand(c), c)
         return other == c or f"shares a coset with {other!r}"
 
     def classes_partition(b):
         seen: set[Event] = set()
         for a in space.events():
             if a <= b:
-                members = expand(cond(a, b)).elements
+                members = expand(cond(a, b))
                 if members & seen:
                     return "overlapping classes"
                 seen |= members
@@ -521,27 +518,25 @@ def characterization_suite(space: AtomSpace) -> list[CheckResult]:
 
     return _run(Sweep(space), [
         ("membership_equation", "events", 2,
-         lambda a, b: expand(cond(a, b)).elements
-         == frozenset(x for x in space.events() if (x & b) == (a & b))),
+         lambda a, b: expand(cond(a, b)) == {x for x in space.events() if (x & b) == (a & b)}),
         ("canonical_projection_class", "events", 2,
          lambda a, b: expand(cond(a, b)) == expand(cond(a & b, b))),
         ("shared_antecedent_classwise_ops", "events", 3, _shared_antecedent_ops),
         ("classwise_complement", "events", 2,
-         lambda a, b: classwise_unary(lambda x: ~x, expand(cond(a, b)))
-         == expand(~cond(a, b)).elements),
+         lambda a, b: classwise_unary(lambda x: ~x, expand(cond(a, b))) == expand(~cond(a, b))),
         ("distinct_pairs_have_distinct_cosets", "conds", 1, own_coset),
         ("fixed_antecedent_classes_partition", "events", 1, classes_partition),
         ("recognize_inverts_expand", "conds", 1,
-         lambda c: recognize(space, expand(c).elements) == c),
+         lambda c: recognize(space, expand(c)) == c),
     ])
 
 
 def _shared_antecedent_ops(a, c, b) -> bool:
     ea, ec = expand(cond(a, b)), expand(cond(c, b))
     return (
-        classwise(lambda x, y: x ^ y, ea, ec) == expand(cond(a ^ c, b)).elements
-        and classwise(lambda x, y: x | y, ea, ec) == expand(cond(a | c, b)).elements
-        and classwise(lambda x, y: x & y, ea, ec) == expand(cond(a & c, b)).elements
+        classwise(lambda x, y: x ^ y, ea, ec) == expand(cond(a ^ c, b))
+        and classwise(lambda x, y: x | y, ea, ec) == expand(cond(a | c, b))
+        and classwise(lambda x, y: x & y, ea, ec) == expand(cond(a & c, b))
     )
 
 
@@ -604,11 +599,11 @@ def higher_order_suite(space: AtomSpace, rng=None, samples=10000) -> list[CheckR
 
     def hom_unary(x):
         lhs = union_of_members(members_complement(x))
-        return lhs == expand(~reduce_u(x)).elements
+        return lhs == expand(~reduce_u(x))
 
     def hom_binary(x, y, op):
         lhs = union_of_members(members_extension(op, x, y))
-        return lhs == expand(op(reduce_u(x), reduce_u(y))).elements
+        return lhs == expand(op(reduce_u(x), reduce_u(y)))
 
     # fixing the denominator to a plain event (or sharing one antecedent)
     # makes the reduction a bijection onto the conditionals inside it
@@ -728,15 +723,19 @@ GOLDEN_FACTS = {
 }
 
 
-def golden_check(directory: str, record: bool = False) -> list[CheckResult]:
+def golden_check(directory: str, record: bool = False,
+                 reading=nullcontext) -> list[CheckResult]:
     """Recompute each golden fact in its own row and compare it against
     the stored one. A fact that raises fails its row and is never
     written. A fact file that does not exist fails, unless record is
     set: then it is written (creating the directory) and reported as
-    recorded."""
+    recorded. Each stored fact is read inside reading(path), which may
+    turn a failure into an error naming the file; a failure to write
+    raises ValueError naming the path."""
     results = []
     if record:
-        os.makedirs(directory, exist_ok=True)
+        with _writing(directory):
+            os.makedirs(directory, exist_ok=True)
     for name, fact in sorted(GOLDEN_FACTS.items()):
         row = f"golden_{name}"
         path = os.path.join(directory, f"{name}.json")
@@ -746,19 +745,27 @@ def golden_check(directory: str, record: bool = False) -> list[CheckResult]:
             results.append(CheckResult(row, False, 1, _raised(exc)))
             continue
         if os.path.exists(path):
-            with open(path, "r", encoding="utf-8") as fh:
+            with reading(path), open(path, "r", encoding="utf-8") as fh:
                 stored = json.load(fh)
             same = stored == value
             results.append(CheckResult(row, same, 1,
                                        "" if same else f"stored {stored!r} != computed {value!r}"))
         elif record:
-            with open(path, "w", encoding="utf-8") as fh:
+            with _writing(path), open(path, "w", encoding="utf-8") as fh:
                 json.dump(value, fh, indent=2, sort_keys=True)
                 fh.write("\n")
             results.append(CheckResult(row, True, 1, "recorded"))
         else:
             results.append(CheckResult(row, False, 1, f"{path} is missing (--record writes it)"))
     return results
+
+
+@contextmanager
+def _writing(path: str):
+    try:
+        yield
+    except OSError as exc:
+        raise ValueError(f"cannot write {path}: {exc.strerror}") from None
 
 
 # ---------------------------------------------------------------------------

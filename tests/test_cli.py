@@ -580,6 +580,40 @@ def test_oracle_verify_record_needs_a_directory(tmp_path, make_file):
     assert len(proc.stderr.splitlines()) == 1
 
 
+def golden_with_fact(tmp_path, write_fact):
+    """A copy of the bundled golden directory whose pipeline_form fact
+    write_fact replaces; returns the directory and the fact's path."""
+    golden = tmp_path / "golden"
+    golden.mkdir()
+    for name in os.listdir(bundled_golden_dir()):
+        if name != "pipeline_form.json":
+            with open(os.path.join(bundled_golden_dir(), name), "rb") as fh:
+                (golden / name).write_bytes(fh.read())
+    fact = golden / "pipeline_form.json"
+    write_fact(fact)
+    return golden, fact
+
+
+@pytest.mark.parametrize("write_fact, message", [
+    (lambda fact: fact.mkdir(), "error: cannot read {fact}: [Errno 21] Is a directory: '{fact}'"),
+    (lambda fact: fact.write_text("{bad"), "error: {fact} is not valid JSON: "
+     "Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"),
+    (lambda fact: fact.write_bytes(b'{"x": "\xff"}'), "error: {fact} is not UTF-8 text"),
+], ids=["directory", "not_json", "not_utf8"])
+def test_oracle_verify_unreadable_golden_fact_exits_two(tmp_path, capsys, write_fact, message):
+    golden, fact = golden_with_fact(tmp_path, write_fact)
+    assert main(["oracle", "verify", "--atoms", "2", "--golden", str(golden)]) == 2
+    assert capsys.readouterr() == ("", message.format(fact=fact) + "\n")
+
+
+def test_oracle_verify_record_under_a_file_exits_two(tmp_path, capsys):
+    afile = tmp_path / "afile"
+    afile.write_text("")
+    golden = afile / "sub"
+    assert main(["oracle", "verify", "--atoms", "2", "--golden", str(golden), "--record"]) == 2
+    assert capsys.readouterr() == ("", f"error: cannot write {golden}: Not a directory\n")
+
+
 def test_oracle_verify_golden_mismatch_fails(tmp_path):
     golden = tmp_path / "golden"
     golden.mkdir()

@@ -9,6 +9,7 @@ from cea.coset import (
     classwise,
     classwise_unary,
     expand,
+    intersection_criterion,
     recognize,
     subset_criterion,
 )
@@ -22,9 +23,9 @@ def s3():
 
 def test_expand_examples(s3):
     a = cond(s3.event([0]), s3.event([0, 1]))
-    assert expand(a).elements == {s3.event([0]), s3.event([0, 2])}
+    assert expand(a) == {s3.event([0]), s3.event([0, 2])}
     e = s3.event([1, 2])
-    assert expand(embed(e)).elements == {e}
+    assert expand(embed(e)) == {e}
     assert len(expand(cond(s3.zero, s3.zero))) == 8
 
 
@@ -46,13 +47,14 @@ def test_expansion_bound():
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_expand_builds_each_coset_once(n):
     """On a tabled space expand returns one object per conditional, and
-    its elements are still the literal membership set."""
+    it is still the literal membership set."""
     space = AtomSpace(n)
     for c in conditionals(space):
         coset = expand(c)
         assert expand(c) is coset
         a, b = c.consequent, c.antecedent
-        assert coset.elements == {x for x in space.events() if x & b == a & b}
+        assert type(coset) is frozenset
+        assert coset == {x for x in space.events() if x & b == a & b}
 
 
 def test_untabled_space_expands_on_every_call():
@@ -87,40 +89,54 @@ def test_recognize_examples(s3):
 
 def test_recognize_round_trip(s3):
     for c in conditionals(s3):
-        assert recognize(s3, expand(c).elements) == c
+        assert recognize(s3, expand(c)) == c
 
 
 def test_intersection_examples(s3):
     a = cond(s3.event([0]), s3.event([0, 1]))
     same = class_intersect(a, a)
-    assert same.elements == expand(a).elements
-    assert same.conditional == a and same.antecedent_matches
+    assert same == expand(a)
+    assert recognize(s3, same) == a and not intersection_criterion(a, a)
 
     # distinct classes over one antecedent never meet
     other = cond(s3.event([1]), s3.event([0, 1]))
-    res = class_intersect(a, other)
-    assert res.is_empty and res.predicted_empty
+    assert class_intersect(a, other) == set() and intersection_criterion(a, other)
 
     # overlapping antecedents give a coset on the joined antecedent
     c = cond(s3.event([0]), s3.event([0, 2]))
-    res = class_intersect(a, c)
-    assert not res.is_empty
-    assert res.conditional is not None
-    assert res.conditional.antecedent == s3.event([0, 1, 2])
+    joined = recognize(s3, class_intersect(a, c))
+    assert joined is not None
+    assert joined.antecedent == s3.event([0, 1, 2])
+    assert not intersection_criterion(a, c)
+
+
+def test_intersection_criterion_matches_literal_sets(s3):
+    """Over every pair of 3-atom conditionals: the criterion says empty
+    exactly when the literal intersection is, and a nonempty one is the
+    coset on the joined antecedent."""
+    pool = list(conditionals(s3))
+    for a in pool:
+        for c in pool:
+            inter = class_intersect(a, c)
+            assert intersection_criterion(a, c) == (not inter)
+            if inter:
+                joined = recognize(s3, inter)
+                assert joined is not None and joined.ant == a.ant | c.ant
+                assert expand(joined) == inter
 
 
 def test_subset_examples(s3):
     small = cond(s3.event([0]), s3.one)
     big = cond(s3.event([0]), s3.event([0, 1]))
     assert subset_criterion(small, big)
-    assert expand(small).elements <= expand(big).elements
+    assert expand(small) <= expand(big)
     assert not subset_criterion(big, small)
 
 
 def test_mask_reads_keep_the_space_check(s3):
     other, twin = AtomSpace(3, ["x", "y", "z"]), AtomSpace(3)
     a = cond(s3.event([0]), s3.event([0, 1]))
-    for fn in (subset_criterion, class_intersect):
+    for fn in (subset_criterion, class_intersect, intersection_criterion):
         for p, q in ((a, cond(other.event([0]), other.event([0, 1]))),
                      (cond(other.zero, other.one), a)):
             with pytest.raises(MismatchedSpaceError):
@@ -128,8 +144,25 @@ def test_mask_reads_keep_the_space_check(s3):
     # an equal space held in another object is the same space
     b = cond(twin.event([0]), twin.one)
     assert subset_criterion(b, a) and not subset_criterion(a, b)
-    res = class_intersect(a, b)
-    assert not res.predicted_empty and res.antecedent_matches
+    assert not intersection_criterion(a, b)
+    assert recognize(s3, class_intersect(a, b)).ant == a.ant | b.ant
+
+
+def test_classwise_keeps_the_space_check(s3):
+    """classwise runs the Event operators, and they refuse members of
+    another space; members of an equal space combine."""
+    other, twin = AtomSpace(3, ["x", "y", "z"]), AtomSpace(3)
+    mine = expand(cond(s3.event([0]), s3.event([0, 1])))
+    ops = (lambda x, y: x & y, lambda x, y: x | y, lambda x, y: x ^ y)
+    for op in ops:
+        for p, q in ((mine, expand(cond(other.zero, other.one))),
+                     (expand(embed(other.event([1]))), mine)):
+            with pytest.raises(MismatchedSpaceError):
+                classwise(op, p, q)
+    same = expand(cond(twin.event([0]), twin.event([0, 1])))
+    assert same == mine
+    for op in ops:
+        assert classwise(op, mine, same) == classwise(op, mine, mine)
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -144,15 +177,10 @@ def test_characterization_suite(n):
         assert result.passed, f"{result.name}: {result.detail}"
 
 
-def test_coset_deterministic_iteration(s3):
-    c = expand(cond(s3.event([0]), s3.event([0])))
-    masks = [e.mask for e in c]
-    assert masks == sorted(masks)
-
-
 def test_oracle_never_calls_the_compact_formulas(s3, monkeypatch):
-    """expand, classwise and recognize must stay literal: they may build
-    conditionals, never combine them with the calculus they check."""
+    """expand, classwise, class_intersect and recognize must stay
+    literal: they may build conditionals, never combine them with the
+    calculus they check."""
     pool = list(conditionals(s3))
 
     def refuse(*args):
@@ -162,8 +190,11 @@ def test_oracle_never_calls_the_compact_formulas(s3, monkeypatch):
         monkeypatch.setattr(ConditionalObject, name, refuse)
     cosets = [expand(a) for a in pool]
     for a, coset in zip(pool, cosets):
-        assert recognize(s3, coset.elements) == a
+        assert recognize(s3, coset) == a
         assert len(classwise_unary(lambda x: ~x, coset)) == len(coset)
-        for other in cosets:
+        for c, other in zip(pool, cosets):
             for op in (lambda x, y: x & y, lambda x, y: x | y, lambda x, y: x ^ y):
                 assert recognize(s3, classwise(op, coset, other)) is not None
+            inter = class_intersect(a, c)
+            assert inter == coset & other
+            assert not inter or recognize(s3, inter) is not None
