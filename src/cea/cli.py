@@ -278,7 +278,7 @@ def cmd_oracle_verify(args) -> int:
         sections = oracle_suites(space, rng, args.samples,
                                  higher_order=args.higher_order, seed=args.seed)
         if args.golden:
-            sections.append(("golden facts", golden_check(args.golden, args.record, _reading)))
+            sections.append(("golden facts", golden_check(args.golden, args.record)))
         return sections
 
     return _run_suites(args, "oracle verify", 3, suites, ("atoms", "seed", "samples"))

@@ -24,7 +24,7 @@ import json
 import operator
 import os
 import random
-from contextlib import contextmanager, nullcontext
+from contextlib import contextmanager
 from functools import cache, partial, reduce
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
@@ -723,18 +723,16 @@ GOLDEN_FACTS = {
 }
 
 
-def golden_check(directory: str, record: bool = False,
-                 reading=nullcontext) -> list[CheckResult]:
+def golden_check(directory: str, record: bool = False) -> list[CheckResult]:
     """Recompute each golden fact in its own row and compare it against
     the stored one. A fact that raises fails its row and is never
     written. A fact file that does not exist fails, unless record is
     set: then it is written (creating the directory) and reported as
-    recorded. Each stored fact is read inside reading(path), which may
-    turn a failure into an error naming the file; a failure to write
-    raises ValueError naming the path."""
+    recorded. A path that cannot be read, parsed or written raises
+    ValueError naming it."""
     results = []
     if record:
-        with _writing(directory):
+        with _golden_path(directory):
             os.makedirs(directory, exist_ok=True)
     for name, fact in sorted(GOLDEN_FACTS.items()):
         row = f"golden_{name}"
@@ -745,13 +743,13 @@ def golden_check(directory: str, record: bool = False,
             results.append(CheckResult(row, False, 1, _raised(exc)))
             continue
         if os.path.exists(path):
-            with reading(path), open(path, "r", encoding="utf-8") as fh:
+            with _golden_path(path), open(path, "r", encoding="utf-8") as fh:
                 stored = json.load(fh)
             same = stored == value
             results.append(CheckResult(row, same, 1,
                                        "" if same else f"stored {stored!r} != computed {value!r}"))
         elif record:
-            with _writing(path), open(path, "w", encoding="utf-8") as fh:
+            with _golden_path(path), open(path, "w", encoding="utf-8") as fh:
                 json.dump(value, fh, indent=2, sort_keys=True)
                 fh.write("\n")
             results.append(CheckResult(row, True, 1, "recorded"))
@@ -761,11 +759,11 @@ def golden_check(directory: str, record: bool = False,
 
 
 @contextmanager
-def _writing(path: str):
+def _golden_path(path: str):
     try:
         yield
-    except OSError as exc:
-        raise ValueError(f"cannot write {path}: {exc.strerror}") from None
+    except (OSError, ValueError) as exc:  # ValueError: not JSON, or not UTF-8
+        raise ValueError(f"cannot use {path}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
