@@ -1,6 +1,9 @@
+import itertools
+
 import pytest
 
 import cea.coset as coset_module
+import cea.verify as verify_module
 from cea.algebra import AtomSpace, MismatchedSpaceError
 from cea.conditional import ConditionalObject, cond, conditionals, embed
 from cea.coset import (
@@ -92,6 +95,21 @@ def test_recognize_round_trip(s3):
         assert recognize(s3, expand(c)) == c
 
 
+def test_recognize_matches_the_pairwise_join_on_every_event_set(s3):
+    """recognize joins each member's difference from the first; on every
+    set of events of three atoms it returns what the join of all pairwise
+    differences gives."""
+    events = list(s3.events())
+    for bits in range(1, 1 << len(events)):
+        given = [e for i, e in enumerate(events) if bits >> i & 1]
+        b_comp = 0
+        for x, y in itertools.combinations(given, 2):
+            b_comp |= x.mask ^ y.mask
+        first = min(given, key=lambda e: e.mask)
+        candidate = cond(first, s3.event_from_mask(s3.full_mask & ~b_comp))
+        assert recognize(s3, given) == (candidate if expand(candidate) == set(given) else None)
+
+
 def test_intersection_examples(s3):
     a = cond(s3.event([0]), s3.event([0, 1]))
     same = class_intersect(a, a)
@@ -169,6 +187,19 @@ def test_classwise_keeps_the_space_check(s3):
 def test_intersection_suite(n):
     for result in intersection_suite(AtomSpace(n)):
         assert result.passed, f"{result.name}: {result.detail}"
+
+
+@pytest.mark.parametrize("name, broken", [
+    ("intersection_criterion", lambda a, c: False),
+    ("intersection_criterion", lambda a, c: True),
+    # every set read as a point: a coset, but not on the joined antecedent
+    ("recognize", lambda space, events: embed(min(events, key=lambda e: e.mask))),
+], ids=["never_empty", "always_empty", "point_recognizer"])
+def test_intersection_suite_fails_a_wrong_prediction(monkeypatch, name, broken):
+    monkeypatch.setattr(verify_module, name, broken)
+    rows = {r.name: r for r in intersection_suite(AtomSpace(2))}
+    assert not rows["intersection_emptiness_criterion"].passed
+    assert rows["subset_criterion_matches_literal"].passed
 
 
 @pytest.mark.parametrize("n", [2, 3])
