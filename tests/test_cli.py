@@ -673,6 +673,8 @@ EVAL_LOGICS = {
     "fl": ["fl", "--poss", os.path.join(SNAPSHOT_DIR, "eval_fever_poss.json")],
     "pl_float": ["pl", "--measure", os.path.join(SNAPSHOT_DIR, "eval_fever_factors_float.json")],
     "cpl_float": ["cpl", "--measure", os.path.join(SNAPSHOT_DIR, "eval_fever_factors_float.json")],
+    "pl_exact": ["pl", "--measure", os.path.join(SNAPSHOT_DIR, "eval_fever_factors_exact.json")],
+    "cpl_exact": ["cpl", "--measure", os.path.join(SNAPSHOT_DIR, "eval_fever_factors_exact.json")],
 }
 
 
@@ -680,8 +682,9 @@ EVAL_LOGICS = {
 @pytest.mark.parametrize("logic", EVAL_LOGICS)
 def test_eval_stdout_matches_snapshot(kb_path, obs_path, capsys, logic, fmt):
     """Each file is the full stdout of one `cea eval` on the bundled KB
-    and observation; the fl run reads the committed poss file, and the
-    pl_float and cpl_float runs the committed float factors file."""
+    and observation; the fl run reads the committed poss file, the
+    pl_float and cpl_float runs the committed float factors file, and
+    the pl_exact and cpl_exact runs the committed "p/q" factors file."""
     snapshot = f"eval_fever_{logic}.{'txt' if fmt == 'text' else 'json'}"
     with open(os.path.join(SNAPSHOT_DIR, snapshot), encoding="utf-8") as fh:
         expected = fh.read()
