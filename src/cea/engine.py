@@ -22,6 +22,15 @@ disjunction over assignments is computed by bucket elimination (Dechter
 unobserved query variable stays in the tables and is never eliminated,
 so one elimination per query leaves the query bucket: a form for every
 query value at once.
+
+cl, pl and cpl are eliminated on int masks (`_mask_lattice`). A
+conditional (a|b) is the interval of its coset, from a&b to b' | a
+(`conditional.bounds`; Goodman, Nguyen and Walker 1991), and the
+conditional meet and join act on it one bound at a time. So cpl packs
+the two bounds into one int, the lower bound in the low n bits, and
+ANDs and ORs it as cl and pl do their one mask; its upper bound is the
+material implication they read. `lattice` keeps the object-level forms,
+which `conjoin_f` uses as the oracle.
 """
 
 from __future__ import annotations
@@ -32,7 +41,7 @@ from functools import partial, reduce
 from operator import and_, or_
 from typing import Mapping, NamedTuple, Optional, Sequence, Union
 
-from .algebra import AtomSpace, Event, material_implies
+from .algebra import AtomSpace, Event, _event, material_implies
 from .conditional import ConditionalObject, _make, conjoin_all, disjoin_all, embed
 from .formulas import And, Formula, Implies, Leaf, Or, bind_leaves, from_json, ground
 from .semantics import (
@@ -307,6 +316,8 @@ def relevant_rules(kb: KnowledgeBase, obs: Observation) -> list[Rule]:
 
 
 ConjoinedForm = Union[Event, ConditionalObject, Formula]
+_meet_all = partial(reduce, and_)
+_join_all = partial(reduce, or_)
 
 
 def lattice(grounding: Grounding, obs: Observation, aldp: str):
@@ -318,7 +329,9 @@ def lattice(grounding: Grounding, obs: Observation, aldp: str):
     and arrow(antecedent, consequent) joins two such sides. cl/pl:
     events, the arrow material implication. cpl: conditional objects,
     the arrow (consequent | antecedent). fl: formula trees with their
-    leaves bound, the arrow an Implies node."""
+    leaves bound, the arrow an Implies node. These are the object-level
+    forms that conjoin_f, the oracle, meets in; elimination uses them for
+    fl only, and `_mask_lattice` for the other three."""
     if aldp not in ALDP_TAGS:
         raise KnowledgeBaseError(f"unknown logic tag {aldp!r}")
     if aldp == "fl":
@@ -333,7 +346,39 @@ def lattice(grounding: Grounding, obs: Observation, aldp: str):
     if aldp == "cpl":
         return (conjoin_all, disjoin_all, [embed(y)], side,
                 lambda ant, cons: _make(ant.space, cons.mask & ant.mask, ant.mask))
-    return partial(reduce, and_), partial(reduce, or_), [y], side, material_implies
+    return _meet_all, _join_all, [y], side, material_implies
+
+
+def _mask_lattice(grounding: Grounding, obs: Observation, aldp: str):
+    """`lattice` for cl, pl and cpl on int masks, plus wrap, which turns
+    a result mask into the Event or ConditionalObject it stands for.
+    Other tags get lattice's forms and no wrap (None).
+
+    cl/pl: an event's mask, the arrow b' | a. cpl: the conditional (a|b)
+    as the interval of its coset, lower bound a&b and upper bound b' | a,
+    packed as lo | hi << n. The conditional meet and join are AND and OR
+    of both bounds at once, so meet and join are & and | here too; a
+    result (lo, hi) is the conditional with consequent lo and
+    antecedent lo | hi'."""
+    if aldp not in ("cl", "pl", "cpl"):
+        return (*lattice(grounding, obs, aldp), None)
+    space = grounding.space
+    n, full = space.atom_count, space.full_mask
+
+    def side(f, assignment):
+        return grounding.ground_formula(f, obs, assignment).mask
+
+    y = reduce(and_, (grounding.values_event(var, vals).mask
+                      for var, vals in obs.observed.items()))
+    if aldp == "cpl":
+        def wrap(m):
+            lo = m & full
+            return _make(space, lo, lo | full ^ m >> n)
+
+        return (_meet_all, _join_all, [y | y << n], side,
+                lambda ant, cons: cons & ant | (full ^ ant | cons) << n, wrap)
+    return (_meet_all, _join_all, [y], side, lambda ant, cons: full ^ ant | cons,
+            partial(_event, space))
 
 
 def conjoin_f(
@@ -472,10 +517,12 @@ def _query_forms(
     largest table, query dimension included, is checked against
     MAX_ELIMINATION_TABLE before any rule is grounded. The tables left
     are over () or (query,); a value's form is the meet of the base and
-    their entries at that value.
+    their entries at that value. cl, pl and cpl eliminate on int masks
+    (`_mask_lattice`), each value's mask wrapped once at the end; fl on
+    formula trees.
     """
     kb = grounding.kb
-    meet, join, base, side, arrow = lattice(grounding, obs, aldp)
+    meet, join, base, side, arrow, wrap = _mask_lattice(grounding, obs, aldp)
     rules = relevant_rules(kb, obs)
     domains = {v.name: v.domain for v in sweep_variables(kb, rules, obs, query.name)}
     if query.name not in obs:
@@ -510,9 +557,10 @@ def _query_forms(
         tables.append((scope, entries))
     for var in order:
         tables = _eliminate(meet, join, tables, var, domains)
-    return {value: _combine(meet, base + [entries[(value,) if scope else ()]
-                                          for scope, entries in tables])
-            for value in query.domain}
+    forms = {value: _combine(meet, base + [entries[(value,) if scope else ()]
+                                           for scope, entries in tables])
+             for value in query.domain}
+    return forms if wrap is None else {value: wrap(m) for value, m in forms.items()}
 
 
 class EvalRow(NamedTuple):

@@ -1,12 +1,13 @@
 import itertools
 import random
 from functools import reduce
+from operator import and_, or_
 
 import pytest
 
 import cea.algebra as algebra_module
 import cea.conditional as conditional_module
-from cea.algebra import AtomSpace, Event, MismatchedSpaceError, material_implies
+from cea.algebra import COND_TABLE_ATOMS, AtomSpace, Event, MismatchedSpaceError, material_implies
 from cea.conditional import (
     ConditionalObject,
     _make,
@@ -21,6 +22,7 @@ from cea.conditional import (
     sum_all,
 )
 from cea.coset import classwise, classwise_unary, expand
+from cea.engine import KnowledgeBase, Observation, VariableDecl, _mask_lattice, build_space
 from cea.verify import (
     conditional_law_suite,
     identity_suite,
@@ -317,6 +319,54 @@ def test_int_kernels_match_event_forms():
         ConditionalObject(s3.event([0]), s3.event([1]))
     with pytest.raises(ValueError):
         _make(s3, 0b001, 0b010)
+
+
+def interval_kernel(n):
+    """The engine's cpl kernel on the n atoms of one n-valued variable,
+    all values observed: its space, its base entry, pack (the rule arrow
+    applied to a conditional's own masks) and unpack (its wrap)."""
+    kb = KnowledgeBase([VariableDecl("v", "data-attribute", [str(i) for i in range(n)])], [])
+    grounding = build_space(kb)
+    obs = Observation(kb, {"v": kb.variable("v").domain})
+    _, _, base, _, arrow, wrap = _mask_lattice(grounding, obs, "cpl")
+    return grounding.space, base, lambda x: arrow(x.ant, x.cons), wrap
+
+
+@pytest.mark.parametrize("n", [3, 7])
+def test_conditional_ops_act_on_the_interval_bound_by_bound(n):
+    """A conditional is the interval of its coset, bounds(x) = (a&b, b' | a).
+    The binary meet and join, conjoin_all and disjoin_all give the
+    interval whose bounds are the AND, or the OR, of their operands'
+    bounds, one bound at a time; lo | hi << n packs it and unpacks back.
+    Every pair and triple on 3 atoms (tabled), seeded ones on 7."""
+    space, base, pack, unpack = interval_kernel(n)
+    if n == 3:
+        pool = list(conditionals(space))
+        cases = itertools.chain(itertools.product(pool, repeat=2),
+                                itertools.product(pool, repeat=3))
+    else:
+        rng = random.Random(n)
+
+        def draw():
+            ant = rng.getrandbits(n)
+            return _make(space, rng.getrandbits(n) & ant, ant)
+
+        pool = [draw() for _ in range(300)]
+        cases = [[draw() for _ in range(arity)] for arity in (2, 3) for _ in range(1000)]
+    assert base == [pack(embed(space.one))]
+    for x in pool:
+        lo, hi = bounds(x)
+        assert pack(x) == lo.mask | hi.mask << n
+        assert unpack(pack(x)) == x
+        assert n > COND_TABLE_ATOMS or unpack(pack(x)) is x
+    for items in cases:
+        for binary, nary, bitwise in ((ConditionalObject.__and__, conjoin_all, and_),
+                                      (ConditionalObject.__or__, disjoin_all, or_)):
+            want = tuple(reduce(bitwise, column) for column in zip(*map(bounds, items)))
+            if len(items) == 2:
+                assert bounds(binary(*items)) == want, items
+            assert bounds(nary(items)) == want, items
+            assert unpack(reduce(bitwise, map(pack, items))) == nary(items), items
 
 
 def test_mask_slots_and_event_views():
