@@ -106,7 +106,7 @@ class Implies(Formula):
         return f"({self.antecedent!r} => {self.consequent!r})"
 
 
-def fold(f: Formula, leaf, not_, and_, or_, implies):
+def fold(f: Formula, leaf, not_, and_, or_, implies, memo=None):
     """Read a formula bottom-up: leaf(var, vals) at each leaf, not_(x)
     and implies(x, y) on the results of the arguments, and_(xs) and
     or_(xs) on the list of them. Arguments are visited left to right.
@@ -114,15 +114,18 @@ def fold(f: Formula, leaf, not_, and_, or_, implies):
     Each distinct node is read once per call and its result reused
     wherever the node recurs, so a tree whose sub-trees are shared costs
     its number of nodes, not of paths; a shared node's result is the
-    same object at every place it occurs."""
+    same object at every place it occurs. memo, a dict from node to
+    result, may be passed to share results across calls with the same
+    five functions: a node it holds is not read again, and each node
+    read is added to it."""
     if isinstance(f, Leaf):  # a lone leaf has nothing to share: no memo
         return leaf(f.var, f.vals)
-    memo: dict[int, object] = {}
+    if memo is None:
+        memo = {}
 
     def go(node):
-        key = id(node)
-        if key in memo:
-            return memo[key]
+        if node in memo:
+            return memo[node]
         if isinstance(node, Leaf):
             out = leaf(node.var, node.vals)
         elif isinstance(node, Or):
@@ -135,7 +138,7 @@ def fold(f: Formula, leaf, not_, and_, or_, implies):
             out = implies(go(node.antecedent), go(node.consequent))
         else:
             raise FormulaError(f"unknown formula node {node!r}")
-        memo[key] = out
+        memo[node] = out
         return out
 
     try:

@@ -585,6 +585,41 @@ def test_elimination_matches_enumeration_on_chains(k):
     _assert_same_integration(kb, Observation(kb, {"b1": ["x"]}), poss)
 
 
+class CountingPossibility(PossibilityAssignment):
+    __slots__ = ("calls",)
+
+    def grade(self, var, value):
+        self.calls += 1
+        return super().grade(var, value)
+
+
+@pytest.mark.parametrize("case", ["bundled", "chain"])
+def test_one_possibility_assignment_grades_every_value_as_fresh_ones(case):
+    """The fl forms of one query share sub-trees. One assignment that
+    grades them all gives each the grade a fresh assignment gives it
+    alone, and reads each distinct leaf once over all of them, as one
+    call on their disjunction does."""
+    if case == "bundled":
+        kb = load_bundled_kb()
+        obs = load_bundled_observation(kb)
+    else:
+        kb = chain_kb(5)
+        obs = Observation(kb, {"b1": ["x"]})
+    grounding = build_space(kb)
+    query = kb.diagnosis_variables()[0]
+    rng = random.Random(case)
+    grades = {(v.name, val): rng.random() for v in kb.variables for val in v.domain}
+    forms = [integrate_out(grounding, obs, "fl", query.name, value) for value in query.domain]
+    shared = CountingPossibility(grades)
+    shared.calls = 0
+    assert ([fl_eval(shared, form) for form in forms]
+            == [fl_eval(PossibilityAssignment(grades), form) for form in forms])
+    once = CountingPossibility(grades)
+    once.calls = 0
+    fl_eval(once, Or(forms))
+    assert shared.calls == once.calls
+
+
 @pytest.mark.parametrize("aldp", ["cl", "pl", "cpl", "fl"])
 def test_each_rule_side_is_grounded_once_per_assignment_of_its_own_variables(
         bundled, monkeypatch, aldp):
