@@ -586,7 +586,7 @@ def test_elimination_matches_enumeration_on_chains(k):
 
 
 class CountingPossibility(PossibilityAssignment):
-    __slots__ = ("calls",)
+    calls = 0
 
     def grade(self, var, value):
         self.calls += 1
@@ -611,11 +611,9 @@ def test_one_possibility_assignment_grades_every_value_as_fresh_ones(case):
     grades = {(v.name, val): rng.random() for v in kb.variables for val in v.domain}
     forms = [integrate_out(grounding, obs, "fl", query.name, value) for value in query.domain]
     shared = CountingPossibility(grades)
-    shared.calls = 0
     assert ([fl_eval(shared, form) for form in forms]
             == [fl_eval(PossibilityAssignment(grades), form) for form in forms])
     once = CountingPossibility(grades)
-    once.calls = 0
     fl_eval(once, Or(forms))
     assert shared.calls == once.calls
 
