@@ -675,17 +675,30 @@ EVAL_LOGICS = {
     "cpl_float": ["cpl", "--measure", os.path.join(SNAPSHOT_DIR, "eval_fever_factors_float.json")],
     "pl_exact": ["pl", "--measure", os.path.join(SNAPSHOT_DIR, "eval_fever_factors_exact.json")],
     "cpl_exact": ["cpl", "--measure", os.path.join(SNAPSHOT_DIR, "eval_fever_factors_exact.json")],
+    "chain6_cl": ["cl", "--atom", "b1=x,a0=2,a1=3,a2=1,a3=1,a4=3,a5=3,th=t1"],
+    "chain6_pl": ["pl", "--measure", os.path.join(SNAPSHOT_DIR, "chain6_factors_float.json")],
+    "chain6_cpl": ["cpl", "--measure", os.path.join(SNAPSHOT_DIR, "chain6_factors_float.json")],
+    "chain6_fl": ["fl", "--poss", os.path.join(SNAPSHOT_DIR, "chain6_poss.json")],
 }
 
 
 @pytest.mark.parametrize("fmt", ["text", "json"])
 @pytest.mark.parametrize("logic", EVAL_LOGICS)
 def test_eval_stdout_matches_snapshot(kb_path, obs_path, capsys, logic, fmt):
-    """Each file is the full stdout of one `cea eval` on the bundled KB
-    and observation; the fl run reads the committed poss file, the
-    pl_float and cpl_float runs the committed float factors file, and
-    the pl_exact and cpl_exact runs the committed "p/q" factors file."""
-    snapshot = f"eval_fever_{logic}.{'txt' if fmt == 'text' else 'json'}"
+    """Each file is the full stdout of one `cea eval`. The plain rows run
+    on the bundled KB and observation; the fl run reads the committed
+    poss file, the pl_float and cpl_float runs the committed float
+    factors file, and the pl_exact and cpl_exact runs the committed
+    "p/q" factors file. The chain6_ rows run on the committed inputs of
+    `perfbench/gen.py chain --k 6 --seed 1` (chain6_*.json), whose
+    elimination sweeps six buckets and sums floats that json prints in
+    full."""
+    stem = f"fever_{logic}"
+    if logic.startswith("chain6_"):
+        stem = logic
+        kb_path, obs_path = (os.path.join(SNAPSHOT_DIR, f"chain6_{name}.json")
+                             for name in ("kb", "obs"))
+    snapshot = f"eval_{stem}.{'txt' if fmt == 'text' else 'json'}"
     with open(os.path.join(SNAPSHOT_DIR, snapshot), encoding="utf-8") as fh:
         expected = fh.read()
     assert main(["eval", "--kb", kb_path, "--observe", obs_path,
