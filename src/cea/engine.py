@@ -38,7 +38,7 @@ from __future__ import annotations
 import itertools
 import math
 from functools import partial, reduce
-from operator import and_, or_
+from operator import and_, itemgetter, or_
 from typing import Mapping, NamedTuple, Optional, Sequence, Union
 
 from .algebra import AtomSpace, Event, _event, material_implies
@@ -193,7 +193,10 @@ class Grounding:
     reads them (the "atoms" measure form does), unless a variable name or
     value contains "," or "=": only then can two labels coincide, so only
     then are they built, and checked for uniqueness, up front.
-    Grounds primitive events and whole formulas to events.
+    Holds one table, the mask of every primitive event var[value];
+    `primitive` wraps one as an Event when asked. Grounds whole formulas
+    to masks (`ground_mask`, the engine's path) or to events
+    (`ground_formula`, the oracle's).
     """
 
     def __init__(self, kb: KnowledgeBase):
@@ -215,7 +218,7 @@ class Grounding:
         # In product order a variable with d values and stride s holds
         # value j on a block of s atoms at offset j*s of every period of
         # d*s atoms; multiplying the block by `repeat` tiles it.
-        self._primitive: dict[tuple[str, str], Event] = {}
+        self._primitive: dict[tuple[str, str], int] = {}
         stride = self.space.atom_count
         for var in kb.variables:
             stride //= len(var.domain)
@@ -223,17 +226,24 @@ class Grounding:
             repeat = self.space.full_mask // ((1 << period) - 1)
             block = (1 << stride) - 1
             for j, val in enumerate(var.domain):
-                self._primitive[(var.name, val)] = self.space.event_from_mask(
-                    (block << (j * stride)) * repeat)
+                self._primitive[(var.name, val)] = (block << (j * stride)) * repeat
 
-    def primitive(self, var: str, value: str) -> Event:
+    def primitive_mask(self, var: str, value: str) -> int:
         try:
             return self._primitive[(var, value)]
         except KeyError:
             raise KnowledgeBaseError(f"unknown primitive event {var}[{value}]") from None
 
+    def primitive(self, var: str, value: str) -> Event:
+        return _event(self.space, self.primitive_mask(var, value))
+
+    def values_mask(self, var: str, values: Sequence[str]) -> int:
+        """The mask of var taking any of values: for one value, the
+        table's own int, so that a lone leaf's side copies nothing."""
+        return reduce(or_, [self.primitive_mask(var, value) for value in values])
+
     def values_event(self, var: str, values: Sequence[str]) -> Event:
-        return reduce(lambda x, y: x | y, (self.primitive(var, v) for v in values))
+        return _event(self.space, self.values_mask(var, values))
 
     def atom_of_assignment(self, assignment: Mapping[str, str]) -> int:
         """The atom of a value for every variable; the first fault found
@@ -263,6 +273,21 @@ class Grounding:
         first, then the domain-variable assignment."""
         vals_of = leaf_values(observation, assignment or {})
         return ground(f, lambda var, vals: self.values_event(var, vals_of(var, vals)))
+
+    def ground_mask(
+        self,
+        f: Formula,
+        observation: Optional[Observation] = None,
+        assignment: Optional[Mapping[str, str]] = None,
+    ) -> int:
+        """ground_formula's mask, grounded on ints. A negation there is
+        Python's ~, which sets every bit above the space. Every node's
+        bits above the space are then all 0 or all 1, so a negative
+        result is cut to the space once, at the end, and any other is
+        in it already (and may be a table's own int)."""
+        vals_of = leaf_values(observation, assignment or {})
+        mask = ground(f, lambda var, vals: self.values_mask(var, vals_of(var, vals)))
+        return mask if mask >= 0 else mask & self.space.full_mask
 
 
 def _atom_labels(variables: Sequence[VariableDecl]) -> list[str]:
@@ -366,10 +391,9 @@ def _mask_lattice(grounding: Grounding, obs: Observation, aldp: str):
     n, full = space.atom_count, space.full_mask
 
     def side(f, assignment):
-        return grounding.ground_formula(f, obs, assignment).mask
+        return grounding.ground_mask(f, obs, assignment)
 
-    y = reduce(and_, (grounding.values_event(var, vals).mask
-                      for var, vals in obs.observed.items()))
+    y = reduce(and_, (grounding.values_mask(var, vals) for var, vals in obs.observed.items()))
     if aldp == "cpl":
         def wrap(m):
             lo = m & full
@@ -447,23 +471,39 @@ def _combine(op, items: list) -> ConjoinedForm:
     return items[0] if len(items) == 1 else op(items)
 
 
+def _key_stream(rows, idx):
+    """The tuple of each row's items at positions idx, as a C-level
+    iterator over rows; rows must have a length when idx is empty."""
+    if not idx:
+        return itertools.repeat((), len(rows))
+    if len(idx) == 1:
+        return zip(map(itemgetter(idx[0]), rows))
+    return map(itemgetter(*idx), rows)
+
+
 def _eliminate(meet, join, tables: list, var: str, domains) -> list:
     """Meet the (scope, entries) tables that mention var and join over
-    its domain: one table over the other variables they mention."""
+    its domain: one table over the other variables they mention.
+
+    The rows of the joint table, scope + (var,), run in product order,
+    so each run of len(domains[var]) rows is one entry's column. Each
+    touching table reads its entries along the rows through its own key
+    stream; the meet takes one entry of each, in table order, and the
+    join one column: both whole-table passes of C-level iterators, which
+    build no row list and hold one column at a time. One table, or one
+    value, passes its entry through unwrapped, as `_combine` does."""
     touching = [t for t in tables if var in t[0]]
     names = {v for scope, _ in touching for v in scope} - {var}
     scope = tuple(v for v in domains if v in names)
-    # where each touching table's key lies in a row: a combo, then var's value
+    pools = [domains[v] for v in scope] + [domains[var]]
     row_scope = scope + (var,)
-    keyed = [(tuple(map(row_scope.index, s)), entries_of) for s, entries_of in touching]
-    entries = {}
-    for combo in itertools.product(*(domains[v] for v in scope)):
-        column = []
-        for value in domains[var]:
-            row = combo + (value,)
-            column.append(_combine(meet, [entries_of[tuple(map(row.__getitem__, idx))]
-                                          for idx, entries_of in keyed]))
-        entries[combo] = _combine(join, column)
+    columns = [map(entries_of.__getitem__,
+                   _key_stream(itertools.product(*pools), [row_scope.index(v) for v in s]))
+               for s, entries_of in touching]
+    met = columns[0] if len(columns) == 1 else map(meet, zip(*columns))
+    d = len(domains[var])
+    joined = met if d == 1 else map(join, zip(*[iter(met)] * d))
+    entries = dict(zip(itertools.product(*pools[:-1]), joined))
     return [t for t in tables if var not in t[0]] + [(scope, entries)]
 
 
@@ -507,12 +547,15 @@ def _query_forms(
     and unobserved (an observed one resolves through the observation).
     A table's entry is the arrow of the rule's two sides. Each side is
     grounded once per assignment of its own free, unobserved variables,
-    the first time an entry needs it (antecedent before consequent), and
-    kept for this call only, keyed by the formula object and the values
-    of those variables, in `domains` order (the formula alone fixes which
-    variables they are): a side shared by many entries, or by two rules,
-    is one object in all of them. Table keys are read by position, from
-    index tuples computed once per table.
+    and kept for this call only, keyed by the formula object and then by
+    the values of those variables, in `domains` order (the formula alone
+    fixes which variables they are): a side shared by many entries, or
+    by two rules, is one object in all of them. A table is built in
+    whole-table passes: its scope's assignments (combos) are listed
+    once, each side reads its values off them through one key stream
+    (`_key_stream`), the antecedent's distinct values are grounded, in
+    the order the combos first need them, then the consequent's, and
+    the entries are the arrows of the two looked-up streams.
     The swept variables are eliminated in `elimination_order`, whose
     largest table, query dimension included, is checked against
     MAX_ELIMINATION_TABLE before any rule is grounded. The tables left
@@ -534,27 +577,21 @@ def _query_forms(
             f"eliminating the swept variables needs a table of {largest} entries,"
             f" over the bound of {MAX_ELIMINATION_TABLE}")
 
-    sides = {}
-
-    def grounded(f, own, values):
-        key = (f, values)
-        if key not in sides:
-            sides[key] = side(f, dict(zip(own, values)))
-        return sides[key]
-
+    sides: dict = {}  # formula object -> {values of its own variables: side}
     tables = []
     for rule, scope in zip(rules, scopes):
-        # each side's own variables, and their positions in the scope
-        (own_ant, ant_idx), (own_cons, cons_idx) = (
-            (tuple(v for v in scope if v in free),
-             tuple(i for i, v in enumerate(scope) if v in free))
-            for free in rule.side_free_variables)
-        entries = {}
-        for combo in itertools.product(*(domains[v] for v in scope)):
-            entries[combo] = arrow(
-                grounded(rule.antecedent, own_ant, tuple(map(combo.__getitem__, ant_idx))),
-                grounded(rule.consequent, own_cons, tuple(map(combo.__getitem__, cons_idx))))
-        tables.append((scope, entries))
+        combos = list(itertools.product(*(domains[v] for v in scope)))
+        grounded = []
+        for f, free in zip((rule.antecedent, rule.consequent), rule.side_free_variables):
+            # the side's own variables, and their positions in the scope
+            idx = [i for i, v in enumerate(scope) if v in free]
+            own = tuple(scope[i] for i in idx)
+            of_f = sides.setdefault(f, {})
+            for values in dict.fromkeys(_key_stream(combos, idx)):
+                if values not in of_f:
+                    of_f[values] = side(f, dict(zip(own, values)))
+            grounded.append(map(of_f.__getitem__, _key_stream(combos, idx)))
+        tables.append((scope, dict(zip(combos, map(arrow, *grounded)))))
     for var in order:
         tables = _eliminate(meet, join, tables, var, domains)
     forms = {value: _combine(meet, base + [entries[(value,) if scope else ()]

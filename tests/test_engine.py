@@ -26,7 +26,7 @@ from cea.engine import (
     relevant_rules,
     sweep_variables,
 )
-from cea.formulas import And, Leaf, Not, Or, from_json
+from cea.formulas import And, Implies, Leaf, NaryOp, Not, Or, from_json, to_json
 from cea.semantics import (
     PossibilityAssignment,
     ProbabilityMeasure,
@@ -673,6 +673,120 @@ def test_shared_rule_sides_match_enumeration():
                                       for v in kb.variables for val in v.domain})
         for observed in ({"x": ["1"]}, {"x": ["0", "1"], "d": ["q", "r"]}):
             _assert_same_integration(kb, Observation(kb, observed), poss)
+
+
+def _side_assignments(grounding, obs, f):
+    """Every assignment of the free variables of f that obs leaves open."""
+    own = sorted(f.free_variables() - set(obs.observed))
+    for combo in itertools.product(*(grounding.kb.variable(v).domain for v in own)):
+        yield dict(zip(own, combo))
+
+
+def test_mask_grounding_matches_event_grounding(bundled):
+    """ground_mask is ground_formula's mask on every rule side of 80
+    random KBs, whose sides nest not and implies (where ~ on an int goes
+    negative), and of the bundled KB, at every assignment of the side's
+    open variables; a primitive the space does not hold is refused as
+    ground_formula refuses it."""
+    rng = random.Random(20130410)
+    cases = [_random_case(rng)[:2] for _ in range(80)] + [(bundled[0], bundled[2])]
+    sides = 0
+    for kb, obs in cases:
+        grounding = build_space(kb)
+        for rule in kb.rules:
+            for f in (rule.antecedent, rule.consequent):
+                for assignment in _side_assignments(grounding, obs, f):
+                    assert (grounding.ground_mask(f, obs, assignment)
+                            == grounding.ground_formula(f, obs, assignment).mask)
+                    sides += 1
+    assert sides > 900
+    grounding = bundled[1]
+    for f in (Leaf("b1", ["nonsense"]), Not(Leaf("zz", ["1"]))):
+        for ground in (grounding.ground_mask, grounding.ground_formula):
+            with pytest.raises(KnowledgeBaseError, match=r"unknown primitive event"):
+                ground(f)
+
+
+def per_row_eliminate(meet, join, tables, var, domains):
+    """The reference bucket step: `_eliminate` one row at a time, each
+    entry's key built by indexing the row."""
+    touching = [t for t in tables if var in t[0]]
+    names = {v for scope, _ in touching for v in scope} - {var}
+    scope = tuple(v for v in domains if v in names)
+    # where each touching table's key lies in a row: a combo, then var's value
+    row_scope = scope + (var,)
+    keyed = [(tuple(map(row_scope.index, s)), entries_of) for s, entries_of in touching]
+    entries = {}
+    for combo in itertools.product(*(domains[v] for v in scope)):
+        column = []
+        for value in domains[var]:
+            row = combo + (value,)
+            column.append(engine._combine(meet, [entries_of[tuple(map(row.__getitem__, idx))]
+                                                 for idx, entries_of in keyed]))
+        entries[combo] = engine._combine(join, column)
+    return [t for t in tables if var not in t[0]] + [(scope, entries)]
+
+
+def _assert_same_sharing(new, old, seen):
+    """Walk two equal formulas side by side. seen holds two dicts: by
+    id, each node of new met so far to the node of old at its place,
+    and each node of old to that of new. So a node shared in one must
+    be shared, at the same places, in the other."""
+    forth, back = seen
+    if id(new) in forth or id(old) in back:
+        assert forth.get(id(new)) is old and back.get(id(old)) is new
+        return
+    forth[id(new)], back[id(old)] = old, new
+    if isinstance(new, NaryOp):
+        pairs = zip(new.args, old.args)
+    elif isinstance(new, Not):
+        pairs = [(new.arg, old.arg)]
+    elif isinstance(new, Implies):
+        pairs = [(new.antecedent, old.antecedent), (new.consequent, old.consequent)]
+    else:
+        pairs = []
+    for a, b in pairs:
+        _assert_same_sharing(a, b, seen)
+
+
+@pytest.mark.parametrize("case", ["random", "chain"])
+def test_eliminate_builds_the_per_row_tables(monkeypatch, case):
+    """Each bucket step of every query on 80 random KBs, or on chain
+    KB(3) to KB(6), builds the table the per-row step builds from the
+    same tables: the same scope and keys in the same order, equal masks,
+    and fl forms with equal JSON and the same sharing across the table."""
+    if case == "random":
+        rng = random.Random(20130410)
+        cases = [_random_case(rng)[:2] for _ in range(80)]
+    else:
+        cases = [(kb, Observation(kb, {"b1": ["x"]})) for kb in map(chain_kb, range(3, 7))]
+    eliminate = engine._eliminate
+    buckets = []
+
+    def checked(meet, join, tables, var, domains):
+        out = eliminate(meet, join, tables, var, domains)
+        expected = per_row_eliminate(meet, join, tables, var, domains)
+        (scope, entries), (expected_scope, expected_entries) = out[-1], expected[-1]
+        assert out[:-1] == expected[:-1]
+        assert scope == expected_scope
+        assert list(entries) == list(expected_entries)
+        seen = {}, {}
+        for form, expected_form in zip(entries.values(), expected_entries.values()):
+            if meet is And:
+                assert to_json(form) == to_json(expected_form)
+                _assert_same_sharing(form, expected_form, seen)
+            else:
+                assert form == expected_form
+        buckets.append(var)
+        return out
+
+    monkeypatch.setattr(engine, "_eliminate", checked)
+    for kb, obs in cases:
+        grounding = build_space(kb)
+        query = kb.diagnosis_variables()[0]
+        for aldp in ("cl", "pl", "cpl", "fl"):
+            engine._query_forms(grounding, obs, aldp, query)
+    assert len(buckets) > 4 * len(cases)
 
 
 def _random_factors(rng, kb, kind):
