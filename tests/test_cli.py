@@ -437,6 +437,26 @@ def test_eval_value_maps_checked_against_kb(kb_path, obs_path, tmp_path, aldp, f
     assert proc.stderr.splitlines() == [f'error: "{name}" {message}']
 
 
+@pytest.mark.parametrize("missing,named", [
+    pytest.param([("a3", "2")], "a3[2]", id="one"),
+    pytest.param([("a1", "2"), ("a2", "1")], "a2[1]", id="two"),
+    pytest.param([("th1", "some"), ("th1", "prog")], "th1[some]", id="two-query-values"),
+])
+def test_eval_fl_missing_grade_names_the_first_one_read(kb_path, obs_path, tmp_path, capsys,
+                                                        missing, named):
+    """A poss file that lacks needed grades exits 2 naming the first one
+    the grading reads: the forms share sub-trees, so which one that is
+    depends on the order in which their nodes are visited."""
+    with open(os.path.join(SNAPSHOT_DIR, "eval_fever_poss.json")) as fh:
+        poss = json.load(fh)
+    for var, val in missing:
+        del poss["poss"][var][val]
+    (tmp_path / "poss.json").write_text(json.dumps(poss))
+    assert main(["eval", "--kb", kb_path, "--observe", obs_path, "--aldp", "fl",
+                 "--poss", str(tmp_path / "poss.json")]) == 2
+    assert capsys.readouterr() == ("", f"error: no possibility grade for {named}\n")
+
+
 def test_eval_refuses_elimination_over_budget(kb_path, obs_path):
     # A KB over the real bound has more than 65,536 atoms to ground, so
     # the bound is lowered to just under the bundled KB's largest table.
