@@ -547,15 +547,15 @@ def _query_forms(
     and unobserved (an observed one resolves through the observation).
     A table's entry is the arrow of the rule's two sides. Each side is
     grounded once per assignment of its own free, unobserved variables,
-    and kept for this call only, keyed by the formula object and then by
-    the values of those variables, in `domains` order (the formula alone
-    fixes which variables they are): a side shared by many entries, or
-    by two rules, is one object in all of them. A table is built in
-    whole-table passes: its scope's assignments (combos) are listed
-    once, each side reads its values off them through one key stream
-    (`_key_stream`), the antecedent's distinct values are grounded, in
-    the order the combos first need them, then the consequent's, and
-    the entries are the arrows of the two looked-up streams.
+    for this call only, keyed by its formula object (a lone leaf by its
+    (var, vals)) and then by those variables' values in `domains` order:
+    a side shared by many entries, or by two rules, is one object in all
+    of them. A table is built in whole-table passes: its scope's
+    assignments (combos) are listed once, each side reads its values
+    off them through one key stream (`_key_stream`), the antecedent's
+    distinct values are grounded, in the order the combos first need
+    them, then the consequent's, and the entries are the arrows of the
+    two looked-up streams.
     The swept variables are eliminated in `elimination_order`, whose
     largest table, query dimension included, is checked against
     MAX_ELIMINATION_TABLE before any rule is grounded. The tables left
@@ -577,7 +577,7 @@ def _query_forms(
             f"eliminating the swept variables needs a table of {largest} entries,"
             f" over the bound of {MAX_ELIMINATION_TABLE}")
 
-    sides: dict = {}  # formula object -> {values of its own variables: side}
+    sides: dict = {}  # side key -> {values of its own variables: side}
     tables = []
     for rule, scope in zip(rules, scopes):
         combos = list(itertools.product(*(domains[v] for v in scope)))
@@ -586,7 +586,7 @@ def _query_forms(
             # the side's own variables, and their positions in the scope
             idx = [i for i, v in enumerate(scope) if v in free]
             own = tuple(scope[i] for i in idx)
-            of_f = sides.setdefault(f, {})
+            of_f = sides.setdefault((f.var, f.vals) if isinstance(f, Leaf) else f, {})
             for values in dict.fromkeys(_key_stream(combos, idx)):
                 if values not in of_f:
                     of_f[values] = side(f, dict(zip(own, values)))
@@ -616,16 +616,19 @@ def evaluate(
     """One grade per query value under the chosen logic.
 
     semantics_input is an atom index for cl, a PossibilityAssignment
-    for fl, and a ProbabilityMeasure for pl/cpl. A zero-probability
-    antecedent under cpl yields a per-value error row, not a failure.
+    for fl, and a ProbabilityMeasure for pl/cpl. fl grades all values'
+    forms in one call. A zero-probability antecedent under cpl yields a
+    per-value error row, not a failure.
     """
     decl = grounding.kb.variable(query_var)
     # looked up at call time, so that a patched module attribute is seen;
     # an unknown tag gets None here and is refused by integrate_out
     grade = {"cl": cl_eval, "fl": fl_eval, "pl": pl_eval, "cpl": cpl_eval}.get(aldp)
+    forms = [integrate_out(grounding, obs, aldp, query_var, value) for value in decl.domain]
+    if aldp == "fl":
+        return list(map(EvalRow, decl.domain, grade(semantics_input, tuple(forms))))
     rows = []
-    for value in decl.domain:
-        form = integrate_out(grounding, obs, aldp, query_var, value)
+    for value, form in zip(decl.domain, forms):
         try:
             rows.append(EvalRow(value, grade(semantics_input, form)))
         except UndefinedConditionalError:

@@ -55,6 +55,8 @@ class Leaf(Formula):
     def __init__(self, var: str, vals: Optional[Sequence[str]] = None):
         self.var = var
         self.vals = None if vals is None else tuple(vals)
+        if self.vals == ():
+            raise FormulaError(f"leaf {var} lists no values")
 
     def __repr__(self) -> str:
         if self.vals is None:
@@ -106,7 +108,7 @@ class Implies(Formula):
         return f"({self.antecedent!r} => {self.consequent!r})"
 
 
-def fold(f: Formula, leaf, not_, and_, or_, implies, memo=None):
+def fold(f: Formula | tuple[Formula, ...], leaf, not_, and_, or_, implies):
     """Read a formula bottom-up: leaf(var, vals) at each leaf, not_(x)
     and implies(x, y) on the results of the arguments, and_(xs) and
     or_(xs) on the list of them. Arguments are visited left to right.
@@ -114,14 +116,12 @@ def fold(f: Formula, leaf, not_, and_, or_, implies, memo=None):
     Each distinct node is read once per call and its result reused
     wherever the node recurs, so a tree whose sub-trees are shared costs
     its number of nodes, not of paths; a shared node's result is the
-    same object at every place it occurs. memo, a dict from node to
-    result, may be passed to share results across calls with the same
-    five functions: a node it holds is not read again, and each node
-    read is added to it."""
+    same object at every place it occurs. f may also be a tuple of
+    formulas: they are read in order in one pass, so a node they share
+    is read once, and the result is the tuple of their results."""
     if isinstance(f, Leaf):  # a lone leaf has nothing to share: no memo
         return leaf(f.var, f.vals)
-    if memo is None:
-        memo = {}
+    memo = {}
 
     def go(node):
         if node in memo:
@@ -142,7 +142,7 @@ def fold(f: Formula, leaf, not_, and_, or_, implies, memo=None):
         return out
 
     try:
-        return go(f)
+        return tuple(map(go, f)) if isinstance(f, tuple) else go(f)
     finally:
         # go refers to itself; unlinking it frees the memo now, not at the next gc
         del go

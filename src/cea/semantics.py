@@ -283,21 +283,15 @@ def mf_independent_sample(
 
 
 class PossibilityAssignment:
-    """Per-primitive-event membership grades in [0, 1].
+    """Per-primitive-event membership grades in [0, 1]."""
 
-    grades is read-only after construction: each assignment remembers
-    the grade fl_eval gave every formula node it has read, keyed by the
-    node object (which the memo keeps alive), so one query's forms,
-    whose sub-trees are shared, grade each distinct node once."""
-
-    __slots__ = ("grades", "_graded")
+    __slots__ = ("grades",)
 
     def __init__(self, grades: Mapping[tuple[str, str], float]):
         for key, g in grades.items():
             if not 0 <= g <= 1:
                 raise ValueError(f"grade for {key} outside [0, 1]: {g}")
         self.grades = {k: float(v) for k, v in grades.items()}
-        self._graded = {}
 
     @classmethod
     def from_json(cls, data, domains=None) -> "PossibilityAssignment":
@@ -341,21 +335,19 @@ def _value_maps(section, name: str, domains=None) -> dict:
     return section
 
 
-def fl_eval(poss: PossibilityAssignment, f: Formula) -> float:
+def fl_eval(poss: PossibilityAssignment, f: Formula | tuple[Formula, ...]) -> float | tuple:
     """Possibilistic evaluation: MIN for and, MAX for or, 1-x for not,
     MAX(1-antecedent, consequent) for implies. Leaves must carry
     explicit values; a multi-valued leaf reads as their disjunction.
 
-    Each distinct node is graded once per assignment, across calls, so
-    formulas whose sub-trees are shared cost their number of distinct
-    nodes, not of paths."""
+    f may be a tuple of formulas, graded in one `fold` pass into the
+    tuple of their grades: a node they share is graded once."""
     def leaf(var: str, vals) -> float:
         if vals is None:
             raise FormulaError(f"unbound leaf {var} in fuzzy evaluation")
         return max(poss.grade(var, v) for v in vals)
 
-    return fold(f, leaf, lambda x: 1.0 - x, min, max, lambda a, c: max(1.0 - a, c),
-                poss._graded)
+    return fold(f, leaf, lambda x: 1.0 - x, min, max, lambda a, c: max(1.0 - a, c))
 
 
 def measure_from_json(

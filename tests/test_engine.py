@@ -1,5 +1,7 @@
+import gc
 import itertools
 import random
+import tracemalloc
 from fractions import Fraction
 from functools import reduce
 from operator import or_
@@ -594,11 +596,10 @@ class CountingPossibility(PossibilityAssignment):
 
 
 @pytest.mark.parametrize("case", ["bundled", "chain"])
-def test_one_possibility_assignment_grades_every_value_as_fresh_ones(case):
-    """The fl forms of one query share sub-trees. One assignment that
-    grades them all gives each the grade a fresh assignment gives it
-    alone, and reads each distinct leaf once over all of them, as one
-    call on their disjunction does."""
+def test_one_fold_pass_grades_every_value_as_fresh_ones(case):
+    """The fl forms of one query share sub-trees. Graded as one tuple,
+    each gets the grade it gets alone, and each distinct leaf is read
+    once over all of them, as one call on their disjunction reads it."""
     if case == "bundled":
         kb = load_bundled_kb()
         obs = load_bundled_observation(kb)
@@ -610,21 +611,49 @@ def test_one_possibility_assignment_grades_every_value_as_fresh_ones(case):
     rng = random.Random(case)
     grades = {(v.name, val): rng.random() for v in kb.variables for val in v.domain}
     forms = [integrate_out(grounding, obs, "fl", query.name, value) for value in query.domain]
-    shared = CountingPossibility(grades)
-    assert ([fl_eval(shared, form) for form in forms]
-            == [fl_eval(PossibilityAssignment(grades), form) for form in forms])
+    together = CountingPossibility(grades)
+    assert fl_eval(together, tuple(forms)) == tuple(
+        fl_eval(PossibilityAssignment(grades), form) for form in forms)
     once = CountingPossibility(grades)
     fl_eval(once, Or(forms))
-    assert shared.calls == once.calls
+    assert together.calls == once.calls
+
+
+def test_fl_evaluation_keeps_nothing_across_calls():
+    """One possibility assignment grading fresh groundings, call after
+    call, holds on to none of their formula nodes."""
+    kb = load_bundled_kb()
+    obs = load_bundled_observation(kb)
+    rng = random.Random("leak")
+    poss = PossibilityAssignment({(v.name, val): rng.random()
+                                  for v in kb.variables for val in v.domain})
+
+    def run():
+        evaluate(build_space(kb), obs, "fl", "th1", poss)
+
+    run()  # warm-up: caches and interned objects that outlive a call
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for _ in range(50):
+            run()
+        # a full collection empties the interpreter's free lists (tuples
+        # from itertools.product fill them), which would count as kept
+        gc.collect()
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert grown < 100_000
 
 
 @pytest.mark.parametrize("aldp", ["cl", "pl", "cpl", "fl"])
 def test_each_rule_side_is_grounded_once_per_assignment_of_its_own_variables(
         bundled, monkeypatch, aldp):
-    """On the bundled KB a query grounds 34 rule sides: 1 + 3 for
-    b1 => a1, 3 + 9 for b1 | b2 => a2 | a3, 3 + 3 for b2 => th1 and
-    9 + 3 for a1 | a2 => th1. Grounding both sides at every one of the
-    66 table entries would take 132."""
+    """On the bundled KB a query grounds 31 rule sides: 1 + 3 for
+    b1 => a1, 3 + 9 for b1 | b2 => a2 | a3, 3 + 3 for b2 => th1 and 9
+    for a1 | a2 => th1, whose consequent, the lone leaf th1, is keyed by
+    content and so is b2 => th1's. Grounding both sides at every one of
+    the 66 table entries would take 132."""
     kb, _, obs = bundled
     assignments, grounded = [], []
 
@@ -644,8 +673,8 @@ def test_each_rule_side_is_grounded_once_per_assignment_of_its_own_variables(
     monkeypatch.setattr(engine, "ground", counting(engine.ground))
     monkeypatch.setattr(engine, "bind_leaves", counting(engine.bind_leaves))
     integrate_out(build_space(kb), obs, aldp, "th1", "none")
-    assert len(grounded) == 34
-    assert len(set(grounded)) == 34
+    assert len(grounded) == 31
+    assert len(set(grounded)) == 31
 
 
 def _shared_side_kb(rules):

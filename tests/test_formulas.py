@@ -52,6 +52,14 @@ def test_parse_rejects_malformed(bad):
         from_json(bad)
 
 
+@pytest.mark.parametrize("vals", [[], (), iter([])])
+def test_leaf_refuses_an_empty_value_list(vals):
+    """An empty leaf is refused where it is built, not first met as an
+    empty reduce when a query is integrated."""
+    with pytest.raises(FormulaError, match="leaf x lists no values"):
+        Leaf("x", vals)
+
+
 def test_parse_bounds_nesting_depth():
     def chain(depth):
         """depth nodes from root to leaf, every connective in turn, and

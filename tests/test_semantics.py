@@ -317,6 +317,10 @@ def test_fl_eval_grades_each_shared_node_once():
     bound = bind_leaves(node, lambda var, vals: vals)
     assert fl_eval(poss, bound) == 0.5
     assert poss.calls == 122
+    # a tuple is graded in one pass: a sub-tree of an earlier formula is
+    # not graded again, and a formula that shares nothing is graded whole
+    assert fl_eval(poss, (bound, bound.args[0], node)) == (0.5, 0.5, 0.5)
+    assert poss.calls == 244
     level = bound
     for _ in range(60):
         assert level.args[0] is level.args[1]
