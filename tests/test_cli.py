@@ -322,6 +322,95 @@ def test_eval_rejects_malformed_kb_sections(tmp_path, kb, field):
     assert expected.get(field, f'"{field}" must be a list of objects') in proc.stderr
 
 
+def _kb_with(**changes):
+    """tiny_kb(["0", "1"]) with some of its top-level fields replaced."""
+    return {**tiny_kb(["0", "1"]), **changes}
+
+
+TINY = ["eval", "--kb", "kb.json", "--observe", "obs.json"]
+FEVER = ["eval", "--kb", "fever_kb.json", "--observe", "fever_obs.json"]
+X = {"name": "x", "kind": "data-attribute", "domain": ["0", "1"]}
+D = {"name": "d", "kind": "diagnosis", "domain": ["p", "q"]}
+
+
+# (id, files written besides the defaults, argv, the stderr message)
+EXIT_TWO_MESSAGES = [
+    ("duplicate-variables", {"kb.json": _kb_with(variables=[X, D, X])},
+     TINY + ["--aldp", "pl", "--measure", "uniform"], "duplicate variable names"),
+    ("duplicate-rule-ids", {"kb.json": _kb_with(rules=tiny_kb(["0"])["rules"] * 2)},
+     TINY + ["--aldp", "pl", "--measure", "uniform"], "duplicate rule ids"),
+    ("duplicate-domain-values", {"kb.json": tiny_kb(["0", "0"])},
+     TINY + ["--aldp", "pl", "--measure", "uniform"],
+     "variable x has duplicate domain values"),
+    ("unknown-kind", {"kb.json": _kb_with(variables=[{**X, "kind": "weird"}, D])},
+     TINY + ["--aldp", "pl", "--measure", "uniform"], "unknown variable kind 'weird' for x"),
+    ("kb-not-an-object", {"kb.json": []},
+     TINY + ["--aldp", "pl", "--measure", "uniform"],
+     "knowledge base file must be a JSON object"),
+    ("no-variables", {"kb.json": {"variables": [], "rules": []}},
+     TINY + ["--aldp", "pl", "--measure", "uniform"], "knowledge base declares no variables"),
+    ("no-diagnosis", {"kb.json": _kb_with(variables=[X], rules=[])},
+     TINY + ["--aldp", "pl", "--measure", "uniform"],
+     "knowledge base declares no diagnosis variable"),
+    ("empty-observation", {"obs.json": {"observe": {}}},
+     TINY + ["--aldp", "pl", "--measure", "uniform"], "observation is empty"),
+    ("empty-observed-values", {"obs.json": {"observe": {"x": []}}},
+     TINY + ["--aldp", "pl", "--measure", "uniform"], "observation of x is empty"),
+    ("atom-entry", {}, TINY + ["--aldp", "cl", "--atom", "x"],
+     "--atom entries must be var=value, got 'x'"),
+    ("golden-file", {"afile": ""}, ["oracle", "verify", "--atoms", "2", "--golden", "afile"],
+     "--golden afile is not a directory"),
+    ("verify-atoms", {}, ["oracle", "verify", "--atoms", "0"], "--atoms must be at least 1"),
+    ("selftest-atoms", {}, ["algebra", "selftest", "--atoms", "0"],
+     "--atoms must be at least 1"),
+    ("lewis-atoms", {}, ["lewis", "demo", "--atoms", "1"], "--atoms must be at least 2"),
+    ("verify-samples", {}, ["oracle", "verify", "--samples", "0"],
+     "--samples must be positive"),
+    ("selftest-samples", {}, ["algebra", "selftest", "--samples", "0"],
+     "--samples must be positive"),
+    ("poss-shape", {"poss.json": {}}, TINY + ["--aldp", "fl", "--poss", "poss.json"],
+     'possibility file must look like {"poss": {...}}'),
+    ("poss-grade-range",
+     {"poss.json": {"poss": {**FL_POSS["poss"],
+                             "b1": {"106-reddish": 0.9, "98-normal": 1.5}}}},
+     FEVER + ["--aldp", "fl", "--poss", "poss.json"],
+     "grade for ('b1', '98-normal') outside [0, 1]: 1.5"),
+    ("measure-not-an-object", {"measure.json": []},
+     TINY + ["--aldp", "pl", "--measure", "measure.json"],
+     "measure file must be a JSON object"),
+    ("unknown-atom-labels", {"measure.json": {"atoms": {"x=2,d=p": 1, "x=0,d=r": 0}}},
+     TINY + ["--aldp", "cpl", "--measure", "measure.json"],
+     "unknown atom labels: ['x=0,d=r', 'x=2,d=p']"),
+    ("unreadable-file", {}, ["eval", "--kb", "nope.json", "--observe", "obs.json",
+                             "--aldp", "pl", "--measure", "uniform"],
+     "cannot read nope.json: [Errno 2] No such file or directory: 'nope.json'"),
+    ("space-bound",
+     {"kb.json": _kb_with(variables=[{**X, "domain": [str(i) for i in range(1025)]},
+                                     {**D, "domain": [str(i) for i in range(1024)]}])},
+     TINY + ["--aldp", "pl", "--measure", "uniform"],
+     "joint domain product exceeds the space bound"),
+]
+
+
+@pytest.mark.parametrize("files, argv, message",
+                         [case[1:] for case in EXIT_TWO_MESSAGES],
+                         ids=[case[0] for case in EXIT_TWO_MESSAGES])
+def test_exit_two_message_is_pinned(files, argv, message, kb_path, obs_path, tmp_path,
+                                    monkeypatch, capsys):
+    """Each refusal exits 2 with nothing on stdout and exactly this one
+    line on stderr. The inputs are files in the working directory, so the
+    messages that name a file name it as given."""
+    monkeypatch.chdir(tmp_path)
+    with open(kb_path, encoding="utf-8") as kb, open(obs_path, encoding="utf-8") as obs:
+        defaults = {"kb.json": tiny_kb(["0", "1"]), "obs.json": {"observe": {"x": ["0"]}},
+                    "fever_kb.json": json.load(kb), "fever_obs.json": json.load(obs)}
+    for name, content in {**defaults, **files}.items():
+        (tmp_path / name).write_text(content if isinstance(content, str)
+                                     else json.dumps(content))
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
 @pytest.mark.parametrize("aldp,leaf,message", [
     pytest.param("pl", {"var": ["b1"]}, "leaf var must be a string: {'var': ['b1']}",
                  id="var-not-a-string"),
