@@ -27,7 +27,6 @@ from .coset import MAX_EXPAND_ATOMS
 from .engine import (
     ALDP_TAGS,
     KnowledgeBase,
-    KnowledgeBaseError,
     Observation,
     build_space,
     evaluate,
@@ -201,7 +200,8 @@ def cmd_eval(args) -> int:
     return 0
 
 
-# a sampled oracle verify sweeps about samples x 2^atoms events, each
+# a sampled oracle verify sweeps about samples x 2^atoms events, and a
+# sampled selftest or 3-atom higher-order section samples x atoms, each
 # costing a few microseconds: this budget caps a run near two minutes
 MAX_SWEEP_EVENTS = 1 << 23
 
@@ -213,14 +213,20 @@ def _check_atoms_bound(atoms: int) -> None:
         raise InputError(f"--atoms {atoms} exceeds the expansion bound of {MAX_EXPAND_ATOMS}")
 
 
-def _run_suites(args, title: str, max_exhaustive: int, suites, header) -> int:
-    """Check --atoms and --samples, run suites(space, rng) (exhaustive up
-    to max_exhaustive atoms, seeded otherwise) and print the sections
-    under a header of the flags named in `header` and the mode."""
+def _run_suites(args, title: str, max_exhaustive: int, suites, header, sweep) -> int:
+    """Check --atoms and --samples, and sweep(exhaustive), the events the
+    sampled sections would visit, against MAX_SWEEP_EVENTS; then run
+    suites(space, rng) (exhaustive up to max_exhaustive atoms, seeded
+    otherwise) and print the sections under a header of the flags named
+    in `header` and the mode."""
     _check_atoms_bound(args.atoms)
     if args.samples < 1:
         raise InputError("--samples must be positive")
     exhaustive = args.atoms <= max_exhaustive
+    events = sweep(exhaustive)
+    if events > MAX_SWEEP_EVENTS:
+        raise InputError(f"--atoms {args.atoms} --samples {args.samples} would sweep "
+                         f"{events} events, over the budget of {MAX_SWEEP_EVENTS}")
     sections = suites(AtomSpace(args.atoms), None if exhaustive else random.Random(args.seed))
     extra = {k: getattr(args, k) for k in header}
     extra["mode"] = "exhaustive" if exhaustive else "sampled"
@@ -229,17 +235,8 @@ def _run_suites(args, title: str, max_exhaustive: int, suites, header) -> int:
         payload = dict(extra)
         payload["command"] = title
         payload["passed"] = not failed
-        payload["sections"] = [
-            {
-                "name": name,
-                "checks": [
-                    {"name": c.name, "passed": c.passed, "cases": c.cases,
-                     "detail": c.detail}
-                    for c in checks
-                ],
-            }
-            for name, checks in sections
-        ]
+        payload["sections"] = [{"name": name, "checks": [c._asdict() for c in checks]}
+                               for name, checks in sections]
         print(json.dumps(payload))
     else:
         settings = " ".join(f"{k}={v}" for k, v in extra.items())
@@ -271,23 +268,26 @@ def cmd_oracle_verify(args) -> int:
                              " (--record creates it)")
 
     def suites(space, rng):
-        sweep = args.samples << args.atoms
-        if rng is not None and sweep > MAX_SWEEP_EVENTS:  # exhaustive runs ignore --samples
-            raise InputError(f"--atoms {args.atoms} --samples {args.samples} would sweep "
-                             f"{sweep} events, over the budget of {MAX_SWEEP_EVENTS}")
         sections = oracle_suites(space, rng, args.samples,
                                  higher_order=args.higher_order, seed=args.seed)
         if args.golden:
             sections.append(("golden facts", golden_check(args.golden, args.record)))
         return sections
 
-    return _run_suites(args, "oracle verify", 3, suites, ("atoms", "seed", "samples"))
+    def sweep(exhaustive):
+        if not exhaustive:
+            return args.samples << args.atoms
+        # exhaustive sections ignore --samples; on 3 atoms the higher-order one samples
+        return args.samples * args.atoms if args.higher_order and args.atoms == 3 else 0
+
+    return _run_suites(args, "oracle verify", 3, suites, ("atoms", "seed", "samples"), sweep)
 
 
 def cmd_algebra_selftest(args) -> int:
     return _run_suites(args, "algebra selftest", 4,
                        lambda space, rng: algebra_suites(space, rng, args.samples),
-                       ("atoms", "seed"))
+                       ("atoms", "seed"),
+                       lambda exhaustive: 0 if exhaustive else args.samples * args.atoms)
 
 
 def cmd_lewis_demo(args) -> int:
@@ -323,7 +323,7 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return args.func(args)
-    except (InputError, KnowledgeBaseError, ValueError) as exc:
+    except (InputError, ValueError) as exc:  # KnowledgeBaseError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -98,9 +98,8 @@ def class_intersect(a: ConditionalObject, c: ConditionalObject) -> frozenset[Eve
     """The literal intersection of two cosets. When it is not empty it
     is itself a coset; :func:`intersection_criterion` predicts when it
     is empty."""
-    inter = expand(a) & expand(c)
     _check_same_space(a, c)
-    return inter
+    return expand(a) & expand(c)
 
 
 def intersection_criterion(a: ConditionalObject, c: ConditionalObject) -> bool:

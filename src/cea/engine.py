@@ -37,13 +37,14 @@ from __future__ import annotations
 
 import itertools
 import math
-from functools import partial, reduce
-from operator import and_, itemgetter, or_
+from functools import partial
+from operator import itemgetter
 from typing import Mapping, NamedTuple, Optional, Sequence, Union
 
 from .algebra import AtomSpace, Event, _event, material_implies
 from .conditional import ConditionalObject, _make, conjoin_all, disjoin_all, embed
-from .formulas import And, Formula, Implies, Leaf, Or, bind_leaves, from_json, ground
+from .formulas import (And, Formula, Implies, Leaf, Or, _join_all, _meet_all, bind_leaves,
+                       from_json, ground)
 from .semantics import (
     UndefinedConditionalError,
     cl_eval,
@@ -209,12 +210,10 @@ class Grounding:
         # integrate_out's one memo slot: (key, {query value: form}).
         self._integrated = None
         variables = kb.variables
+        # looked up at call time, so that a patched module attribute is seen
+        self.space = AtomSpace(sizes, lambda: _atom_labels(variables))
         if any("," in s or "=" in s for v in variables for s in [v.name, *v.domain]):
-            labels = _atom_labels(variables)
-        else:
-            # looked up at call time, so that a patched module attribute is seen
-            labels = lambda: _atom_labels(variables)
-        self.space = AtomSpace(sizes, labels)
+            self.space.atom_labels  # the read builds and checks them
         # In product order a variable with d values and stride s holds
         # value j on a block of s atoms at offset j*s of every period of
         # d*s atoms; multiplying the block by `repeat` tiles it.
@@ -240,7 +239,7 @@ class Grounding:
     def values_mask(self, var: str, values: Sequence[str]) -> int:
         """The mask of var taking any of values: for one value, the
         table's own int, so that a lone leaf's side copies nothing."""
-        return reduce(or_, [self.primitive_mask(var, value) for value in values])
+        return _join_all([self.primitive_mask(var, value) for value in values])
 
     def values_event(self, var: str, values: Sequence[str]) -> Event:
         return _event(self.space, self.values_mask(var, values))
@@ -341,8 +340,6 @@ def relevant_rules(kb: KnowledgeBase, obs: Observation) -> list[Rule]:
 
 
 ConjoinedForm = Union[Event, ConditionalObject, Formula]
-_meet_all = partial(reduce, and_)
-_join_all = partial(reduce, or_)
 
 
 def lattice(grounding: Grounding, obs: Observation, aldp: str):
@@ -366,8 +363,7 @@ def lattice(grounding: Grounding, obs: Observation, aldp: str):
     def side(f, assignment):
         return grounding.ground_formula(f, obs, assignment)
 
-    y = reduce(and_, (grounding.values_event(var, vals)
-                      for var, vals in obs.observed.items()))
+    y = _meet_all(grounding.values_event(var, vals) for var, vals in obs.observed.items())
     if aldp == "cpl":
         return (conjoin_all, disjoin_all, [embed(y)], side,
                 lambda ant, cons: _make(ant.space, cons.mask & ant.mask, ant.mask))
@@ -393,7 +389,7 @@ def _mask_lattice(grounding: Grounding, obs: Observation, aldp: str):
     def side(f, assignment):
         return grounding.ground_mask(f, obs, assignment)
 
-    y = reduce(and_, (grounding.values_mask(var, vals) for var, vals in obs.observed.items()))
+    y = _meet_all(grounding.values_mask(var, vals) for var, vals in obs.observed.items())
     if aldp == "cpl":
         def wrap(m):
             lo = m & full

@@ -230,10 +230,9 @@ def lewis_gap(p: ProbabilityMeasure, a: Event, b: Event):
 
     Returns (p(b=>a), p(a|b), gap). The excess factors exactly as
     p(b') * p(a'|b), and the implication never scores below the
-    conditional; both facts are asserted on every call.
+    conditional; both facts are asserted on every call. A b of
+    probability zero raises UndefinedConditionalError, from cpl_eval.
     """
-    if p(b) == 0:
-        raise UndefinedConditionalError("antecedent has probability zero")
     p_imp = p(material_implies(b, a))
     p_cond = cpl_eval(p, ConditionalObject(a & b, b))
     p_not_b = p(~b)
@@ -390,10 +389,7 @@ def measure_from_json(
         }
         for var, vals in factors.items():
             total = sum(vals.values())
-            if all(isinstance(w, Fraction) for w in vals.values()):
-                if total != 1:
-                    raise ValueError(f"factor for {var} sums to {total}")
-            elif abs(float(total) - 1.0) > TOLERANCE:
+            if not weights_close(total, Fraction(1)):
                 raise ValueError(f"factor for {var} sums to {total}")
         _check_factors_cover(factors, domains)
         columns = [[factors[var][val] for val in domain] for var, domain in domains]

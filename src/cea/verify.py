@@ -26,7 +26,7 @@ import os
 import random
 from contextlib import contextmanager
 from functools import cache, partial, reduce
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .algebra import AtomSpace, Event, _event, material_implies
 from .conditional import (
@@ -54,18 +54,11 @@ from .higher import (
 )
 
 
-class CheckResult:
-    __slots__ = ("name", "passed", "cases", "detail")
-
-    def __init__(self, name: str, passed: bool, cases: int, detail: str = ""):
-        self.name = name
-        self.passed = passed
-        self.cases = cases
-        self.detail = detail
-
-    def __repr__(self) -> str:
-        status = "PASS" if self.passed else "FAIL"
-        return f"{status} {self.name} ({self.cases} cases)"
+class CheckResult(NamedTuple):
+    name: str
+    passed: bool
+    cases: int
+    detail: str = ""
 
 
 def _check(name: str, cases: Callable[[], Iterable], pred: Callable[..., object]) -> CheckResult:

@@ -646,6 +646,28 @@ def test_oracle_verify_sweep_budget_edges(argv, code, err, monkeypatch, capsys):
     assert (bool(out), got) == (code == 0, err)
 
 
+@pytest.mark.parametrize("argv, code, err", [
+    # a sampled selftest (over 4 atoms) sweeps samples x atoms
+    (["algebra", "selftest", "--atoms", "5", "--samples", "24"], 0, ""),
+    (["algebra", "selftest", "--atoms", "5", "--samples", "25"], 2,
+     "error: --atoms 5 --samples 25 would sweep 125 events, over the budget of 120\n"),
+    (["algebra", "selftest", "--atoms", "4", "--samples", "1000"], 0, ""),
+    # a 3-atom higher-order section samples, under an exhaustive header
+    (["oracle", "verify", "--atoms", "3", "--higher-order", "--samples", "40"], 0, ""),
+    (["oracle", "verify", "--atoms", "3", "--higher-order", "--samples", "41"], 2,
+     "error: --atoms 3 --samples 41 would sweep 123 events, over the budget of 120\n"),
+    (["oracle", "verify", "--atoms", "2", "--higher-order", "--samples", "1000"], 0, ""),
+], ids=["selftest-at-budget", "selftest-over-budget", "selftest-exhaustive",
+        "higher-order-at-budget", "higher-order-over-budget", "higher-order-exhaustive"])
+def test_sampled_verifier_budget_edges(argv, code, err, monkeypatch, capsys):
+    """Every sampled verifier path checks its sweep against the budget
+    before any section runs, not only oracle verify past 3 atoms."""
+    monkeypatch.setattr(cli, "MAX_SWEEP_EVENTS", 120)
+    assert main(argv) == code
+    out, got = capsys.readouterr()
+    assert (bool(out), got) == (code == 0, err)
+
+
 def test_oracle_verify_golden_roundtrip(tmp_path):
     golden = tmp_path / "golden"
     proc = run_cli("oracle", "verify", "--atoms", "2", "--golden", str(golden), "--record")

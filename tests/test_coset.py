@@ -166,6 +166,19 @@ def test_mask_reads_keep_the_space_check(s3):
     assert recognize(s3, class_intersect(a, b)).ant == a.ant | b.ant
 
 
+def test_class_intersect_checks_the_spaces_before_expanding():
+    """A coset past MAX_EXPAND_ATOMS against one of another space is a
+    space mismatch, as intersection_criterion says, not an expansion
+    too large to build."""
+    big, small = AtomSpace(coset_module.MAX_EXPAND_ATOMS + 1), AtomSpace(2)
+    pairs = [(cond(big.zero, big.atom(0)), cond(small.zero, small.one))]
+    pairs.append(pairs[0][::-1])
+    for a, c in pairs:
+        for fn in (class_intersect, intersection_criterion):
+            with pytest.raises(MismatchedSpaceError):
+                fn(a, c)
+
+
 def test_classwise_keeps_the_space_check(s3):
     """classwise runs the Event operators, and they refuse members of
     another space; members of an equal space combine."""

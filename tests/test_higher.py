@@ -63,6 +63,23 @@ def test_iter_equal_matches_member_sets_exhaustively():
             assert iter_equal(x, y) == (x.members == y.members)
 
 
+def test_eq_and_hash_across_equal_spaces():
+    """Within one space iter_cond hands out one object per pair, so `is`
+    stands in for ==; two equal but distinct spaces build their own
+    objects, which only __eq__ and __hash__ can match."""
+    left, right = AtomSpace(2), AtomSpace(2)
+    assert left == right and left is not right
+    families = [[iter_cond(a, c) for a in conditionals(s) for c in conditionals(s)]
+                for s in (left, right)]
+    for x, y in zip(*families):
+        assert x is not y
+        assert x == y and hash(x) == hash(y)
+    for x in families[0]:
+        for y in families[1]:
+            assert (x == y) == (x.members == y.members)
+            assert x != y or hash(x) == hash(y)
+
+
 def test_same_numerator_different_beta_witness(s3):
     """Two iterated conditionals can share the numerator pair yet differ:
     the third parameter separates them, as the member sets confirm."""

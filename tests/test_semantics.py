@@ -226,6 +226,15 @@ def test_lewis_gap_examples():
     assert p_imp == 1 and p_cond == 1 and gap == 0
 
 
+@pytest.mark.parametrize("b", [[], [1]], ids=["empty", "null-atom"])
+def test_lewis_gap_refuses_a_null_antecedent(b):
+    """Conditioning on b of probability zero is undefined, as in cpl_eval."""
+    s2 = AtomSpace(2)
+    p = ProbabilityMeasure.from_numerators(s2, [1, 0], 1)
+    with pytest.raises(UndefinedConditionalError, match="^antecedent has probability zero$"):
+        lewis_gap(p, s2.one, s2.event(b))
+
+
 def test_lewis_identity_random_exact():
     space = AtomSpace(4)
     rng = random.Random(17)
