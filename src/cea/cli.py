@@ -218,7 +218,8 @@ def _run_suites(args, title: str, max_exhaustive: int, suites, header, sweep) ->
     sampled sections would visit, against MAX_SWEEP_EVENTS; then run
     suites(space, rng) (exhaustive up to max_exhaustive atoms, seeded
     otherwise) and print the sections under a header of the flags named
-    in `header` and the mode."""
+    in `header` and the mode: "mixed" when an exhaustive run's sweep is
+    nonzero, since some section of it samples."""
     _check_atoms_bound(args.atoms)
     if args.samples < 1:
         raise InputError("--samples must be positive")
@@ -229,7 +230,7 @@ def _run_suites(args, title: str, max_exhaustive: int, suites, header, sweep) ->
                          f"{events} events, over the budget of {MAX_SWEEP_EVENTS}")
     sections = suites(AtomSpace(args.atoms), None if exhaustive else random.Random(args.seed))
     extra = {k: getattr(args, k) for k in header}
-    extra["mode"] = "exhaustive" if exhaustive else "sampled"
+    extra["mode"] = ("mixed" if events else "exhaustive") if exhaustive else "sampled"
     failed = [c for _, checks in sections for c in checks if not c.passed]
     if args.format == "json":
         payload = dict(extra)

@@ -24,7 +24,7 @@ from typing import Mapping, Sequence, Union
 
 from .algebra import AtomSpace, Event, material_implies
 from .conditional import ConditionalObject
-from .formulas import Formula, FormulaError, fold
+from .formulas import Formula, FormulaError, _meet_all, fold
 
 TOLERANCE = 1e-12
 
@@ -70,11 +70,11 @@ _BIT_SELECTORS = bytes.maketrans(b"01", b"\x00\x01")
 class ProbabilityMeasure:
     """Nonnegative atom weights summing to one.
 
-    An exact measure keeps its weights as integer numerators over one
-    common denominator, so p(e) is one integer sum and one Fraction. Built
-    from them (`from_numerators`), it makes its `weights` list of
-    Fractions only when that is read. A float (or mixed) measure adds the
-    weights of e's atoms in ascending atom order, starting from 0.0.
+    An exact measure holds only integer numerators over one common
+    denominator, whichever constructor built it, so p(e) is one integer
+    sum and one Fraction; its `weights` list of Fractions is made from
+    them when first read. A float (or mixed) measure adds the weights of
+    e's atoms in ascending atom order, starting from 0.0.
 
     The constructor copies the weights it is given. When each is already
     a float or a Fraction, its per-atom checks (types, signs, the total)
@@ -86,51 +86,42 @@ class ProbabilityMeasure:
     __slots__ = ("space", "exact", "_weights", "_numerators", "_denominator", "_masses")
 
     def __init__(self, space: AtomSpace, weights: Sequence[Weight]):
-        if len(weights) != space.atom_count:
-            raise ValueError("one weight per atom required")
-        if all(map(isinstance, weights, repeat((float, Fraction)))):
-            weights = list(weights)
-        else:
-            weights = [w if isinstance(w, (float, Fraction)) else parse_weight(w)
-                       for w in weights]
-        self.space = space
-        self.exact = all(map(isinstance, weights, repeat(Fraction)))
-        self._weights = weights
-        self._masses = {}
-        if self.exact:
-            denominator = math.lcm(*{w.denominator for w in weights})
-            self._set_numerators(
-                [w.numerator * (denominator // w.denominator) for w in weights], denominator)
-        else:
-            # min() >= 0 rules out a negative weight; otherwise (a negative
-            # weight, or a NaN met first) the scan decides
-            if not min(weights) >= 0 and any(w < 0 for w in weights):
-                raise ValueError("weights must be nonnegative")
-            total = sum(weights)
-            if not abs(float(total) - 1.0) <= TOLERANCE:
-                raise ValueError(f"weights sum to {total}, expected 1")
-            self._numerators = self._denominator = None
+        self._setup(space, weights, None)
 
     @classmethod
     def from_numerators(cls, space: AtomSpace, numerators: list[int],
                         denominator: int) -> "ProbabilityMeasure":
         """The exact measure giving atom i the weight
         numerators[i] / denominator."""
-        if len(numerators) != space.atom_count:
-            raise ValueError("one weight per atom required")
         p = object.__new__(cls)
-        p.space, p.exact, p._weights, p._masses = space, True, None, {}
-        p._set_numerators(numerators, denominator)
+        p._setup(space, numerators, denominator)
         return p
 
-    def _set_numerators(self, numerators: list[int], denominator: int) -> None:
-        if min(numerators) < 0:
+    def _setup(self, space: AtomSpace, values: Sequence, denominator: int | None) -> None:
+        """Check and hold one weight per atom: `values` are the weights
+        when `denominator` is None, else integer numerators over it.
+        Weights that are all exact become numerators here."""
+        if len(values) != space.atom_count:
+            raise ValueError("one weight per atom required")
+        if denominator is None:
+            if all(map(isinstance, values, repeat((float, Fraction)))):
+                values = list(values)
+            else:
+                values = [w if isinstance(w, (float, Fraction)) else parse_weight(w)
+                          for w in values]
+            if all(map(isinstance, values, repeat(Fraction))):
+                denominator = math.lcm(*{w.denominator for w in values})
+                values = [w.numerator * (denominator // w.denominator) for w in values]
+        # min() >= 0 rules out a negative value; otherwise (a negative
+        # value, or a NaN met first) the scan decides
+        if not min(values) >= 0 and any(v < 0 for v in values):
             raise ValueError("weights must be nonnegative")
-        total = Fraction(sum(numerators), denominator)
-        if total != 1:
+        total = sum(values) if denominator is None else Fraction(sum(values), denominator)
+        if not weights_close(total, Fraction(1)):
             raise ValueError(f"weights sum to {total}, expected 1")
-        self._numerators = numerators
-        self._denominator = denominator
+        exact = denominator is not None
+        self.space, self.exact, self._denominator, self._masses = space, exact, denominator, {}
+        self._weights, self._numerators = (None, values) if exact else (values, None)
 
     @property
     def weights(self) -> list[Weight]:
@@ -205,10 +196,7 @@ def inclusion_exclusion(p: ProbabilityMeasure, events: Sequence[Event]) -> Weigh
     for k in range(1, len(events) + 1):
         sign = 1 if k % 2 == 1 else -1
         for subset in combinations(indices, k):
-            inter = events[subset[0]]
-            for i in subset[1:]:
-                inter = inter & events[i]
-            total += sign * p(inter)
+            total += sign * p(_meet_all(events[i] for i in subset))
     return total
 
 

@@ -652,7 +652,7 @@ def test_oracle_verify_sweep_budget_edges(argv, code, err, monkeypatch, capsys):
     (["algebra", "selftest", "--atoms", "5", "--samples", "25"], 2,
      "error: --atoms 5 --samples 25 would sweep 125 events, over the budget of 120\n"),
     (["algebra", "selftest", "--atoms", "4", "--samples", "1000"], 0, ""),
-    # a 3-atom higher-order section samples, under an exhaustive header
+    # a 3-atom higher-order section samples, under a mixed header
     (["oracle", "verify", "--atoms", "3", "--higher-order", "--samples", "40"], 0, ""),
     (["oracle", "verify", "--atoms", "3", "--higher-order", "--samples", "41"], 2,
      "error: --atoms 3 --samples 41 would sweep 123 events, over the budget of 120\n"),
@@ -666,6 +666,23 @@ def test_sampled_verifier_budget_edges(argv, code, err, monkeypatch, capsys):
     assert main(argv) == code
     out, got = capsys.readouterr()
     assert (bool(out), got) == (code == 0, err)
+
+
+@pytest.mark.parametrize("argv, mode", [
+    (["oracle", "verify", "--atoms", "2", "--higher-order"], "exhaustive"),
+    (["oracle", "verify", "--atoms", "3", "--higher-order", "--samples", "8"], "mixed"),
+    (["oracle", "verify", "--atoms", "4", "--samples", "8"], "sampled"),
+    (["algebra", "selftest", "--atoms", "2"], "exhaustive"),
+    (["algebra", "selftest", "--atoms", "5", "--samples", "8"], "sampled"),
+], ids=["verify-exhaustive", "verify-mixed", "verify-sampled", "selftest-exhaustive",
+        "selftest-sampled"])
+def test_verifier_header_names_the_mode(argv, mode, capsys):
+    """The header says "exhaustive" only when no section samples: on 3
+    atoms the higher-order section samples beside exhaustive ones."""
+    assert main(argv) == 0
+    assert capsys.readouterr().out.splitlines()[0].endswith(f" mode={mode}")
+    assert main([*argv, "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["mode"] == mode
 
 
 def test_oracle_verify_golden_roundtrip(tmp_path):

@@ -1015,7 +1015,7 @@ def test_remembered_masses_match_the_atom_scan(bundled):
         _assert_same_measure(p, events)
 
 
-@pytest.mark.parametrize("numerators,denominator", [([3, -1], 2), ([1, 1], 3)])
+@pytest.mark.parametrize("numerators,denominator", [([3, -1], 2), ([1, 1], 3), ([1, 0, 0], 1)])
 def test_numerator_measure_checks_as_the_weight_list_does(numerators, denominator):
     space = AtomSpace(2)
     with pytest.raises(ValueError) as want:

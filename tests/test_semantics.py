@@ -103,6 +103,30 @@ def test_measure_checks_match_the_per_atom_reference(s3):
         assert [type(w) for w in p.weights] == [type(w) for w in got_weights]
 
 
+@pytest.mark.parametrize("n", range(1, 9))
+def test_exact_measure_is_the_same_from_either_constructor(n):
+    """An exact measure holds numerators only, whichever constructor
+    built it, and makes its weights from them when they are read: the
+    weights (values and types), every mass and the repr agree."""
+    space = AtomSpace(n)
+    rng = random.Random(f"exact-{n}")
+    scale = rng.randrange(1, 4)  # numerators need not be in lowest terms
+    numerators = [scale * rng.randrange(0, 10) for _ in range(n)]
+    numerators[-1] += scale
+    denominator = sum(numerators)
+    given = ProbabilityMeasure(space, [Fraction(k, denominator) for k in numerators])
+    built = ProbabilityMeasure.from_numerators(space, numerators, denominator)
+    assert given.exact and built.exact
+    assert given._weights is None and built._weights is None
+    for _ in range(20):
+        e = space.event_from_mask(rng.randrange(1 << n))
+        assert given(e) == built(e)
+        assert type(given(e)) is type(built(e)) is Fraction
+    assert given.weights == built.weights
+    assert [type(w) for w in given.weights] == [type(w) for w in built.weights] == [Fraction] * n
+    assert repr(given) == repr(built)
+
+
 @pytest.mark.parametrize("weights", [[0.5, 0.25, 0.25], [Fraction(1, 2), 0.25, 0.25],
                                      [Fraction(1, 2), Fraction(1, 4), Fraction(1, 4)],
                                      [1, 0, 0]])
