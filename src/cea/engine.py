@@ -99,8 +99,8 @@ class Rule:
     of the consequent, in that order: what each side's grounding reads
     besides the observation."""
 
-    __slots__ = ("id", "antecedent", "consequent", "leaves", "side_free_variables",
-                 "_variables", "_free_variables")
+    __slots__ = ("id", "antecedent", "consequent", "leaves", "variables", "free_variables",
+                 "side_free_variables")
 
     def __init__(self, rule_id: str, antecedent: Formula, consequent: Formula):
         if not isinstance(rule_id, str):
@@ -110,16 +110,10 @@ class Rule:
         self.consequent = consequent
         sides = (antecedent.leaves(), consequent.leaves())
         self.leaves = frozenset(sides[0] | sides[1])
-        self._variables = frozenset(var for var, _ in self.leaves)
+        self.variables = frozenset(var for var, _ in self.leaves)
         self.side_free_variables = tuple(
             frozenset(var for var, vals in side if vals is None) for side in sides)
-        self._free_variables = self.side_free_variables[0] | self.side_free_variables[1]
-
-    def variables(self) -> frozenset[str]:
-        return self._variables
-
-    def free_variables(self) -> frozenset[str]:
-        return self._free_variables
+        self.free_variables = self.side_free_variables[0] | self.side_free_variables[1]
 
     def __repr__(self) -> str:
         return f"Rule({self.id}: {self.antecedent!r} => {self.consequent!r})"
@@ -137,7 +131,7 @@ class KnowledgeBase:
         self.rules = list(rules)
         self._by_name = {v.name: v for v in variables}
         for rule in rules:
-            missing = rule.variables() - set(names)
+            missing = rule.variables - set(names)
             if missing:
                 raise KnowledgeBaseError(
                     f"rule {rule.id} references undeclared variables {sorted(missing)}"
@@ -323,20 +317,19 @@ def relevant_rules(kb: KnowledgeBase, obs: Observation) -> list[Rule]:
     """The potential firing class, in declaration order: rules whose
     antecedent or consequent mentions an observed variable, closed under
     variable sharing so that rules chained through auxiliary variables
-    participate in the conjunction as well."""
+    participate in the conjunction as well. A pass grows the reached
+    variables rule by rule, so a chain declared in order takes one pass."""
     reachable = set(obs.observed)
-    chosen: set[str] = set()
-    changed = True
-    while changed:
-        changed = False
+    rules: list[Rule] = []
+    while True:
+        fired = []
         for rule in kb.rules:
-            if rule.id in chosen:
-                continue
-            if rule.variables() & reachable:
-                chosen.add(rule.id)
-                reachable |= rule.variables()
-                changed = True
-    return [r for r in kb.rules if r.id in chosen]
+            if rule.variables & reachable:
+                fired.append(rule)
+                reachable |= rule.variables
+        if len(fired) == len(rules):
+            return fired
+        rules = fired
 
 
 ConjoinedForm = Union[Event, ConditionalObject, Formula]
@@ -413,21 +406,6 @@ def conjoin_f(
     meet, _, base, side, arrow = lattice(grounding, obs, aldp)
     return meet(base + [arrow(side(rule.antecedent, assignment),
                               side(rule.consequent, assignment)) for rule in rules])
-
-
-def sweep_variables(
-    kb: KnowledgeBase, rules: Sequence[Rule], obs: Observation, query_var: str
-) -> list[VariableDecl]:
-    """The unobserved, non-query variables the rules mention: the ones
-    integrated out."""
-    mentioned: set[str] = set()
-    for r in rules:
-        mentioned |= r.variables()
-    out = []
-    for v in kb.variables:
-        if v.name in mentioned and v.name not in obs and v.name != query_var:
-            out.append(v)
-    return out
 
 
 def elimination_order(
@@ -538,10 +516,12 @@ def _query_forms(
 ) -> dict[str, ConjoinedForm]:
     """Every query value's form from one variable elimination.
 
-    Each relevant rule becomes a table over the swept variables its free
-    leaves name, and over the query variable too when that is free there
-    and unobserved (an observed one resolves through the observation).
-    A table's entry is the arrow of the rule's two sides. Each side is
+    Its variables (`domains`) are those the relevant rules' free leaves
+    name, less the observed ones (which resolve through the
+    observation), in declaration order with the query variable last: a
+    variable named only in bound leaves never enters a table. Each rule
+    becomes a table over the ones its own free leaves name. A table's
+    entry is the arrow of the rule's two sides. Each side is
     grounded once per assignment of its own free, unobserved variables,
     for this call only, keyed by its formula object (a lone leaf by its
     (var, vals)) and then by those variables' values in `domains` order:
@@ -563,10 +543,10 @@ def _query_forms(
     kb = grounding.kb
     meet, join, base, side, arrow, wrap = _mask_lattice(grounding, obs, aldp)
     rules = relevant_rules(kb, obs)
-    domains = {v.name: v.domain for v in sweep_variables(kb, rules, obs, query.name)}
-    if query.name not in obs:
-        domains[query.name] = query.domain
-    scopes = [tuple(v for v in domains if v in rule.free_variables()) for rule in rules]
+    free = set().union(*(rule.free_variables for rule in rules)).difference(obs.observed)
+    query_last = [v for v in kb.variables if v.name != query.name] + [query]
+    domains = {v.name: v.domain for v in query_last if v.name in free}
+    scopes = [tuple(v for v in domains if v in rule.free_variables) for rule in rules]
     order, largest = elimination_order(scopes, domains, keep=query.name)
     if largest > MAX_ELIMINATION_TABLE:
         raise KnowledgeBaseError(

@@ -41,13 +41,6 @@ class Formula:
         """The distinct (var, vals) pairs of the leaves."""
         return fold(self, lambda var, vals: {(var, vals)}, _same, _union, _union, set.union)
 
-    def variables(self) -> set[str]:
-        return {var for var, _ in self.leaves()}
-
-    def free_variables(self) -> set[str]:
-        """Variables of the leaves that carry no values of their own."""
-        return {var for var, vals in self.leaves() if vals is None}
-
 
 class Leaf(Formula):
     __slots__ = ("var", "vals")

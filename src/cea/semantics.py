@@ -63,6 +63,24 @@ def weights_close(x: Weight, y: Weight) -> bool:
     return abs(float(x) - float(y)) <= TOLERANCE
 
 
+def _weight_total(weights: Sequence[Weight], magnitude: Weight | None = None) -> Weight:
+    """The total a sum-to-one check decides on, the same on every
+    Python: an exact total is sum()'s, a float one the left-to-right sum
+    from 0.0 that p() reads. From Python 3.12 sum() of floats is
+    compensated, so it is only the fast path: the left-to-right total of
+    n weights, floats or Fractions, and sum()'s on any version each lie
+    within n * 2**-53 * magnitude of the exact sum, so a sum() inside
+    TOLERANCE of 1 by twice that decides as the left-to-right total
+    would. magnitude is the sum of the weights' absolute values; None
+    when none is negative, which makes it the total."""
+    total = sum(weights)
+    if isinstance(total, float):
+        margin = (2 * len(weights) + 1) * 2**-53 * (total if magnitude is None else magnitude)
+        if not abs(total - 1) + margin <= TOLERANCE:
+            total = reduce(add, weights, 0.0)
+    return total
+
+
 # bytes.translate table: the ASCII digits of bin() to 0/1 selectors
 _BIT_SELECTORS = bytes.maketrans(b"01", b"\x00\x01")
 
@@ -116,7 +134,8 @@ class ProbabilityMeasure:
         # value, or a NaN met first) the scan decides
         if not min(values) >= 0 and any(v < 0 for v in values):
             raise ValueError("weights must be nonnegative")
-        total = sum(values) if denominator is None else Fraction(sum(values), denominator)
+        total = (_weight_total(values) if denominator is None
+                 else Fraction(sum(values), denominator))
         if not weights_close(total, Fraction(1)):
             raise ValueError(f"weights sum to {total}, expected 1")
         exact = denominator is not None
@@ -376,7 +395,8 @@ def measure_from_json(
             for var, vals in _value_maps(data["factors"], "factors", domains).items()
         }
         for var, vals in factors.items():
-            total = sum(vals.values())
+            factor = list(vals.values())
+            total = _weight_total(factor, sum(map(abs, factor)))
             if not weights_close(total, Fraction(1)):
                 raise ValueError(f"factor for {var} sums to {total}")
         _check_factors_cover(factors, domains)

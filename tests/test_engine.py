@@ -26,7 +26,6 @@ from cea.engine import (
     kb_from_json,
     observation_from_json,
     relevant_rules,
-    sweep_variables,
 )
 from cea.formulas import And, Implies, Leaf, NaryOp, Not, Or, from_json, to_json
 from cea.semantics import (
@@ -37,6 +36,14 @@ from cea.semantics import (
     parse_weight,
     random_measure,
 )
+
+
+def sweep_variables(kb, rules, obs, query_var):
+    """The reference sweep: every unobserved, non-query variable the
+    rules mention, free or bound, in declaration order."""
+    mentioned = set().union(*(r.variables for r in rules))
+    return [v for v in kb.variables
+            if v.name in mentioned and v.name not in obs and v.name != query_var]
 
 
 def enumerate_integrate_out(grounding, obs, aldp, query_var, query_value):
@@ -55,6 +62,11 @@ def enumerate_integrate_out(grounding, obs, aldp, query_var, query_value):
     if aldp == "cpl":
         return disjoin_all(forms)
     return reduce(or_, forms)
+
+
+def _free_variables(f):
+    """The variables of the free leaves of f."""
+    return {var for var, vals in f.leaves() if vals is None}
 
 
 def scan_assignments(kb):
@@ -165,13 +177,6 @@ def test_relevant_rules_empty_and_full():
     kb = kb_from_json(data)
     assert relevant_rules(kb, Observation(kb, {"lonely": ["0"]})) == []
     assert [r.id for r in relevant_rules(kb, Observation(kb, {"x": ["1"]}))] == ["r"]
-
-
-def test_sweep_variables(bundled):
-    kb, _, obs = bundled
-    rules = relevant_rules(kb, obs)
-    names = [v.name for v in sweep_variables(kb, rules, obs, "th1")]
-    assert names == ["a1", "a2", "a3", "b2"]
 
 
 def test_conjoin_event_form(bundled):
@@ -419,11 +424,49 @@ def test_rules_that_never_name_the_query():
     })
     grounding = build_space(kb)
     obs = Observation(kb, {"x": ["1"]})
-    assert all("d" not in r.free_variables() for r in relevant_rules(kb, obs))
+    assert all("d" not in r.free_variables for r in relevant_rules(kb, obs))
     poss = _seeded_poss(kb)
     for aldp in ("cl", "fl", "pl", "cpl"):
         for value in ("r", "p", "q"):
             _assert_oracle_form(grounding, obs, aldp, "d", value, poss)
+
+
+def test_elimination_knows_only_the_free_unobserved_variables(monkeypatch):
+    """Fired rules name w only in bound leaves, and the query d is free
+    in no rule: the elimination's variables are exactly the free,
+    unobserved ones (a alone), and every form is still the enumerating
+    oracle's, which sweeps every unobserved variable the rules mention."""
+    w1 = {"var": "w", "vals": ["1"]}
+    kb = kb_from_json({
+        "variables": [
+            {"name": "x", "kind": "data-attribute", "domain": ["0", "1"]},
+            {"name": "w", "kind": "auxiliary-attribute", "domain": ["1", "2", "3"]},
+            {"name": "a", "kind": "auxiliary-attribute", "domain": ["1", "2", "3"]},
+            {"name": "d", "kind": "diagnosis", "domain": ["p", "q", "r"]},
+        ],
+        "rules": [
+            {"id": "r", "if": {"var": "x"}, "then": {"op": "or", "args": [{"var": "a"}, w1]}},
+            {"id": "s", "if": {"op": "and", "args": [{"var": "a", "vals": ["2", "3"]}, w1]},
+             "then": {"var": "d", "vals": ["q"]}},
+            {"id": "t", "if": {"var": "a"}, "then": {"var": "d", "vals": ["p", "r"]}},
+        ],
+    })
+    grounding = build_space(kb)
+    obs = Observation(kb, {"x": ["1"]})
+    assert [r.id for r in relevant_rules(kb, obs)] == ["r", "s", "t"]
+    seen = []
+
+    def recording(scopes, domains, keep=None):
+        seen.append(dict(domains))
+        return order(scopes, domains, keep)
+
+    order = engine.elimination_order
+    monkeypatch.setattr(engine, "elimination_order", recording)
+    poss = _seeded_poss(kb)
+    for aldp in ("cl", "pl", "cpl", "fl"):
+        for value in ("p", "q", "r"):
+            _assert_oracle_form(grounding, obs, aldp, "d", value, poss)
+    assert seen == [{"a": ["1", "2", "3"]}] * 4
 
 
 def test_refused_call_leaves_nothing_behind(bundled, monkeypatch):
@@ -504,8 +547,9 @@ def test_primitive_masks_match_atom_scan(bundled):
 def test_elimination_order_is_greedy_with_declaration_ties(bundled):
     kb, _, obs = bundled
     rules = relevant_rules(kb, obs)
-    domains = {v.name: v.domain for v in sweep_variables(kb, rules, obs, "th1")}
-    scopes = [tuple(v for v in domains if v in r.free_variables()) for r in rules]
+    free = set().union(*(r.free_variables for r in rules)) - set(obs.observed) - {"th1"}
+    domains = {v.name: v.domain for v in kb.variables if v.name in free}
+    scopes = [tuple(v for v in domains if v in r.free_variables) for r in rules]
     assert scopes == [("a1",), ("a2", "a3", "b2"), ("b2",), ("a1", "a2")]
     # a1 leaves a 3-entry table; then a2, a3 and b2 each leave 9 and a2
     # comes first; the joint table over a2, a3, b2 is the largest
@@ -663,7 +707,7 @@ def test_each_rule_side_is_grounded_once_per_assignment_of_its_own_variables(
 
     def counting(fn):
         def wrapper(f, resolve):
-            own = f.free_variables() - set(obs.observed)
+            own = _free_variables(f) - set(obs.observed)
             grounded.append((f, tuple(sorted((v, assignments[-1][v]) for v in own))))
             return fn(f, resolve)
         return wrapper
@@ -706,7 +750,7 @@ def test_shared_rule_sides_match_enumeration():
 
 def _side_assignments(grounding, obs, f):
     """Every assignment of the free variables of f that obs leaves open."""
-    own = sorted(f.free_variables() - set(obs.observed))
+    own = sorted(_free_variables(f) - set(obs.observed))
     for combo in itertools.product(*(grounding.kb.variable(v).domain for v in own)):
         yield dict(zip(own, combo))
 

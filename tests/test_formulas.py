@@ -33,7 +33,7 @@ def test_parse_round_trip():
     }
     f = from_json(node)
     assert to_json(f) == node
-    assert f.variables() == {"b1", "b2", "a1"}
+    assert f.leaves() == {("b1", None), ("b2", ("1",)), ("a1", ("2", "3"))}
 
 
 @pytest.mark.parametrize("bad", [
@@ -256,8 +256,6 @@ def test_fold_matches_the_recursions_it_replaced(seed):
                 == old_to_json(old_bind_leaves(f, resolve_vals)))
         leaves = old_leaves(f)
         assert f.leaves() == {(leaf.var, leaf.vals) for leaf in leaves}
-        assert f.variables() == {leaf.var for leaf in leaves}
-        assert f.free_variables() == {leaf.var for leaf in leaves if leaf.vals is None}
         # fl reads bound trees, and refuses a free leaf with the same message
         assert outcome(fl_eval, poss, f) == outcome(old_fl_eval, poss, f)
         bound = bind_leaves(f, resolve_vals)
