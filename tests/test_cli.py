@@ -816,6 +816,8 @@ def test_verifier_stdout_matches_snapshot(snapshot):
 
 EVAL_LOGICS = {
     "cl": ["cl", "--atom", "a1=1,a2=1,a3=2,b1=106-reddish,b2=1,th1=some"],
+    "cl_first": ["cl", "--atom", "a1=1,a2=1,a3=1,b1=106-reddish,b2=1,th1=none"],
+    "cl_last": ["cl", "--atom", "a1=3,a2=3,a3=3,b1=98-normal,b2=3,th1=prog"],
     "pl_uniform": ["pl", "--measure", "uniform"],
     "cpl_uniform": ["cpl", "--measure", "uniform"],
     "fl": ["fl", "--poss", os.path.join(SNAPSHOT_DIR, "eval_fever_poss.json")],
@@ -834,10 +836,11 @@ EVAL_LOGICS = {
 @pytest.mark.parametrize("logic", EVAL_LOGICS)
 def test_eval_stdout_matches_snapshot(kb_path, obs_path, capsys, logic, fmt):
     """Each file is the full stdout of one `cea eval`. The plain rows run
-    on the bundled KB and observation; the fl run reads the committed
-    poss file, the pl_float and cpl_float runs the committed float
-    factors file, and the pl_exact and cpl_exact runs the committed
-    "p/q" factors file. The chain6_ rows run on the committed inputs of
+    on the bundled KB and observation; cl_first and cl_last grade at its
+    first and last atom, the lowest and highest bit of the atom lookup;
+    the fl run reads the committed poss file, the pl_float and cpl_float
+    runs the committed float factors file, and the pl_exact and
+    cpl_exact runs the committed "p/q" factors file. The chain6_ rows run on the committed inputs of
     `perfbench/gen.py chain --k 6 --seed 1` (chain6_*.json), whose
     elimination sweeps six buckets and sums floats that json prints in
     full."""

@@ -721,6 +721,67 @@ def test_each_rule_side_is_grounded_once_per_assignment_of_its_own_variables(
     assert len(set(grounded)) == 31
 
 
+def _first_need_groundings(kb, obs, query):
+    """The reference grounding order: rule by rule, its antecedent's
+    then its consequent's, each side's key (a lone leaf by its (var,
+    vals), any other side by identity) and own assignment at the first
+    combo of the rule's scope that needs them, the scope being the
+    rule's free, unobserved variables in declaration order with the
+    query last."""
+    rules = relevant_rules(kb, obs)
+    order = [v for v in kb.variables if v.name != query] + [kb.variable(query)]
+    seen = []
+    for rule in rules:
+        scope = [v for v in order if v.name in rule.free_variables - set(obs.observed)]
+        for f in (rule.antecedent, rule.consequent):
+            own = _free_variables(f) - set(obs.observed)
+            for combo in itertools.product(*(v.domain for v in scope)):
+                assignment = dict(zip((v.name for v in scope), combo))
+                need = (_side_key(f), tuple(sorted((v, assignment[v]) for v in own)))
+                if need not in seen:
+                    seen.append(need)
+    return seen
+
+
+def _side_key(f):
+    return (f.var, f.vals) if isinstance(f, Leaf) else f
+
+
+@pytest.mark.parametrize("aldp", ["cl", "pl", "cpl", "fl"])
+@pytest.mark.parametrize("case", ["bundled", "chain6"])
+def test_rule_sides_are_grounded_in_first_need_order(bundled, monkeypatch, case, aldp):
+    """One query grounds each (side, own assignment) once, in the order
+    the rules' combos first need them: the order that fixes
+    `formulas.ground_calls` and the node order of fl's forms."""
+    if case == "bundled":
+        kb, _, obs = bundled
+        query = "th1"
+    else:
+        kb, query = chain_kb(6), "th"
+        obs = Observation(kb, {"b1": ["x"]})
+    assignments, grounded = [], []
+
+    def recording_leaf_values(observation, assignment):
+        assignments.append(assignment)
+        return leaf_values(observation, assignment)
+
+    def recording(fn):
+        def wrapper(f, resolve):
+            own = _free_variables(f) - set(obs.observed)
+            grounded.append((_side_key(f),
+                             tuple(sorted((v, assignments[-1][v]) for v in own))))
+            return fn(f, resolve)
+        return wrapper
+
+    leaf_values = engine.leaf_values
+    monkeypatch.setattr(engine, "leaf_values", recording_leaf_values)
+    monkeypatch.setattr(engine, "ground", recording(engine.ground))
+    monkeypatch.setattr(engine, "bind_leaves", recording(engine.bind_leaves))
+    integrate_out(build_space(kb), obs, aldp, query, kb.variable(query).domain[0])
+    assert grounded == _first_need_groundings(kb, obs, query)
+    assert len(grounded) == (31 if case == "bundled" else 22)
+
+
 def _shared_side_kb(rules):
     variables = [VariableDecl("x", "data-attribute", ["0", "1"]),
                  VariableDecl("a", "auxiliary-attribute", ["1", "2", "3"]),
