@@ -42,7 +42,7 @@ from operator import itemgetter
 from typing import Mapping, NamedTuple, Optional, Sequence, Union
 
 from .algebra import AtomSpace, Event, _event, material_implies
-from .conditional import ConditionalObject, _make, conjoin_all, disjoin_all, embed
+from .conditional import ConditionalObject, _make, cond, conjoin_all, disjoin_all, embed
 from .formulas import (And, Formula, Implies, Leaf, Or, _join_all, _meet_all, bind_leaves,
                        from_json, ground)
 from .semantics import (
@@ -121,8 +121,9 @@ class Rule:
 
 class KnowledgeBase:
     def __init__(self, variables: Sequence[VariableDecl], rules: Sequence[Rule]):
-        names = [v.name for v in variables]
-        if len(set(names)) != len(names):
+        # each domain as a set, for one lookup per rule value
+        domains = {v.name: set(v.domain) for v in variables}
+        if len(domains) != len(variables):
             raise KnowledgeBaseError("duplicate variable names")
         rule_ids = [r.id for r in rules]
         if len(set(rule_ids)) != len(rule_ids):
@@ -131,13 +132,13 @@ class KnowledgeBase:
         self.rules = list(rules)
         self._by_name = {v.name: v for v in variables}
         for rule in rules:
-            missing = rule.variables - set(names)
+            missing = rule.variables - domains.keys()
             if missing:
                 raise KnowledgeBaseError(
                     f"rule {rule.id} references undeclared variables {sorted(missing)}"
                 )
             bad = sorted((var, val) for var, vals in rule.leaves for val in vals or ()
-                         if val not in self._by_name[var].domain)
+                         if val not in domains[var])
             if bad:
                 raise KnowledgeBaseError(
                     f"rule {rule.id} binds {bad[0][0]} to {bad[0][1]!r}, not in its domain")
@@ -153,10 +154,10 @@ class KnowledgeBase:
 
 
 class Observation:
-    """Observed value subsets per variable."""
+    """Observed value subsets per variable, each a tuple."""
 
     def __init__(self, kb: KnowledgeBase, observed: Mapping[str, Sequence[str]]):
-        self.observed: dict[str, list[str]] = {}
+        self.observed: dict[str, tuple[str, ...]] = {}
         for var, vals in observed.items():
             decl = kb.variable(var)
             if not _is_string_list(vals):
@@ -169,7 +170,7 @@ class Observation:
                 raise KnowledgeBaseError(
                     f"observation of {var} has out-of-domain values {sorted(bad)}"
                 )
-            self.observed[var] = list(vals)
+            self.observed[var] = tuple(vals)
         if not self.observed:
             raise KnowledgeBaseError("observation is empty")
 
@@ -188,10 +189,11 @@ class Grounding:
     reads them (the "atoms" measure form does), unless a variable name or
     value contains "," or "=": only then can two labels coincide, so only
     then are they built, and checked for uniqueness, up front.
-    Holds one table, the mask of every primitive event var[value];
-    `primitive` wraps one as an Event when asked. Grounds whole formulas
-    to masks (`ground_mask`, the engine's path) or to events
-    (`ground_formula`, the oracle's).
+    Holds one table, the mask of every primitive event var[value]; an
+    assignment's atom is the one bit its masks share, and `values_event`
+    wraps a join of them as an Event. Grounds whole formulas to masks
+    (`ground_mask`, the engine's path) or to events (`ground_formula`,
+    the oracle's).
     """
 
     def __init__(self, kb: KnowledgeBase):
@@ -227,9 +229,6 @@ class Grounding:
         except KeyError:
             raise KnowledgeBaseError(f"unknown primitive event {var}[{value}]") from None
 
-    def primitive(self, var: str, value: str) -> Event:
-        return _event(self.space, self.primitive_mask(var, value))
-
     def values_mask(self, var: str, values: Sequence[str]) -> int:
         """The mask of var taking any of values: for one value, the
         table's own int, so that a lone leaf's side copies nothing."""
@@ -245,16 +244,16 @@ class Grounding:
         for var in assignment:
             if var not in self.kb._by_name:
                 raise KnowledgeBaseError(f"assignment names undeclared variable {var!r}")
-        idx = 0
+        mask = self.space.full_mask
         for var in self.kb.variables:
             if var.name not in assignment:
                 raise KnowledgeBaseError(f"assignment gives no value for {var.name}")
-            value = assignment[var.name]
-            if value not in var.domain:
+            key = (var.name, assignment[var.name])
+            if key not in self._primitive:
                 raise KnowledgeBaseError(
-                    f"assignment binds {var.name} to {value!r}, not in its domain")
-            idx = idx * len(var.domain) + var.domain.index(value)
-        return idx
+                    f"assignment binds {key[0]} to {key[1]!r}, not in its domain")
+            mask &= self._primitive[key]
+        return mask.bit_length() - 1
 
     def ground_formula(
         self,
@@ -301,7 +300,7 @@ def leaf_values(observation: Optional[Observation], assignment: Mapping[str, str
         if vals is not None:
             return vals
         if observation is not None and var in observation:
-            return tuple(observation.observed[var])
+            return observation.observed[var]
         if var in assignment:
             return (assignment[var],)
         raise KnowledgeBaseError(f"no binding for variable {var}")
@@ -358,8 +357,7 @@ def lattice(grounding: Grounding, obs: Observation, aldp: str):
 
     y = _meet_all(grounding.values_event(var, vals) for var, vals in obs.observed.items())
     if aldp == "cpl":
-        return (conjoin_all, disjoin_all, [embed(y)], side,
-                lambda ant, cons: _make(ant.space, cons.mask & ant.mask, ant.mask))
+        return (conjoin_all, disjoin_all, [embed(y)], side, lambda ant, cons: cond(cons, ant))
     return _meet_all, _join_all, [y], side, material_implies
 
 
@@ -505,7 +503,7 @@ def integrate_out(
         raise KnowledgeBaseError(f"query variable {query_var} is not a diagnosis")
     if query_value not in decl.domain:
         raise KnowledgeBaseError(f"{query_value!r} not in the domain of {query_var}")
-    key = (aldp, query_var, tuple((var, tuple(vals)) for var, vals in obs.observed.items()))
+    key = (aldp, query_var, tuple(obs.observed.items()))
     if grounding._integrated is None or grounding._integrated[0] != key:
         grounding._integrated = (key, _query_forms(grounding, obs, aldp, decl))
     return grounding._integrated[1][query_value]
@@ -527,11 +525,11 @@ def _query_forms(
     (var, vals)) and then by those variables' values in `domains` order:
     a side shared by many entries, or by two rules, is one object in all
     of them. A table is built in whole-table passes: its scope's
-    assignments (combos) are listed once, each side reads its values
-    off them through one key stream (`_key_stream`), the antecedent's
-    distinct values are grounded, in the order the combos first need
-    them, then the consequent's, and the entries are the arrows of the
-    two looked-up streams.
+    assignments (combos) are listed once; each side, the antecedent
+    first, is grounded over the product of its own variables' domains
+    (a subsequence of the scope's: the order the combos first need
+    them) and read off the combos through one key stream
+    (`_key_stream`); the entries are the arrows of the two streams.
     The swept variables are eliminated in `elimination_order`, whose
     largest table, query dimension included, is checked against
     MAX_ELIMINATION_TABLE before any rule is grounded. The tables left
@@ -563,7 +561,7 @@ def _query_forms(
             idx = [i for i, v in enumerate(scope) if v in free]
             own = tuple(scope[i] for i in idx)
             of_f = sides.setdefault((f.var, f.vals) if isinstance(f, Leaf) else f, {})
-            for values in dict.fromkeys(_key_stream(combos, idx)):
+            for values in itertools.product(*(domains[v] for v in own)):
                 if values not in of_f:
                     of_f[values] = side(f, dict(zip(own, values)))
             grounded.append(map(of_f.__getitem__, _key_stream(combos, idx)))

@@ -23,7 +23,7 @@ from operator import add
 from typing import Mapping, Sequence, Union
 
 from .algebra import AtomSpace, Event, material_implies
-from .conditional import ConditionalObject
+from .conditional import ConditionalObject, cond
 from .formulas import Formula, FormulaError, _meet_all, fold
 
 TOLERANCE = 1e-12
@@ -241,9 +241,9 @@ def lewis_gap(p: ProbabilityMeasure, a: Event, b: Event):
     probability zero raises UndefinedConditionalError, from cpl_eval.
     """
     p_imp = p(material_implies(b, a))
-    p_cond = cpl_eval(p, ConditionalObject(a & b, b))
+    p_cond = cpl_eval(p, cond(a, b))
     p_not_b = p(~b)
-    p_cond_neg = cpl_eval(p, ConditionalObject(~a & b, b))
+    p_cond_neg = cpl_eval(p, cond(~a, b))
     if not weights_close(p_imp, p_cond + p_not_b * p_cond_neg):
         raise AssertionError("implication/conditioning decomposition violated")
     if float(p_imp) < float(p_cond) - TOLERANCE:
@@ -326,7 +326,7 @@ def _value_maps(section, name: str, domains=None) -> dict:
     is declared and every value lies in its domain."""
     if not isinstance(section, dict):
         raise ValueError(f'"{name}" must be an object of variables')
-    declared = None if domains is None else dict(domains)
+    declared = None if domains is None else {var: set(domain) for var, domain in domains}
     for var, vals in section.items():
         if not isinstance(vals, dict):
             raise ValueError(f'"{name}" entry for {var} must be an object of values,'
@@ -368,11 +368,11 @@ def measure_from_json(
     product measure over a variable-grounded space and requires that
     grounding's (name, domain) pairs in declaration order. Its weights
     are the Kronecker product of the factors, each atom's product taken
-    left to right in declaration order. When every factor weight is
-    exact, each factor becomes integer numerators over its own common
-    denominator, and the measure is their Kronecker product over the
-    product of those denominators: the same rationals, with no Fraction
-    per atom.
+    left to right in declaration order from 1. When every factor weight
+    is exact, each factor first becomes integer numerators over its own
+    common denominator, and the measure is their Kronecker product over
+    the product of those denominators: the same rationals, with no
+    Fraction per atom.
     """
     if not isinstance(data, dict):
         raise ValueError("measure file must be a JSON object")
@@ -401,17 +401,16 @@ def measure_from_json(
                 raise ValueError(f"factor for {var} sums to {total}")
         _check_factors_cover(factors, domains)
         columns = [[factors[var][val] for val in domain] for var, domain in domains]
-        if all(isinstance(w, Fraction) for column in columns for w in column):
-            numerators, denominator = [1], 1
-            for column in columns:
+        exact = all(isinstance(w, Fraction) for column in columns for w in column)
+        weights, denominator = [1], 1
+        for column in columns:
+            if exact:
                 d = math.lcm(*(w.denominator for w in column))
                 column = [w.numerator * (d // w.denominator) for w in column]
-                numerators = [n * c for n in numerators for c in column]
                 denominator *= d
-            return ProbabilityMeasure.from_numerators(space, numerators, denominator)
-        weights = [Fraction(1)]
-        for column in columns:
-            weights = [w * f for w in weights for f in column]
+            weights = [w * c for w in weights for c in column]
+        if exact:
+            return ProbabilityMeasure.from_numerators(space, weights, denominator)
         return ProbabilityMeasure(space, weights)
     raise ValueError('measure file needs an "atoms" or "factors" section')
 

@@ -166,19 +166,19 @@ def test_criterion_8_pipeline():
     kb = load_bundled_kb()
     grounding = build_space(kb)
     obs = load_bundled_observation(kb)
-    y = grounding.primitive("b1", "106-reddish")
+    y = grounding.values_event("b1", ["106-reddish"])
 
     from functools import reduce
 
     def dom_join(var):
         return reduce(lambda x, z: x | z,
-                      (grounding.primitive(var, v) for v in kb.variable(var).domain))
+                      (grounding.values_event(var, [v]) for v in kb.variable(var).domain))
 
     eta0 = dom_join("a1") & (dom_join("a2") | dom_join("a3"))
     p = random_measure(grounding.space, random.Random(13), exact=True)
     for value in kb.variable("th1").domain:
         event_form = integrate_out(grounding, obs, "pl", "th1", value)
-        assert event_form == eta0 & grounding.primitive("th1", value) & y
+        assert event_form == eta0 & grounding.values_event("th1", [value]) & y
         cond_form = integrate_out(grounding, obs, "cpl", "th1", value)
         assert cond_form.consequent == event_form
         direct_ratio = pl_eval(p, cond_form.consequent) / pl_eval(p, cond_form.antecedent)

@@ -127,10 +127,10 @@ def test_build_space(bundled):
     kb, grounding, _ = bundled
     assert grounding.space.atom_count == 486
     # primitive events slice the space by one variable's value
-    assert grounding.primitive("b1", "106-reddish").mask.bit_count() == 243
-    assert grounding.primitive("th1", "some").mask.bit_count() == 162
-    with pytest.raises(KnowledgeBaseError):
-        grounding.primitive("b1", "nonsense")
+    assert grounding.values_event("b1", ["106-reddish"]).mask.bit_count() == 243
+    assert grounding.values_event("th1", ["some"]).mask.bit_count() == 162
+    with pytest.raises(KnowledgeBaseError, match=r"^unknown primitive event b1\[nonsense\]$"):
+        grounding.values_event("b1", ["nonsense"])
 
 
 def test_atom_of_assignment(bundled):
@@ -139,6 +139,8 @@ def test_atom_of_assignment(bundled):
                   "b2": "1", "th1": "none"}
     idx = grounding.atom_of_assignment(assignment)
     assert scan_assignments(grounding.kb)[idx] == assignment
+    for idx, assignment in enumerate(scan_assignments(grounding.kb)):
+        assert grounding.atom_of_assignment(assignment) == idx
     with pytest.raises(KnowledgeBaseError):
         grounding.atom_of_assignment({"a1": "1"})
 
@@ -147,10 +149,10 @@ def test_grounding_commutes_with_connectives(bundled):
     _, grounding, _ = bundled
     f = from_json({"op": "or", "args": [
         {"var": "a1", "vals": ["1"]}, {"var": "a2", "vals": ["2", "3"]}]})
-    direct = grounding.primitive("a1", "1") | grounding.values_event("a2", ["2", "3"])
+    direct = grounding.values_event("a1", ["1"]) | grounding.values_event("a2", ["2", "3"])
     assert grounding.ground_formula(f) == direct
     g = from_json({"op": "not", "args": [{"var": "b2", "vals": ["1"]}]})
-    assert grounding.ground_formula(g) == ~grounding.primitive("b2", "1")
+    assert grounding.ground_formula(g) == ~grounding.values_event("b2", ["1"])
 
 
 def test_relevant_rules_closure(bundled):
@@ -187,10 +189,10 @@ def test_conjoin_event_form(bundled):
     rules = relevant_rules(kb, obs)
     assignment = {"a1": "2", "a2": "1", "a3": "3", "b2": "1", "th1": "some"}
     f = conjoin_f(grounding, obs, rules, "pl", assignment)
-    y = grounding.primitive("b1", "106-reddish")
-    eta = grounding.primitive("a1", "2") & (
-        grounding.primitive("a2", "1") | grounding.primitive("a3", "3"))
-    assert f == y & eta & grounding.primitive("th1", "some")
+    y = grounding.values_event("b1", ["106-reddish"])
+    eta = grounding.values_event("a1", ["2"]) & (
+        grounding.values_event("a2", ["1"]) | grounding.values_event("a3", ["3"]))
+    assert f == y & eta & grounding.values_event("th1", ["some"])
 
 
 def test_conjoin_conditional_form(bundled):
@@ -217,9 +219,9 @@ def test_conjoin_single_rule_vacuous_antecedent():
     assert grounding.space.atom_count == 4
     obs = Observation(kb, {"x": ["0"]})
     rules = relevant_rules(kb, obs)
-    y = grounding.primitive("x", "0")
+    y = grounding.values_event("x", ["0"])
     f = conjoin_f(grounding, obs, rules, "pl", {"d": "p"})
-    assert f == y & grounding.primitive("d", "p")
+    assert f == y & grounding.values_event("d", ["p"])
 
 
 def test_conjoin_requires_complete_assignment(bundled):
@@ -233,16 +235,16 @@ def test_integrate_out_event_identity(bundled):
     """The integrated-out event is the symptom meet the diagnosis slice
     meet the domain-join factor, computed here independently."""
     kb, grounding, obs = bundled
-    y = grounding.primitive("b1", "106-reddish")
+    y = grounding.values_event("b1", ["106-reddish"])
 
     def dom_join(var):
         decl = kb.variable(var)
         return reduce(lambda x, z: x | z,
-                      (grounding.primitive(var, v) for v in decl.domain))
+                      (grounding.values_event(var, [v]) for v in decl.domain))
 
     eta0 = dom_join("a1") & (dom_join("a2") | dom_join("a3"))
     for value in kb.variable("th1").domain:
-        expected = eta0 & grounding.primitive("th1", value) & y
+        expected = eta0 & grounding.values_event("th1", [value]) & y
         assert integrate_out(grounding, obs, "pl", "th1", value) == expected
         assert integrate_out(grounding, obs, "cl", "th1", value) == expected
 
@@ -527,6 +529,44 @@ def test_kb_validation_errors():
         observation_from_json(kb, {"observe": ["x"]})
 
 
+class CountingStr(str):
+    """A domain value that counts the == comparisons made against it."""
+    __hash__ = str.__hash__
+    compared = 0
+
+    def __eq__(self, other):
+        CountingStr.compared += 1
+        return str.__eq__(self, other)
+
+
+def test_rule_values_are_checked_against_their_domain_in_linear_time():
+    """A rule leaf that lists all d values of its variable is checked
+    with O(d) value comparisons, not one domain scan per value."""
+    d = 2000
+    data = {
+        "variables": [{"name": "x", "kind": "data-attribute",
+                       "domain": [CountingStr(f"v{i}") for i in range(d)]}],
+        "rules": [{"id": "r", "if": {"var": "x", "vals": [f"v{i}" for i in range(d)]},
+                   "then": {"var": "x"}}],
+    }
+    CountingStr.compared = 0
+    kb = kb_from_json(data)
+    assert CountingStr.compared < 10 * d
+    assert [r.id for r in kb.rules] == ["r"]
+
+
+def test_factor_values_are_checked_against_their_domain_in_linear_time():
+    """A factor over a d-value domain is checked with O(d) value
+    comparisons, not one domain scan per value."""
+    d = 2000
+    domain = [CountingStr(f"v{i}") for i in range(d)]
+    data = {"factors": {"x": {f"v{i}": f"1/{d}" for i in range(d)}}}
+    CountingStr.compared = 0
+    p = measure_from_json(AtomSpace(d), data, [("x", domain)])
+    assert CountingStr.compared < 10 * d
+    assert p(AtomSpace(d).event([d - 1])) == Fraction(1, d)
+
+
 def test_primitive_masks_match_atom_scan(bundled):
     three = kb_from_json({
         "variables": [
@@ -541,7 +581,7 @@ def test_primitive_masks_match_atom_scan(bundled):
             for val in var.domain:
                 scan = sum(1 << i for i, a in enumerate(scan_assignments(grounding.kb))
                            if a[var.name] == val)
-                assert grounding.primitive(var.name, val).mask == scan
+                assert grounding.values_event(var.name, [val]).mask == scan
 
 
 def test_elimination_order_is_greedy_with_declaration_ties(bundled):
