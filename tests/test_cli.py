@@ -829,6 +829,20 @@ EVAL_LOGICS = {
     "chain6_pl": ["pl", "--measure", os.path.join(SNAPSHOT_DIR, "chain6_factors_float.json")],
     "chain6_cpl": ["cpl", "--measure", os.path.join(SNAPSHOT_DIR, "chain6_factors_float.json")],
     "chain6_fl": ["fl", "--poss", os.path.join(SNAPSHOT_DIR, "chain6_poss.json")],
+    "bound_cl": ["cl", "--atom", "a1=1,a2=1,a3=1,b1=106-reddish,b2=1,th1=none"],
+    "bound_pl_uniform": ["pl", "--measure", "uniform"],
+    "bound_cpl_uniform": ["cpl", "--measure", "uniform"],
+    "bound_pl_exact":
+        ["pl", "--measure", os.path.join(SNAPSHOT_DIR, "eval_fever_factors_exact.json")],
+    "bound_cpl_exact":
+        ["cpl", "--measure", os.path.join(SNAPSHOT_DIR, "eval_fever_factors_exact.json")],
+    "bound_fl": ["fl", "--poss", os.path.join(SNAPSHOT_DIR, "eval_fever_poss.json")],
+    "chain6_bound_cl": ["cl", "--atom", "b1=x,a0=1,a1=1,a2=1,a3=1,a4=1,a5=1,th=t0"],
+    "chain6_bound_pl":
+        ["pl", "--measure", os.path.join(SNAPSHOT_DIR, "chain6_factors_float.json")],
+    "chain6_bound_cpl":
+        ["cpl", "--measure", os.path.join(SNAPSHOT_DIR, "chain6_factors_float.json")],
+    "chain6_bound_fl": ["fl", "--poss", os.path.join(SNAPSHOT_DIR, "chain6_poss.json")],
 }
 
 
@@ -843,12 +857,19 @@ def test_eval_stdout_matches_snapshot(kb_path, obs_path, capsys, logic, fmt):
     cpl_exact runs the committed "p/q" factors file. The chain6_ rows run on the committed inputs of
     `perfbench/gen.py chain --k 6 --seed 1` (chain6_*.json), whose
     elimination sweeps six buckets and sums floats that json prints in
-    full."""
+    full. The bound_ rows run the same logics on fever_bound_kb.json and
+    chain6_bound_kb.json, whose rules bind values, so that the rules are
+    not vacuous under the join and each logic's reading of a rule shows
+    in the grades (`test_bound_inputs_grade_rules_that_matter`)."""
     stem = f"fever_{logic}"
     if logic.startswith("chain6_"):
         stem = logic
         kb_path, obs_path = (os.path.join(SNAPSHOT_DIR, f"chain6_{name}.json")
                              for name in ("kb", "obs"))
+        if logic.startswith("chain6_bound_"):
+            kb_path = os.path.join(SNAPSHOT_DIR, "chain6_bound_kb.json")
+    elif logic.startswith("bound_"):
+        kb_path = os.path.join(SNAPSHOT_DIR, "fever_bound_kb.json")
     snapshot = f"eval_{stem}.{'txt' if fmt == 'text' else 'json'}"
     with open(os.path.join(SNAPSHOT_DIR, snapshot), encoding="utf-8") as fh:
         expected = fh.read()

@@ -1,5 +1,7 @@
 import gc
 import itertools
+import json
+import os
 import random
 import tracemalloc
 from fractions import Fraction
@@ -606,6 +608,40 @@ def chain_kb(k):
     rules = [{"id": f"r{i}", "if": {"var": src}, "then": {"var": dst}}
              for i, (src, dst) in enumerate(zip(path, path[1:]))]
     return kb_from_json({"variables": variables, "rules": rules})
+
+
+SNAPSHOT_DIR = os.path.join(os.path.dirname(__file__), "snapshots")
+
+
+def bound_case(name):
+    """(kb, obs, query) of a snapshot input whose rules bind values:
+    "fever_bound", the bundled KB's rules with some leaves bound, under
+    the bundled observation, or "chain6_bound", chain KB(6) with b1[x]
+    as its first antecedent and a1, a3 and a5 bound to 1 or 2 as
+    consequents, under b1 = x."""
+    with open(os.path.join(SNAPSHOT_DIR, f"{name}_kb.json"), encoding="utf-8") as fh:
+        kb = kb_from_json(json.load(fh))
+    if name == "fever_bound":
+        return kb, load_bundled_observation(kb), "th1"
+    return kb, Observation(kb, {"b1": ["x"]}), "th"
+
+
+@pytest.mark.parametrize("name", ["fever_bound", "chain6_bound"])
+def test_bound_inputs_grade_rules_that_matter(name):
+    """The bound_ snapshots pin how each logic reads a rule only while
+    their rules are not vacuous under the join: for some query value the
+    pl form is not y & q[t], and under the uniform measure the pl grade
+    (of b' | a) differs from the cpl grade (of (a|b))."""
+    kb, obs, query = bound_case(name)
+    grounding = build_space(kb)
+    y = reduce(lambda m, item: m & grounding.values_mask(*item), obs.observed.items(),
+               grounding.space.full_mask)
+    uniform = ProbabilityMeasure.uniform(grounding.space)
+    rows = zip(kb.variable(query).domain, evaluate(grounding, obs, "pl", query, uniform),
+               evaluate(grounding, obs, "cpl", query, uniform))
+    assert any(integrate_out(grounding, obs, "pl", query, value).mask
+               != y & grounding.values_mask(query, [value]) and pl.grade != cpl.grade
+               for value, pl, cpl in rows)
 
 
 def _random_formula(rng, variables, depth):
