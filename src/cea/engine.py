@@ -38,13 +38,13 @@ from __future__ import annotations
 import itertools
 import math
 from functools import partial
-from operator import itemgetter
+from operator import and_, invert, itemgetter, or_
 from typing import Mapping, NamedTuple, Optional, Sequence, Union
 
 from .algebra import AtomSpace, Event, _event, material_implies
 from .conditional import ConditionalObject, _make, cond, conjoin_all, disjoin_all, embed
-from .formulas import (And, Formula, Implies, Leaf, Or, _join_all, _meet_all, bind_leaves,
-                       from_json, ground)
+from .formulas import (And, Formula, Implies, Leaf, NaryOp, Not, Or, _join_all, _meet_all,
+                       bind_leaves, fold, from_json, ground)
 from .semantics import (
     UndefinedConditionalError,
     cl_eval,
@@ -191,8 +191,9 @@ class Grounding:
     then are they built, and checked for uniqueness, up front.
     Holds one table, the mask of every primitive event var[value]; an
     assignment's atom is the one bit its masks share, and `values_event`
-    wraps a join of them as an Event. Grounds whole formulas to masks
-    (`ground_mask`, the engine's path) or to events (`ground_formula`,
+    wraps a join of them as an Event. Grounds a whole formula to the
+    mask at every assignment of its own variables (`ground_table`, the
+    engine's path) or to an event at one assignment (`ground_formula`,
     the oracle's).
     """
 
@@ -232,6 +233,8 @@ class Grounding:
     def values_mask(self, var: str, values: Sequence[str]) -> int:
         """The mask of var taking any of values: for one value, the
         table's own int, so that a lone leaf's side copies nothing."""
+        if len(values) == 1:
+            return self.primitive_mask(var, values[0])
         return _join_all([self.primitive_mask(var, value) for value in values])
 
     def values_event(self, var: str, values: Sequence[str]) -> Event:
@@ -266,20 +269,22 @@ class Grounding:
         vals_of = leaf_values(observation, assignment or {})
         return ground(f, lambda var, vals: self.values_event(var, vals_of(var, vals)))
 
-    def ground_mask(
+    def ground_table(
         self,
         f: Formula,
-        observation: Optional[Observation] = None,
-        assignment: Optional[Mapping[str, str]] = None,
-    ) -> int:
-        """ground_formula's mask, grounded on ints. A negation there is
-        Python's ~, which sets every bit above the space. Every node's
-        bits above the space are then all 0 or all 1, so a negative
-        result is cut to the space once, at the end, and any other is
-        in it already (and may be a table's own int)."""
-        vals_of = leaf_values(observation, assignment or {})
-        mask = ground(f, lambda var, vals: self.values_mask(var, vals_of(var, vals)))
-        return mask if mask >= 0 else mask & self.space.full_mask
+        observation: Optional[Observation],
+        own: Mapping[str, Sequence[str]],
+    ) -> list[int]:
+        """ground_formula's mask at every assignment of own, in
+        itertools.product order, from one fold on ints (`_table_leaves`).
+        own maps f's free, unobserved variables to their domains. A
+        negation there is Python's ~, which sets every bit above the
+        space. Every node's bits above the space are then all 0 or all
+        1, so a negative entry is cut to the space once, at the end, and
+        any other is in it already (and may be the table's own int)."""
+        full = self.space.full_mask
+        table = _entries(ground(f, _table_leaves(observation, own, self.values_mask)), own)
+        return [m if m >= 0 else m & full for m in table]
 
 
 def _atom_labels(variables: Sequence[VariableDecl]) -> list[str]:
@@ -306,6 +311,91 @@ def leaf_values(observation: Optional[Observation], assignment: Mapping[str, str
         raise KnowledgeBaseError(f"no binding for variable {var}")
 
     return resolve
+
+
+class _Entries(tuple):
+    """A rule side's table under construction: one value per assignment
+    of the side's own variables. &, | and ~ act entry by entry, and a
+    plain operand is shared by every entry, so that `ground` folds a
+    table as it folds one mask."""
+
+    __slots__ = ()
+
+    def __and__(self, other):
+        return _entrywise(and_, self, other)
+
+    def __or__(self, other):
+        return _entrywise(or_, self, other)
+
+    def __invert__(self):
+        return _Entries(map(invert, self))
+
+    __rand__, __ror__ = __and__, __or__
+
+
+def _entrywise(op, *args):
+    """op(*args), or, when an arg is an _Entries, the _Entries of op on
+    each entry, a plain arg being shared by every entry."""
+    if _Entries not in map(type, args):
+        return op(*args)
+    n = len(next(a for a in args if type(a) is _Entries))
+    return _Entries(map(op, *(a if type(a) is _Entries else itertools.repeat(a, n)
+                              for a in args)))
+
+
+def _table_leaves(observation: Optional[Observation], own: Mapping[str, Sequence[str]], make):
+    """The leaf function of a side table's fold. own maps the side's
+    free, unobserved variables to their domains. A free leaf of one of
+    them resolves to an _Entries: make(var, (value,)) at each assignment
+    of own, in itertools.product order. Any other leaf, bound or
+    observed, resolves once (through leaf_values), to the one
+    make(var, vals) that every entry shares."""
+    vals_of = leaf_values(observation, {})
+
+    def leaf(var, vals):
+        if vals is None and var in own:
+            # in product order, var's value holds for runs of the later
+            # variables' combos, and the runs repeat for the earlier ones'
+            sizes = list(map(len, own.values()))
+            i = list(own).index(var)
+            run = math.prod(sizes[i + 1:])
+            column = [made for value in own[var] for made in [make(var, (value,))] * run]
+            return _Entries(column * math.prod(sizes[:i]))
+        return make(var, vals_of(var, vals))
+
+    return leaf
+
+
+def _entries(out, own: Mapping[str, Sequence[str]]) -> Sequence:
+    """A side table's fold result as its entries: a plain result is
+    shared by every assignment of own."""
+    return out if type(out) is _Entries else [out] * math.prod(map(len, own.values()))
+
+
+def _lift(node):
+    """A formula node's constructor applied entry by entry, as fold's
+    function for that node."""
+    if not issubclass(node, NaryOp):
+        return partial(_entrywise, node)
+
+    def build(*entry):
+        return node(entry)
+
+    return lambda args: _entrywise(build, *args)
+
+
+# fold's functions for Not, And, Or and Implies in bind_table
+_LIFTED_NODES = tuple(map(_lift, (Not, And, Or, Implies)))
+
+
+def bind_table(
+    f: Formula, observation: Optional[Observation], own: Mapping[str, Sequence[str]]
+) -> Sequence[Formula]:
+    """bind_leaves through leaf_values at every assignment of own, in
+    itertools.product order, from one fold: a sub-tree with no free
+    leaf of an own variable is built once and shared by every entry's
+    tree, and a sub-tree shared in f is shared in each entry's."""
+    return _entries(fold(f, _table_leaves(observation, own, Leaf), *_LIFTED_NODES), own)
 
 
 def build_space(kb: KnowledgeBase) -> Grounding:
@@ -344,8 +434,8 @@ def lattice(grounding: Grounding, obs: Observation, aldp: str):
     events, the arrow material implication. cpl: conditional objects,
     the arrow (consequent | antecedent). fl: formula trees with their
     leaves bound, the arrow an Implies node. These are the object-level
-    forms that conjoin_f, the oracle, meets in; elimination uses them for
-    fl only, and `_mask_lattice` for the other three."""
+    forms that conjoin_f, the oracle, meets in; elimination uses them,
+    side excepted, for fl only, and `_mask_lattice` for the other three."""
     if aldp not in ALDP_TAGS:
         raise KnowledgeBaseError(f"unknown logic tag {aldp!r}")
     if aldp == "fl":
@@ -364,7 +454,9 @@ def lattice(grounding: Grounding, obs: Observation, aldp: str):
 def _mask_lattice(grounding: Grounding, obs: Observation, aldp: str):
     """`lattice` for cl, pl and cpl on int masks, plus wrap, which turns
     a result mask into the Event or ConditionalObject it stands for.
-    Other tags get lattice's forms and no wrap (None).
+    Other tags get lattice's forms and no wrap (None). For every tag,
+    side(f, own) is a side's table: its form at every assignment of
+    own (`Grounding.ground_table`; `bind_table` for fl).
 
     cl/pl: an event's mask, the arrow b' | a. cpl: the conditional (a|b)
     as the interval of its coset, lower bound a&b and upper bound b' | a,
@@ -373,12 +465,13 @@ def _mask_lattice(grounding: Grounding, obs: Observation, aldp: str):
     result (lo, hi) is the conditional with consequent lo and
     antecedent lo | hi'."""
     if aldp not in ("cl", "pl", "cpl"):
-        return (*lattice(grounding, obs, aldp), None)
+        meet, join, base, _, arrow = lattice(grounding, obs, aldp)
+        return meet, join, base, lambda f, own: bind_table(f, obs, own), arrow, None
     space = grounding.space
     n, full = space.atom_count, space.full_mask
 
-    def side(f, assignment):
-        return grounding.ground_mask(f, obs, assignment)
+    def side(f, own):
+        return grounding.ground_table(f, obs, own)
 
     y = _meet_all(grounding.values_mask(var, vals) for var, vals in obs.observed.items())
     if aldp == "cpl":
@@ -519,17 +612,19 @@ def _query_forms(
     observation), in declaration order with the query variable last: a
     variable named only in bound leaves never enters a table. Each rule
     becomes a table over the ones its own free leaves name. A table's
-    entry is the arrow of the rule's two sides. Each side is
-    grounded once per assignment of its own free, unobserved variables,
-    for this call only, keyed by its formula object (a lone leaf by its
-    (var, vals)) and then by those variables' values in `domains` order:
-    a side shared by many entries, or by two rules, is one object in all
-    of them. A table is built in whole-table passes: its scope's
-    assignments (combos) are listed once; each side, the antecedent
-    first, is grounded over the product of its own variables' domains
-    (a subsequence of the scope's: the order the combos first need
-    them) and read off the combos through one key stream
-    (`_key_stream`); the entries are the arrows of the two streams.
+    entry is the arrow of the rule's two sides. Each distinct side is
+    grounded once, for this call only, the first time a rule needs it
+    (the antecedent first), keyed by its formula object (a lone leaf by
+    its (var, vals)): one fold (`side`) makes its table, its form at
+    every assignment of its own free, unobserved variables, in product
+    order over their domains (a subsequence of the scope's: the order
+    the combos first need them). Its bound and observed leaves are
+    grounded once in that fold, and shared by every entry. A side shared
+    by many entries, or by two rules, is one object in all of them. A
+    table is built in whole-table passes: its scope's assignments
+    (combos) are listed once; each side's entries are read off the
+    combos through one key stream (`_key_stream`); the entries are the
+    arrows of the two streams.
     The swept variables are eliminated in `elimination_order`, whose
     largest table, query dimension included, is checked against
     MAX_ELIMINATION_TABLE before any rule is grounded. The tables left
@@ -559,12 +654,11 @@ def _query_forms(
         for f, free in zip((rule.antecedent, rule.consequent), rule.side_free_variables):
             # the side's own variables, and their positions in the scope
             idx = [i for i, v in enumerate(scope) if v in free]
-            own = tuple(scope[i] for i in idx)
-            of_f = sides.setdefault((f.var, f.vals) if isinstance(f, Leaf) else f, {})
-            for values in itertools.product(*(domains[v] for v in own)):
-                if values not in of_f:
-                    of_f[values] = side(f, dict(zip(own, values)))
-            grounded.append(map(of_f.__getitem__, _key_stream(combos, idx)))
+            key = (f.var, f.vals) if isinstance(f, Leaf) else f
+            if key not in sides:
+                own = {scope[i]: domains[scope[i]] for i in idx}
+                sides[key] = dict(zip(itertools.product(*own.values()), side(f, own)))
+            grounded.append(map(sides[key].__getitem__, _key_stream(combos, idx)))
         tables.append((scope, dict(zip(combos, map(arrow, *grounded)))))
     for var in order:
         tables = _eliminate(meet, join, tables, var, domains)

@@ -63,7 +63,7 @@ def weights_close(x: Weight, y: Weight) -> bool:
     return abs(float(x) - float(y)) <= TOLERANCE
 
 
-def _weight_total(weights: Sequence[Weight], magnitude: Weight | None = None) -> Weight:
+def _weight_total(weights: Sequence[Weight], signed: bool = False) -> Weight:
     """The total a sum-to-one check decides on, the same on every
     Python: an exact total is sum()'s, a float one the left-to-right sum
     from 0.0 that p() reads. From Python 3.12 sum() of floats is
@@ -71,11 +71,13 @@ def _weight_total(weights: Sequence[Weight], magnitude: Weight | None = None) ->
     n weights, floats or Fractions, and sum()'s on any version each lie
     within n * 2**-53 * magnitude of the exact sum, so a sum() inside
     TOLERANCE of 1 by twice that decides as the left-to-right total
-    would. magnitude is the sum of the weights' absolute values; None
-    when none is negative, which makes it the total."""
+    would. magnitude is the sum of the weights' absolute values: the
+    total itself unless signed says that a weight may be negative, and
+    summed only for a float total."""
     total = sum(weights)
     if isinstance(total, float):
-        margin = (2 * len(weights) + 1) * 2**-53 * (total if magnitude is None else magnitude)
+        magnitude = sum(map(abs, weights)) if signed else total
+        margin = (2 * len(weights) + 1) * 2**-53 * magnitude
         if not abs(total - 1) + margin <= TOLERANCE:
             total = reduce(add, weights, 0.0)
     return total
@@ -396,7 +398,7 @@ def measure_from_json(
         }
         for var, vals in factors.items():
             factor = list(vals.values())
-            total = _weight_total(factor, sum(map(abs, factor)))
+            total = _weight_total(factor, signed=True)
             if not weights_close(total, Fraction(1)):
                 raise ValueError(f"factor for {var} sums to {total}")
         _check_factors_cover(factors, domains)

@@ -5,7 +5,7 @@ import os
 import random
 import tracemalloc
 from fractions import Fraction
-from functools import reduce
+from functools import partial, reduce
 from operator import or_
 
 import pytest
@@ -29,7 +29,8 @@ from cea.engine import (
     observation_from_json,
     relevant_rules,
 )
-from cea.formulas import And, Implies, Leaf, NaryOp, Not, Or, from_json, to_json
+from cea.formulas import (And, Implies, Leaf, NaryOp, Not, Or, bind_leaves, from_json,
+                          to_json)
 from cea.semantics import (
     PossibilityAssignment,
     ProbabilityMeasure,
@@ -766,56 +767,58 @@ def test_fl_evaluation_keeps_nothing_across_calls():
     assert grown < 100_000
 
 
+def _side_groundings(monkeypatch, kb, obs, aldp, query):
+    """(side key, entry count) of each call that grounds a rule side in
+    one query, in call order: `engine.ground` for cl, pl and cpl (the
+    call the tracer counts as `formulas.ground`), `engine.bind_table`
+    for fl. The per-assignment oracles, `Grounding.ground_formula` and
+    `bind_leaves`, must not run."""
+    grounded = []
+
+    def recording(fn):
+        def wrapper(f, *args):
+            out = fn(f, *args)
+            grounded.append((_side_key(f), len(out) if isinstance(out, (tuple, list)) else 1))
+            return out
+        return wrapper
+
+    def refused(*args):
+        raise AssertionError("a rule side was grounded at one assignment")
+
+    monkeypatch.setattr(engine, "ground", recording(engine.ground))
+    monkeypatch.setattr(engine, "bind_table", recording(engine.bind_table))
+    monkeypatch.setattr(engine, "bind_leaves", refused)
+    monkeypatch.setattr(engine.Grounding, "ground_formula", refused)
+    integrate_out(build_space(kb), obs, aldp, query, kb.variable(query).domain[0])
+    return grounded
+
+
 @pytest.mark.parametrize("aldp", ["cl", "pl", "cpl", "fl"])
 def test_each_rule_side_is_grounded_once_per_assignment_of_its_own_variables(
         bundled, monkeypatch, aldp):
-    """On the bundled KB a query grounds 31 rule sides: 1 + 3 for
+    """On the bundled KB a query grounds its 7 distinct rule sides with
+    one call each, and each call is a table of the side at every
+    assignment of its own free, unobserved variables: 1 + 3 for
     b1 => a1, 3 + 9 for b1 | b2 => a2 | a3, 3 + 3 for b2 => th1 and 9
     for a1 | a2 => th1, whose consequent, the lone leaf th1, is keyed by
-    content and so is b2 => th1's. Grounding both sides at every one of
-    the 66 table entries would take 132."""
+    content and so is b2 => th1's. That is 31 (side, assignment)
+    entries, each grounded once; grounding both sides at every one of
+    the 66 rule-table entries would take 132."""
     kb, _, obs = bundled
-    assignments, grounded = [], []
-
-    def recording_leaf_values(observation, assignment):
-        assignments.append(assignment)
-        return leaf_values(observation, assignment)
-
-    def counting(fn):
-        def wrapper(f, resolve):
-            own = _free_variables(f) - set(obs.observed)
-            grounded.append((f, tuple(sorted((v, assignments[-1][v]) for v in own))))
-            return fn(f, resolve)
-        return wrapper
-
-    leaf_values = engine.leaf_values
-    monkeypatch.setattr(engine, "leaf_values", recording_leaf_values)
-    monkeypatch.setattr(engine, "ground", counting(engine.ground))
-    monkeypatch.setattr(engine, "bind_leaves", counting(engine.bind_leaves))
-    integrate_out(build_space(kb), obs, aldp, "th1", "none")
-    assert len(grounded) == 31
-    assert len(set(grounded)) == 31
+    grounded = _side_groundings(monkeypatch, kb, obs, aldp, "th1")
+    assert len(grounded) == len({key for key, _ in grounded}) == 7
+    assert [n for _, n in grounded] == [1, 3, 3, 9, 3, 3, 9]
 
 
-def _first_need_groundings(kb, obs, query):
-    """The reference grounding order: rule by rule, its antecedent's
-    then its consequent's, each side's key (a lone leaf by its (var,
-    vals), any other side by identity) and own assignment at the first
-    combo of the rule's scope that needs them, the scope being the
-    rule's free, unobserved variables in declaration order with the
-    query last."""
-    rules = relevant_rules(kb, obs)
-    order = [v for v in kb.variables if v.name != query] + [kb.variable(query)]
+def _first_need_sides(kb, obs):
+    """The reference grounding order: rule by rule, its antecedent then
+    its consequent, each side's key (a lone leaf by its (var, vals), any
+    other side by identity) the first time a rule needs it."""
     seen = []
-    for rule in rules:
-        scope = [v for v in order if v.name in rule.free_variables - set(obs.observed)]
+    for rule in relevant_rules(kb, obs):
         for f in (rule.antecedent, rule.consequent):
-            own = _free_variables(f) - set(obs.observed)
-            for combo in itertools.product(*(v.domain for v in scope)):
-                assignment = dict(zip((v.name for v in scope), combo))
-                need = (_side_key(f), tuple(sorted((v, assignment[v]) for v in own)))
-                if need not in seen:
-                    seen.append(need)
+            if _side_key(f) not in seen:
+                seen.append(_side_key(f))
     return seen
 
 
@@ -826,36 +829,19 @@ def _side_key(f):
 @pytest.mark.parametrize("aldp", ["cl", "pl", "cpl", "fl"])
 @pytest.mark.parametrize("case", ["bundled", "chain6"])
 def test_rule_sides_are_grounded_in_first_need_order(bundled, monkeypatch, case, aldp):
-    """One query grounds each (side, own assignment) once, in the order
-    the rules' combos first need them: the order that fixes
-    `formulas.ground_calls` and the node order of fl's forms."""
+    """One query grounds each distinct side once, as one table, in the
+    order the rules first need them: the order that fixes
+    `formulas.ground_calls` and the node order of fl's forms. Chain
+    KB(6) has 8 distinct sides, the lone leaves b1, a0 to a5 and th."""
     if case == "bundled":
         kb, _, obs = bundled
         query = "th1"
     else:
         kb, query = chain_kb(6), "th"
         obs = Observation(kb, {"b1": ["x"]})
-    assignments, grounded = [], []
-
-    def recording_leaf_values(observation, assignment):
-        assignments.append(assignment)
-        return leaf_values(observation, assignment)
-
-    def recording(fn):
-        def wrapper(f, resolve):
-            own = _free_variables(f) - set(obs.observed)
-            grounded.append((_side_key(f),
-                             tuple(sorted((v, assignments[-1][v]) for v in own))))
-            return fn(f, resolve)
-        return wrapper
-
-    leaf_values = engine.leaf_values
-    monkeypatch.setattr(engine, "leaf_values", recording_leaf_values)
-    monkeypatch.setattr(engine, "ground", recording(engine.ground))
-    monkeypatch.setattr(engine, "bind_leaves", recording(engine.bind_leaves))
-    integrate_out(build_space(kb), obs, aldp, query, kb.variable(query).domain[0])
-    assert grounded == _first_need_groundings(kb, obs, query)
-    assert len(grounded) == (31 if case == "bundled" else 22)
+    grounded = [key for key, _ in _side_groundings(monkeypatch, kb, obs, aldp, query)]
+    assert grounded == _first_need_sides(kb, obs)
+    assert len(grounded) == (7 if case == "bundled" else 8)
 
 
 def _shared_side_kb(rules):
@@ -885,34 +871,45 @@ def test_shared_rule_sides_match_enumeration():
             _assert_same_integration(kb, Observation(kb, observed), poss)
 
 
-def _side_assignments(grounding, obs, f):
-    """Every assignment of the free variables of f that obs leaves open."""
-    own = sorted(_free_variables(f) - set(obs.observed))
-    for combo in itertools.product(*(grounding.kb.variable(v).domain for v in own)):
-        yield dict(zip(own, combo))
+def _own_domains(kb, obs, f):
+    """The free variables of f that obs leaves open, in declaration
+    order, each with its domain."""
+    own = _free_variables(f) - set(obs.observed)
+    return {v.name: v.domain for v in kb.variables if v.name in own}
 
 
 def test_mask_grounding_matches_event_grounding(bundled):
-    """ground_mask is ground_formula's mask on every rule side of 80
-    random KBs, whose sides nest not and implies (where ~ on an int goes
-    negative), and of the bundled KB, at every assignment of the side's
-    open variables; a primitive the space does not hold is refused as
-    ground_formula refuses it."""
+    """Every entry of a side table is the side grounded at that entry's
+    assignment: ground_table's is ground_formula's mask, and
+    bind_table's tree has the JSON form of bind_leaves through
+    leaf_values. On every rule side of 80 random KBs, whose sides nest
+    not and implies (where ~ on an int goes negative), of the bundled KB
+    and of both bound_ snapshot inputs; a primitive the space does not
+    hold is refused as ground_formula refuses it."""
     rng = random.Random(20130410)
     cases = [_random_case(rng)[:2] for _ in range(80)] + [(bundled[0], bundled[2])]
-    sides = 0
+    cases += [bound_case(name)[:2] for name in ("fever_bound", "chain6_bound")]
+    entries = 0
     for kb, obs in cases:
         grounding = build_space(kb)
         for rule in kb.rules:
             for f in (rule.antecedent, rule.consequent):
-                for assignment in _side_assignments(grounding, obs, f):
-                    assert (grounding.ground_mask(f, obs, assignment)
-                            == grounding.ground_formula(f, obs, assignment).mask)
-                    sides += 1
-    assert sides > 900
+                own = _own_domains(kb, obs, f)
+                masks = grounding.ground_table(f, obs, own)
+                trees = engine.bind_table(f, obs, own)
+                combos = list(itertools.product(*own.values()))
+                assert len(masks) == len(trees) == len(combos)
+                for mask, tree, combo in zip(masks, trees, combos):
+                    assignment = dict(zip(own, combo))
+                    assert mask == grounding.ground_formula(f, obs, assignment).mask
+                    assert to_json(tree) == to_json(
+                        bind_leaves(f, engine.leaf_values(obs, assignment)))
+                    entries += 1
+    assert entries > 900
     grounding = bundled[1]
     for f in (Leaf("b1", ["nonsense"]), Not(Leaf("zz", ["1"]))):
-        for ground in (grounding.ground_mask, grounding.ground_formula):
+        for ground in (partial(grounding.ground_table, observation=None, own={}),
+                       grounding.ground_formula):
             with pytest.raises(KnowledgeBaseError, match=r"unknown primitive event"):
                 ground(f)
 
