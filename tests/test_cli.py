@@ -825,6 +825,8 @@ EVAL_LOGICS = {
     "cpl_float": ["cpl", "--measure", os.path.join(SNAPSHOT_DIR, "eval_fever_factors_float.json")],
     "pl_exact": ["pl", "--measure", os.path.join(SNAPSHOT_DIR, "eval_fever_factors_exact.json")],
     "cpl_exact": ["cpl", "--measure", os.path.join(SNAPSHOT_DIR, "eval_fever_factors_exact.json")],
+    "pl_mixed": ["pl", "--measure", os.path.join(SNAPSHOT_DIR, "eval_fever_factors_mixed.json")],
+    "cpl_mixed": ["cpl", "--measure", os.path.join(SNAPSHOT_DIR, "eval_fever_factors_mixed.json")],
     "chain6_cl": ["cl", "--atom", "b1=x,a0=2,a1=3,a2=1,a3=1,a4=3,a5=3,th=t1"],
     "chain6_pl": ["pl", "--measure", os.path.join(SNAPSHOT_DIR, "chain6_factors_float.json")],
     "chain6_cpl": ["cpl", "--measure", os.path.join(SNAPSHOT_DIR, "chain6_factors_float.json")],
@@ -853,8 +855,10 @@ def test_eval_stdout_matches_snapshot(kb_path, obs_path, capsys, logic, fmt):
     on the bundled KB and observation; cl_first and cl_last grade at its
     first and last atom, the lowest and highest bit of the atom lookup;
     the fl run reads the committed poss file, the pl_float and cpl_float
-    runs the committed float factors file, and the pl_exact and
-    cpl_exact runs the committed "p/q" factors file. The chain6_ rows run on the committed inputs of
+    runs the committed float factors file, the pl_exact and cpl_exact
+    runs the committed "p/q" factors file, and the pl_mixed and
+    cpl_mixed runs a factors file that mixes "p/q" strings and floats,
+    within one factor too. The chain6_ rows run on the committed inputs of
     `perfbench/gen.py chain --k 6 --seed 1` (chain6_*.json), whose
     elimination sweeps six buckets and sums floats that json prints in
     full. The bound_ rows run the same logics on fever_bound_kb.json and
