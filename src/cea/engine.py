@@ -510,23 +510,37 @@ def elimination_order(
     entry count of the largest table built, a scope's own or the joint
     table of a step. The order sets only the cost: the lattice laws make
     every order give one result.
-    """
-    scopes = [set(s) for s in scopes]
-    remaining = [v for v in domains if v != keep and any(v in s for s in scopes)]
-    order = []
 
+    The order is kept up to date on the interaction graph one step at a
+    time (Koller and Friedman 2009, ch. 9): each variable's neighbours,
+    the union of the scopes that name it less itself, and its cost, the
+    size of that union, are built once. A step updates only the
+    eliminated variable's neighbours: each gains the others and loses
+    it.
+    """
     def size(names) -> int:
         return math.prod(len(domains[v]) for v in names)
 
-    def joint(var: str) -> set[str]:
-        return set().union(*(s for s in scopes if var in s))
-
-    largest = max([1] + [size(s) for s in scopes])
+    neighbours: dict[str, set[str]] = {}
+    for scope in scopes:
+        for v in scope:
+            neighbours.setdefault(v, set()).update(scope)
+    largest = max([1] + [size(set(s)) for s in scopes])
+    remaining = [v for v in domains if v != keep and v in neighbours]
+    cost = {}
+    for v in remaining:
+        neighbours[v].discard(v)
+        cost[v] = size(neighbours[v])
+    order = []
     while remaining:
-        var = min(remaining, key=lambda v: size(joint(v) - {v}))
-        merged = joint(var)
-        largest = max(largest, size(merged))
-        scopes = [s for s in scopes if var not in s] + [merged - {var}]
+        var = min(remaining, key=cost.__getitem__)
+        largest = max(largest, cost.pop(var) * len(domains[var]))
+        merged = neighbours.pop(var)
+        for v in merged.intersection(cost):
+            joint = neighbours[v]
+            joint |= merged
+            joint -= {v, var}
+            cost[v] = size(joint)
         remaining.remove(var)
         order.append(var)
     return order, largest

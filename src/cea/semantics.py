@@ -83,6 +83,27 @@ def _weight_total(weights: Sequence[Weight], signed: bool = False) -> Weight:
     return total
 
 
+def _scan_atom_weights(values: Sequence, denominator: int | None) -> tuple[list, int | None]:
+    """A constructor's per-atom checks: weights (`denominator` None)
+    are copied, each parsed unless it is already a float or a Fraction,
+    and turned into numerators over their least common denominator when
+    all are exact; then every value's sign is checked."""
+    if denominator is None:
+        if all(map(isinstance, values, repeat((float, Fraction)))):
+            values = list(values)
+        else:
+            values = [w if isinstance(w, (float, Fraction)) else parse_weight(w)
+                      for w in values]
+        if all(map(isinstance, values, repeat(Fraction))):
+            denominator = math.lcm(*{w.denominator for w in values})
+            values = [w.numerator * (denominator // w.denominator) for w in values]
+    # min() >= 0 rules out a negative value; otherwise (a negative
+    # value, or a NaN met first) the scan decides
+    if not min(values) >= 0 and any(v < 0 for v in values):
+        raise ValueError("weights must be nonnegative")
+    return values, denominator
+
+
 # bytes.translate table: the ASCII digits of bin() to 0/1 selectors
 _BIT_SELECTORS = bytes.maketrans(b"01", b"\x00\x01")
 
@@ -117,25 +138,27 @@ class ProbabilityMeasure:
         p._setup(space, numerators, denominator)
         return p
 
-    def _setup(self, space: AtomSpace, values: Sequence, denominator: int | None) -> None:
+    @classmethod
+    def _of_products(cls, space: AtomSpace, weights: list) -> "ProbabilityMeasure":
+        """The float (or mixed) measure whose weights are products of
+        nonnegative `parse_weight` outputs, as `measure_from_json` builds
+        them: floats or Fractions by construction, and nonnegative, so
+        the list is held as it is, with no per-atom scan; its length and
+        its total are checked as any measure's."""
+        p = object.__new__(cls)
+        p._setup(space, weights, None, scanned=True)
+        return p
+
+    def _setup(self, space: AtomSpace, values: Sequence, denominator: int | None,
+               scanned: bool = False) -> None:
         """Check and hold one weight per atom: `values` are the weights
         when `denominator` is None, else integer numerators over it.
-        Weights that are all exact become numerators here."""
+        Unless `scanned` says that they are already nonnegative floats
+        or Fractions, each value is checked (`_scan_atom_weights`)."""
         if len(values) != space.atom_count:
             raise ValueError("one weight per atom required")
-        if denominator is None:
-            if all(map(isinstance, values, repeat((float, Fraction)))):
-                values = list(values)
-            else:
-                values = [w if isinstance(w, (float, Fraction)) else parse_weight(w)
-                          for w in values]
-            if all(map(isinstance, values, repeat(Fraction))):
-                denominator = math.lcm(*{w.denominator for w in values})
-                values = [w.numerator * (denominator // w.denominator) for w in values]
-        # min() >= 0 rules out a negative value; otherwise (a negative
-        # value, or a NaN met first) the scan decides
-        if not min(values) >= 0 and any(v < 0 for v in values):
-            raise ValueError("weights must be nonnegative")
+        if not scanned:
+            values, denominator = _scan_atom_weights(values, denominator)
         total = (_weight_total(values) if denominator is None
                  else Fraction(sum(values), denominator))
         if not weights_close(total, Fraction(1)):
@@ -370,7 +393,10 @@ def measure_from_json(
     product measure over a variable-grounded space and requires that
     grounding's (name, domain) pairs in declaration order. Its weights
     are the Kronecker product of the factors, each atom's product taken
-    left to right in declaration order from 1. When every factor weight
+    left to right in declaration order from 1. Each factor weight's sign
+    is checked once, after the factor sums and the cover, so a float
+    or mixed product is held with no per-atom scan and only its sum is
+    tested (`ProbabilityMeasure._of_products`). When every factor weight
     is exact, each factor first becomes integer numerators over its own
     common denominator, and the measure is their Kronecker product over
     the product of those denominators: the same rationals, with no
@@ -402,6 +428,8 @@ def measure_from_json(
             if not weights_close(total, Fraction(1)):
                 raise ValueError(f"factor for {var} sums to {total}")
         _check_factors_cover(factors, domains)
+        if any(w < 0 for vals in factors.values() for w in vals.values()):
+            raise ValueError("weights must be nonnegative")
         columns = [[factors[var][val] for val in domain] for var, domain in domains]
         exact = all(isinstance(w, Fraction) for column in columns for w in column)
         weights, denominator = [1], 1
@@ -413,7 +441,7 @@ def measure_from_json(
             weights = [w * c for w in weights for c in column]
         if exact:
             return ProbabilityMeasure.from_numerators(space, weights, denominator)
-        return ProbabilityMeasure(space, weights)
+        return ProbabilityMeasure._of_products(space, weights)
     raise ValueError('measure file needs an "atoms" or "factors" section')
 
 

@@ -1,6 +1,7 @@
 import gc
 import itertools
 import json
+import math
 import os
 import random
 import tracemalloc
@@ -65,6 +66,32 @@ def enumerate_integrate_out(grounding, obs, aldp, query_var, query_value):
     if aldp == "cpl":
         return disjoin_all(forms)
     return reduce(or_, forms)
+
+
+def reference_elimination_order(scopes, domains, keep=None):
+    """The reference greedy order: every remaining variable's joint
+    scope, the union of the scopes that name it, recomputed at every
+    step, and the cheapest eliminated, the first in `domains` order on a
+    tie."""
+    scopes = [set(s) for s in scopes]
+    remaining = [v for v in domains if v != keep and any(v in s for s in scopes)]
+    order = []
+
+    def size(names):
+        return math.prod(len(domains[v]) for v in names)
+
+    def joint(var):
+        return set().union(*(s for s in scopes if var in s))
+
+    largest = max([1] + [size(s) for s in scopes])
+    while remaining:
+        var = min(remaining, key=lambda v: size(joint(v) - {v}))
+        merged = joint(var)
+        largest = max(largest, size(merged))
+        scopes = [s for s in scopes if var not in s] + [merged - {var}]
+        remaining.remove(var)
+        order.append(var)
+    return order, largest
 
 
 def _free_variables(f):
@@ -708,6 +735,93 @@ def test_elimination_matches_enumeration_on_chains(k):
     _assert_same_integration(kb, Observation(kb, {"b1": ["x"]}), poss)
 
 
+def _random_scopes(rng):
+    """Domains of 0 to 7 variables with 1 to 4 values, and 0 to 6
+    scopes over them: some empty, some repeated, some naming a variable
+    twice; `keep` is a scoped variable, an unscoped one, a name outside
+    the domains, or None."""
+    names = [f"v{i}" for i in range(rng.randint(0, 7))]
+    domains = {v: [str(j) for j in range(rng.randint(1, 4))] for v in names}
+    scopes = []
+    for _ in range(rng.randint(0, 6)):
+        if scopes and rng.random() < 0.2:
+            scopes.append(rng.choice(scopes))
+        else:
+            scopes.append(tuple(rng.choice(names) for _ in range(rng.randint(0, 4)))
+                          if names else ())
+    scoped = sorted({v for s in scopes for v in s})
+    unscoped = [v for v in names if v not in scoped]
+    keep = rng.choice([rng.choice(scoped) if scoped else None,
+                       rng.choice(unscoped) if unscoped else None, "elsewhere", None])
+    return scopes, domains, keep
+
+
+def test_elimination_order_matches_the_per_step_reference_on_random_scopes():
+    rng = random.Random("elimination-order")
+    kept = set()
+    for _ in range(12000):
+        scopes, domains, keep = _random_scopes(rng)
+        assert (elimination_order(scopes, domains, keep=keep)
+                == reference_elimination_order(scopes, domains, keep=keep))
+        kept.add("inside" if any(keep in s for s in scopes) else
+                 "absent" if keep is None else "outside")
+    assert kept == {"inside", "outside", "absent"}
+
+
+def _engine_cases():
+    """(kb, obs, query) of the 80 random KBs, the bundled KB, chain
+    KB(3) to KB(6) under b1 = x, and both bound-value inputs."""
+    rng = random.Random(20130410)
+    for _ in range(80):
+        kb, obs, _ = _random_case(rng)
+        yield kb, obs, kb.diagnosis_variables()[0].name
+    kb = load_bundled_kb()
+    yield kb, load_bundled_observation(kb), "th1"
+    for k in (3, 4, 5, 6):
+        kb = chain_kb(k)
+        yield kb, Observation(kb, {"b1": ["x"]}), "th"
+    yield bound_case("fever_bound")
+    yield bound_case("chain6_bound")
+
+
+def test_elimination_order_matches_the_per_step_reference_on_every_query(monkeypatch):
+    """Every order `_query_forms` plans, under every logic, is the
+    reference's."""
+    calls = []
+
+    def checked(scopes, domains, keep=None):
+        got = order(scopes, domains, keep=keep)
+        assert got == reference_elimination_order(scopes, domains, keep=keep)
+        calls.append(got)
+        return got
+
+    order = engine.elimination_order
+    monkeypatch.setattr(engine, "elimination_order", checked)
+    cases = list(_engine_cases())
+    for kb, obs, query in cases:
+        grounding = build_space(kb)
+        for aldp in ("cl", "pl", "cpl", "fl"):
+            engine._query_forms(grounding, obs, aldp, kb.variable(query))
+    assert len(calls) == 4 * len(cases)
+    assert sum(len(o) for o, _ in calls) > len(calls)
+
+
+def test_pl_form_is_the_upper_bound_of_the_cpl_form():
+    """pl reads a rule as b' | a, the upper bound of cpl's (a|b), and the
+    conditional meet and join act bound by bound: so each query value's
+    pl form is cons | ~ant of its cpl form."""
+    values = 0
+    for kb, obs, query in _engine_cases():
+        grounding = build_space(kb)
+        full = grounding.space.full_mask
+        for value in kb.variable(query).domain:
+            pl = integrate_out(grounding, obs, "pl", query, value)
+            cpl = integrate_out(grounding, obs, "cpl", query, value)
+            assert pl.mask == cpl.cons | (full & ~cpl.ant)
+            values += 1
+    assert values > 200
+
+
 class CountingPossibility(PossibilityAssignment):
     calls = 0
 
@@ -1066,6 +1180,79 @@ def test_factor_gaps_reported_as_the_atom_scan_meets_them():
         with pytest.raises(ValueError) as got:
             measure_from_json(space, {"factors": factors}, domains)
         assert str(got.value) == str(want.value)
+
+
+def _refusal(space, factors, domains):
+    with pytest.raises(ValueError) as refused:
+        measure_from_json(space, {"factors": factors}, domains)
+    return str(refused.value)
+
+
+@pytest.mark.parametrize("kind", ["exact", "float", "mixed"])
+def test_negative_factor_weights_are_refused_after_sum_and_cover_faults(kind):
+    """A negative weight, in a factor that still sums to 1, is refused
+    as "weights must be nonnegative"; a file that also has a sum or a
+    cover fault, in another factor, is refused for that fault, with the
+    message the file without the negative weight gets."""
+    kb = chain_kb(2)
+    domains = [(v.name, v.domain) for v in kb.variables]
+    space = build_space(kb).space
+    rng = random.Random(f"negative-{kind}")
+    for _ in range(60):
+        factors = _random_factors(rng, kb, kind)
+        negative, other = rng.sample(list(factors), 2)
+        first, second = list(factors[negative])[:2]
+        shifted = dict(factors[negative])
+        w1, w2 = parse_weight(shifted[first]), parse_weight(shifted[second])
+        moved = w2 + w1 + Fraction(1, 4)
+        shifted[first] = "-1/4" if isinstance(w1, Fraction) else -0.25
+        shifted[second] = str(moved) if isinstance(moved, Fraction) else moved
+        assert _refusal(space, {**factors, negative: shifted},
+                        domains) == "weights must be nonnegative"
+        faulty, value = dict(factors), rng.choice(list(factors[other]))
+        if rng.random() < 0.5:
+            faulty[other] = {val: w for val, w in faulty[other].items() if val != value}
+        else:
+            faulty[other] = {**faulty[other], value: 2}
+        want = _refusal(space, faulty, domains)
+        assert want != "weights must be nonnegative"
+        assert _refusal(space, {**faulty, negative: shifted}, domains) == want
+
+
+@pytest.mark.parametrize("case", ["fever_float", "fever_mixed", "chain6_float"])
+def test_float_factor_weights_are_the_kronecker_product(bundled, case):
+    """A float or mixed factors file whose every atom meets a float
+    weight gives a measure of floats, each bit for bit the product of
+    its factor weights taken left to right in declaration order."""
+    if case.startswith("fever_"):
+        kb, grounding = bundled[0], bundled[1]
+        path = f"eval_fever_factors_{case[6:]}.json"
+    else:
+        with open(os.path.join(SNAPSHOT_DIR, "chain6_kb.json"), encoding="utf-8") as fh:
+            kb = kb_from_json(json.load(fh))
+        grounding, path = build_space(kb), "chain6_factors_float.json"
+    with open(os.path.join(SNAPSHOT_DIR, path), encoding="utf-8") as fh:
+        data = json.load(fh)
+    p = measure_from_json(grounding.space, data, [(v.name, v.domain) for v in kb.variables])
+    want = scan_factor_weights(scan_assignments(kb), data["factors"])
+    assert not p.exact
+    assert all(type(w) is float for w in p.weights)
+    assert [w.hex() for w in p.weights] == [w.hex() for w in want]
+
+
+def test_a_negative_factor_weight_is_refused_when_its_products_round_to_zero():
+    """b1[x] weighs -5e-324, so each of x's 27 atoms has the product
+    -0.0, which no per-atom check can tell from a nonnegative weight:
+    the factor weight's own sign is what is refused."""
+    kb = chain_kb(2)
+    domains = [(v.name, v.domain) for v in kb.variables]
+    third = {val: 1 / 3 for val in ("1", "2", "3")}
+    factors = {"b1": {"x": -5e-324, "y": 1.0}, "a0": third, "a1": third,
+               "th": {"t0": 0.25, "t1": 0.25, "t2": 0.5}}
+    products = scan_factor_weights(scan_assignments(kb), factors)
+    assert [w.hex() for w in products[:27]] == [(-0.0).hex()] * 27
+    assert min(products) >= 0
+    assert _refusal(build_space(kb).space, factors, domains) == "weights must be nonnegative"
 
 
 def test_evaluation_never_builds_atom_labels(monkeypatch):
