@@ -597,6 +597,60 @@ def test_factor_values_are_checked_against_their_domain_in_linear_time():
     assert p(AtomSpace(d).event([d - 1])) == Fraction(1, d)
 
 
+def reference_primitive_masks(kb):
+    """The reference primitive table, by division and multiplication: in
+    product order a variable with d values and stride s holds value j on
+    a block of s atoms at offset j*s of every period of d*s atoms, and
+    multiplying the block by the full mask over 2**period - 1 tiles it."""
+    atoms = math.prod(len(v.domain) for v in kb.variables)
+    full = (1 << atoms) - 1
+    table = {}
+    stride = atoms
+    for var in kb.variables:
+        stride //= len(var.domain)
+        period = len(var.domain) * stride
+        repeat = full // ((1 << period) - 1)
+        block = (1 << stride) - 1
+        for j, val in enumerate(var.domain):
+            table[(var.name, val)] = (block << (j * stride)) * repeat
+    return table
+
+
+def scan_primitive_masks(kb):
+    """The primitive table read off the atom scan: atom i joins the mask
+    of every (var, value) its assignment holds."""
+    bits = {(v.name, val): [] for v in kb.variables for val in v.domain}
+    for i, combo in enumerate(itertools.product(*(v.domain for v in kb.variables))):
+        for var, val in zip(kb.variables, combo):
+            bits[(var.name, val)].append(1 << i)
+    return {key: sum(ones) for key, ones in bits.items()}
+
+
+def _sized_kb(sizes):
+    """A KB of one variable per domain size, the last a diagnosis."""
+    kinds = ["data-attribute"] * (len(sizes) - 1) + ["diagnosis"]
+    return kb_from_json({"variables": [
+        {"name": f"v{i}", "kind": kind, "domain": [f"{i}.{j}" for j in range(d)]}
+        for i, (kind, d) in enumerate(zip(kinds, sizes))], "rules": []})
+
+
+def _seeded_domain_sizes(count):
+    """count lists of 1 to 6 domain sizes, 1 to 6 each, of at most 4,096
+    atoms; every fourth list from the second on has a 1-value domain
+    first, then in the middle, then last, in turn."""
+    lists = []
+    for seed in range(count):
+        rng = random.Random(f"primitive-{seed}")
+        while True:
+            sizes = [rng.randint(1, 6) for _ in range(rng.randint(1, 6))]
+            if math.prod(sizes) <= 4096:
+                break
+        if seed % 4:
+            sizes[[0, len(sizes) // 2, -1][seed % 4 - 1]] = 1
+        lists.append(sizes)
+    return lists
+
+
 def test_primitive_masks_match_atom_scan(bundled):
     three = kb_from_json({
         "variables": [
@@ -606,12 +660,18 @@ def test_primitive_masks_match_atom_scan(bundled):
         ],
         "rules": [],
     })
-    for grounding in (bundled[1], build_space(three)):
-        for var in grounding.kb.variables:
-            for val in var.domain:
-                scan = sum(1 << i for i, a in enumerate(scan_assignments(grounding.kb))
-                           if a[var.name] == val)
-                assert grounding.values_event(var.name, [val]).mask == scan
+    sizes = _seeded_domain_sizes(300)
+    for place in (lambda s: 0, lambda s: len(s) // 2, lambda s: len(s) - 1):
+        assert any(len(s) > 2 and s[place(s)] == 1 and s.count(1) == 1 for s in sizes)
+    # names with "," build their labels up front
+    comma = _two_variable_kb(["a", "a,y=d"], ["b,y=c", "c"])
+    kbs = [bundled[0], three, comma] + [chain_kb(k) for k in range(1, 8)]
+    for kb in kbs + [_sized_kb(s) for s in sizes]:
+        grounding = build_space(kb)
+        assert grounding._primitive == reference_primitive_masks(kb)
+        assert grounding._primitive == scan_primitive_masks(kb)
+        for (var, val), mask in grounding._primitive.items():
+            assert grounding.values_event(var, [val]).mask == mask
 
 
 def test_elimination_order_is_greedy_with_declaration_ties(bundled):
@@ -1135,9 +1195,11 @@ def _assert_same_measure(p, events):
         assert got == want and type(got) is type(want)
 
 
-@pytest.mark.parametrize("which", ["bundled", "chain3"])
+@pytest.mark.parametrize("which", ["bundled", "chain3", "ones"])
 def test_grounding_and_measures_match_atom_scans(bundled, which):
-    grounding = bundled[1] if which == "bundled" else build_space(chain_kb(3))
+    """"ones" has 1-value domains first, in the middle and last."""
+    grounding = {"bundled": lambda: bundled[1], "chain3": lambda: build_space(chain_kb(3)),
+                 "ones": lambda: build_space(_sized_kb([1, 3, 1, 2, 1]))}[which]()
     kb, space = grounding.kb, grounding.space
     assignments = scan_assignments(kb)
     assert space.atom_labels == [",".join(f"{n}={v}" for n, v in a.items())
