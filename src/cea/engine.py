@@ -56,6 +56,8 @@ from .semantics import (
 ALDP_TAGS = ("cl", "fl", "pl", "cpl")
 VARIABLE_KINDS = ("data-attribute", "auxiliary-attribute", "diagnosis")
 MAX_SPACE_ATOMS = 1 << 20
+# Bits of the primitive table: one mask of every atom per domain value.
+MAX_PRIMITIVE_BITS = 1 << 32
 # Entries of the largest joint table one elimination step may build.
 MAX_ELIMINATION_TABLE = 1 << 16
 
@@ -189,20 +191,26 @@ class Grounding:
     reads them (the "atoms" measure form does), unless a variable name or
     value contains "," or "=": only then can two labels coincide, so only
     then are they built, and checked for uniqueness, up front.
-    Holds one table, the mask of every primitive event var[value]; an
-    assignment's atom is the one bit its masks share, and `values_event`
-    wraps a join of them as an Event. Grounds a whole formula to the
+    Holds one table, the mask of every primitive event var[value], of
+    at most MAX_PRIMITIVE_BITS bits in all; an assignment's atom is the
+    one bit its masks share, and `values_event` wraps a join of them as
+    an Event. Grounds a whole formula to the
     mask at every assignment of its own variables (`ground_table`, the
     engine's path) or to an event at one assignment (`ground_formula`,
     the oracle's).
     """
 
     def __init__(self, kb: KnowledgeBase):
-        sizes = 1
+        sizes, values = 1, 0
         for v in kb.variables:
             sizes *= len(v.domain)
+            values += len(v.domain)
             if sizes > MAX_SPACE_ATOMS:
                 raise KnowledgeBaseError("joint domain product exceeds the space bound")
+        if sizes * values > MAX_PRIMITIVE_BITS:
+            raise KnowledgeBaseError(
+                f"primitive table of {sizes} atoms x {values} values exceeds the bound"
+                f" of {MAX_PRIMITIVE_BITS} bits")
         self.kb = kb
         # integrate_out's one memo slot: (key, {query value: form}).
         self._integrated = None
@@ -213,16 +221,21 @@ class Grounding:
             self.space.atom_labels  # the read builds and checks them
         # In product order a variable with d values and stride s holds
         # value j on a block of s atoms at offset j*s of every period of
-        # d*s atoms; multiplying the block by `repeat` tiles it.
+        # d*s atoms. `starts` has one bit at the start of each period, so
+        # (starts << s) - starts is value 0's blocks and the starts
+        # shifted by every j*s are the next variable's periods, of s
+        # atoms: the table takes time linear in its size, with no big-int
+        # division or product.
         self._primitive: dict[tuple[str, str], int] = {}
-        stride = self.space.atom_count
+        stride, starts = sizes, 1
         for var in kb.variables:
             stride //= len(var.domain)
-            period = len(var.domain) * stride
-            repeat = self.space.full_mask // ((1 << period) - 1)
-            block = (1 << stride) - 1
+            first = (starts << stride) - starts
+            following = 0
             for j, val in enumerate(var.domain):
-                self._primitive[(var.name, val)] = (block << (j * stride)) * repeat
+                self._primitive[(var.name, val)] = first << j * stride
+                following |= starts << j * stride
+            starts = following
 
     def primitive_mask(self, var: str, value: str) -> int:
         try:

@@ -393,7 +393,8 @@ def measure_from_json(
     product measure over a variable-grounded space and requires that
     grounding's (name, domain) pairs in declaration order. Its weights
     are the Kronecker product of the factors, each atom's product taken
-    left to right in declaration order from 1. Each factor weight's sign
+    left to right in declaration order from 1, one strided slice per
+    factor value and level. Each factor weight's sign
     is checked once, after the factor sums and the cover, so a float
     or mixed product is held with no per-atom scan and only its sum is
     tested (`ProbabilityMeasure._of_products`). When every factor weight
@@ -438,7 +439,11 @@ def measure_from_json(
                 d = math.lcm(*(w.denominator for w in column))
                 column = [w.numerator * (d // w.denominator) for w in column]
                 denominator *= d
-            weights = [w * c for w in weights for c in column]
+            # atom i * len(column) + j takes weights[i] * column[j]
+            products = [None] * (len(weights) * len(column))
+            for j, c in enumerate(column):
+                products[j::len(column)] = [w * c for w in weights]
+            weights = products
         if exact:
             return ProbabilityMeasure.from_numerators(space, weights, denominator)
         return ProbabilityMeasure._of_products(space, weights)

@@ -389,6 +389,11 @@ EXIT_TWO_MESSAGES = [
                                      {**D, "domain": [str(i) for i in range(1024)]}])},
      TINY + ["--aldp", "pl", "--measure", "uniform"],
      "joint domain product exceeds the space bound"),
+    # within the space bound, but 65,539 masks of 131,074 bits each
+    ("primitive-bound",
+     {"kb.json": _kb_with(variables=[{**X, "domain": [str(i) for i in range(65537)]}, D])},
+     TINY + ["--aldp", "pl", "--measure", "uniform"],
+     "primitive table of 131074 atoms x 65539 values exceeds the bound of 4294967296 bits"),
 ]
 
 

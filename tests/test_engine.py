@@ -674,6 +674,47 @@ def test_primitive_masks_match_atom_scan(bundled):
             assert grounding.values_event(var, [val]).mask == mask
 
 
+class _TableBuilt(Exception):
+    """Raised in place of building the atom space: the budget let it by."""
+
+
+def _refuse_tables(space_count, labels):
+    raise _TableBuilt
+
+
+def test_an_over_budget_primitive_table_is_refused_up_front(monkeypatch):
+    """A 65,537-value variable passes MAX_SPACE_ATOMS, but its table
+    would need 65,537 masks of 65,537 bits. No table is ever built here:
+    a space that passes the budget raises _TableBuilt instead."""
+    monkeypatch.setattr(engine, "AtomSpace", _refuse_tables)
+    tracemalloc.start()
+    with pytest.raises(KnowledgeBaseError) as refused:
+        build_space(_sized_kb([65537]))
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert str(refused.value) == ("primitive table of 65537 atoms x 65537 values exceeds"
+                                  " the bound of 4294967296 bits")
+    assert peak < 32 << 20
+    # at the bound, and the 40,000-value variable of a 124.7 MB table
+    for sizes in ([65536], [40000], [40000, 2]):
+        with pytest.raises(_TableBuilt):
+            build_space(_sized_kb(sizes))
+    # the atom bound is checked first
+    with pytest.raises(KnowledgeBaseError, match="^joint domain product exceeds the space bound$"):
+        build_space(_sized_kb([5000, 300]))
+
+
+def test_primitive_bound_is_exact(monkeypatch):
+    """2 x 3 atoms and 5 values: a table of 30 bits."""
+    kb = _sized_kb([2, 3])
+    monkeypatch.setattr(engine, "MAX_PRIMITIVE_BITS", 30)
+    assert build_space(kb)._primitive == reference_primitive_masks(kb)
+    monkeypatch.setattr(engine, "MAX_PRIMITIVE_BITS", 29)
+    with pytest.raises(KnowledgeBaseError, match="^primitive table of 6 atoms x 5 values"
+                                                 " exceeds the bound of 29 bits$"):
+        build_space(kb)
+
+
 def test_elimination_order_is_greedy_with_declaration_ties(bundled):
     kb, _, obs = bundled
     rules = relevant_rules(kb, obs)
