@@ -56,7 +56,7 @@ from .semantics import (
 ALDP_TAGS = ("cl", "fl", "pl", "cpl")
 VARIABLE_KINDS = ("data-attribute", "auxiliary-attribute", "diagnosis")
 MAX_SPACE_ATOMS = 1 << 20
-# Bits of the primitive table: one mask of every atom per domain value.
+# Bits of the primitive table, counted as one mask of every atom per value.
 MAX_PRIMITIVE_BITS = 1 << 32
 # Entries of the largest joint table one elimination step may build.
 MAX_ELIMINATION_TABLE = 1 << 16
@@ -194,10 +194,9 @@ class Grounding:
     Holds one table, the mask of every primitive event var[value], of
     at most MAX_PRIMITIVE_BITS bits in all; an assignment's atom is the
     one bit its masks share, and `values_event` wraps a join of them as
-    an Event. Grounds a whole formula to the
-    mask at every assignment of its own variables (`ground_table`, the
-    engine's path) or to an event at one assignment (`ground_formula`,
-    the oracle's).
+    an Event. Grounds a whole formula to the mask at every assignment of
+    its own variables (`ground_table`, the engine's path) or to an event
+    at one assignment (`ground_formula`, the oracle's).
     """
 
     def __init__(self, kb: KnowledgeBase):

@@ -394,10 +394,10 @@ def measure_from_json(
     grounding's (name, domain) pairs in declaration order. Its weights
     are the Kronecker product of the factors, each atom's product taken
     left to right in declaration order from 1, one strided slice per
-    factor value and level. Each factor weight's sign
-    is checked once, after the factor sums and the cover, so a float
-    or mixed product is held with no per-atom scan and only its sum is
-    tested (`ProbabilityMeasure._of_products`). When every factor weight
+    factor value and level. Each factor weight's sign is checked once,
+    after the factor sums and the cover, so a float or mixed product is
+    held with no per-atom scan and only its sum is tested
+    (`ProbabilityMeasure._of_products`). When every factor weight
     is exact, each factor first becomes integer numerators over its own
     common denominator, and the measure is their Kronecker product over
     the product of those denominators: the same rationals, with no

@@ -619,11 +619,11 @@ def reference_primitive_masks(kb):
 def scan_primitive_masks(kb):
     """The primitive table read off the atom scan: atom i joins the mask
     of every (var, value) its assignment holds."""
-    bits = {(v.name, val): [] for v in kb.variables for val in v.domain}
-    for i, combo in enumerate(itertools.product(*(v.domain for v in kb.variables))):
-        for var, val in zip(kb.variables, combo):
-            bits[(var.name, val)].append(1 << i)
-    return {key: sum(ones) for key, ones in bits.items()}
+    masks = dict.fromkeys(((v.name, val) for v in kb.variables for val in v.domain), 0)
+    for i, assignment in enumerate(scan_assignments(kb)):
+        for key in assignment.items():
+            masks[key] |= 1 << i
+    return masks
 
 
 def _sized_kb(sizes):
@@ -678,7 +678,7 @@ class _TableBuilt(Exception):
     """Raised in place of building the atom space: the budget let it by."""
 
 
-def _refuse_tables(space_count, labels):
+def _refuse_tables(atom_count, labels):
     raise _TableBuilt
 
 
@@ -695,12 +695,12 @@ def test_an_over_budget_primitive_table_is_refused_up_front(monkeypatch):
     assert str(refused.value) == ("primitive table of 65537 atoms x 65537 values exceeds"
                                   " the bound of 4294967296 bits")
     assert peak < 32 << 20
-    # at the bound, and the 40,000-value variable of a 124.7 MB table
+    # at the bound, and a 40,000-value variable, whose table peaked at 124.7 MB
     for sizes in ([65536], [40000], [40000, 2]):
         with pytest.raises(_TableBuilt):
             build_space(_sized_kb(sizes))
     # the atom bound is checked first
-    with pytest.raises(KnowledgeBaseError, match="^joint domain product exceeds the space bound$"):
+    with pytest.raises(KnowledgeBaseError, match="^joint domain product exceeds the space"):
         build_space(_sized_kb([5000, 300]))
 
 
