@@ -802,6 +802,14 @@ SNAPSHOTS = {
         ["oracle", "verify", "--atoms", "4", "--seed", "7", "--samples", "300", "--format", "json"],
     "oracle_verify_atoms2_golden.txt":
         ["oracle", "verify", "--atoms", "2", "--golden", bundled_golden_dir()],
+    # one command per table regime: events and conditionals tabled (the
+    # verify-higher benchmark command), events only, no table
+    "oracle_verify_atoms2_higher_order_seed3.txt":
+        ["oracle", "verify", "--atoms", "2", "--higher-order", "--seed", "3"],
+    "oracle_verify_atoms7_seed1_samples60.txt":
+        ["oracle", "verify", "--atoms", "7", "--seed", "1", "--samples", "60"],
+    "oracle_verify_atoms9_seed2_samples40.txt":
+        ["oracle", "verify", "--atoms", "9", "--seed", "2", "--samples", "40"],
     "algebra_selftest_atoms3.txt": ["algebra", "selftest", "--atoms", "3"],
     "algebra_selftest_atoms5_seed3_samples200.txt":
         ["algebra", "selftest", "--atoms", "5", "--seed", "3", "--samples", "200"],
