@@ -147,17 +147,37 @@ class Event:
         self.space = space
         self.mask = mask
 
+    # Each operator reads a tabled space's entry itself, saving the call
+    # to _event on the common path; _event builds every other result.
+
     def __and__(self, other: "Event") -> "Event":
-        return _event(self.space, self.mask & other.mask, other.space)
+        space, mask = self.space, self.mask & other.mask
+        table = space._events
+        if table is not None and other.space is space:
+            return table[mask]
+        return _event(space, mask, other.space)
 
     def __or__(self, other: "Event") -> "Event":
-        return _event(self.space, self.mask | other.mask, other.space)
+        space, mask = self.space, self.mask | other.mask
+        table = space._events
+        if table is not None and other.space is space:
+            return table[mask]
+        return _event(space, mask, other.space)
 
     def __xor__(self, other: "Event") -> "Event":
-        return _event(self.space, self.mask ^ other.mask, other.space)
+        space, mask = self.space, self.mask ^ other.mask
+        table = space._events
+        if table is not None and other.space is space:
+            return table[mask]
+        return _event(space, mask, other.space)
 
     def __invert__(self) -> "Event":
-        return _event(self.space, self.space.full_mask & ~self.mask)
+        space = self.space
+        mask = space.full_mask & ~self.mask
+        table = space._events
+        if table is not None:
+            return table[mask]
+        return _event(space, mask)
 
     def __le__(self, other: "Event") -> bool:
         if other.space is not self.space and other.space != self.space:
@@ -165,7 +185,7 @@ class Event:
         return self.mask & ~other.mask == 0
 
     def __eq__(self, other) -> bool:
-        return (
+        return self is other or (
             isinstance(other, Event)
             and self.mask == other.mask
             and (self.space is other.space or self.space == other.space)

@@ -49,7 +49,7 @@ class ConditionalObject:
         return _event(self.space, self.ant)
 
     def __eq__(self, other) -> bool:
-        return (
+        return self is other or (
             isinstance(other, ConditionalObject)
             and self.cons == other.cons
             and self.ant == other.ant
@@ -62,20 +62,49 @@ class ConditionalObject:
     def __repr__(self) -> str:
         return f"({self.consequent!r}|{self.antecedent!r})"
 
+    # Each operator reads a tabled space's filled slot itself, saving the
+    # call to _make on the common path; _make builds every other result,
+    # checks it and fills the slot.
+
     def __invert__(self) -> "ConditionalObject":
-        return _make(self.space, self.ant & ~self.cons, self.ant)
+        space, ant = self.space, self.ant
+        cons = ant & ~self.cons
+        table = space._conds
+        if table is not None:
+            out = table[ant << space.atom_count | cons]
+            if out is not None:
+                return out
+        return _make(space, cons, ant)
 
     def __xor__(self, other: "ConditionalObject") -> "ConditionalObject":
-        ant = self.ant & other.ant
-        return _make(self.space, (self.cons ^ other.cons) & ant, ant, other.space)
+        space, ant = self.space, self.ant & other.ant
+        cons = (self.cons ^ other.cons) & ant
+        table = space._conds
+        if table is not None and other.space is space:
+            out = table[ant << space.atom_count | cons]
+            if out is not None:
+                return out
+        return _make(space, cons, ant, other.space)
 
     def __and__(self, other: "ConditionalObject") -> "ConditionalObject":
-        c1, a1, c2, a2 = self.cons, self.ant, other.cons, other.ant
-        return _make(self.space, c1 & c2, (a1 & ~c1) | (a2 & ~c2) | (a1 & a2), other.space)
+        space, c1, a1, c2, a2 = self.space, self.cons, self.ant, other.cons, other.ant
+        cons, ant = c1 & c2, (a1 & ~c1) | (a2 & ~c2) | (a1 & a2)
+        table = space._conds
+        if table is not None and other.space is space:
+            out = table[ant << space.atom_count | cons]
+            if out is not None:
+                return out
+        return _make(space, cons, ant, other.space)
 
     def __or__(self, other: "ConditionalObject") -> "ConditionalObject":
-        cons = self.cons | other.cons
-        return _make(self.space, cons, cons | (self.ant & other.ant), other.space)
+        space, cons = self.space, self.cons | other.cons
+        ant = cons | (self.ant & other.ant)
+        table = space._conds
+        if table is not None and other.space is space:
+            out = table[ant << space.atom_count | cons]
+            if out is not None:
+                return out
+        return _make(space, cons, ant, other.space)
 
     def __le__(self, other: "ConditionalObject") -> bool:
         """Order by consequent growth and counter-consequent shrinkage.
@@ -114,8 +143,16 @@ def cond(a: Event, b: Event) -> ConditionalObject:
     """The conditional object (a|b), canonicalized to (a&b, b).
 
     b may be the zero event; (a|0) is the whole-algebra conditional (0|0).
+    Reads a tabled space's filled slot itself, as the operators do.
     """
-    return _make(b.space, a.mask & b.mask, b.mask, a.space)
+    space, ant = b.space, b.mask
+    cons = a.mask & ant
+    table = space._conds
+    if table is not None and a.space is space:
+        out = table[ant << space.atom_count | cons]
+        if out is not None:
+            return out
+    return _make(space, cons, ant, a.space)
 
 
 def embed(a: Event) -> ConditionalObject:

@@ -445,7 +445,8 @@ def test_sweep_sample_stream_matches_event_draws():
 
 
 # The allocating builders the hash-consing tables replaced, kept as their
-# oracle: with these patched in, every result is a new object.
+# oracle: with these patched in and the space's tables taken away (the
+# operators read them without a builder call), every result is a new object.
 
 def alloc_event(space, mask, peer=None):
     if peer is not space and peer is not None and peer != space:
@@ -476,9 +477,11 @@ TABLED_OPS = (
 )
 
 
-def run_ops(triples, allocating, monkeypatch):
+def run_ops(space, triples, allocating, monkeypatch):
     with monkeypatch.context() as m:
         if allocating:
+            m.setattr(space, "_events", None)
+            m.setattr(space, "_conds", None)
             m.setattr(algebra_module, "_event", alloc_event)
             m.setattr(conditional_module, "_event", alloc_event)
             m.setattr(conditional_module, "_make", alloc_make)
@@ -509,21 +512,20 @@ def test_tabled_builders_match_allocating_builders(n, monkeypatch):
             return _make(space, rng.randrange(1 << n) & ant, ant)
 
         triples = [(draw(), draw(), draw()) for _ in range(400)]
-    fast = run_ops(triples, False, monkeypatch)
-    slow = run_ops(triples, True, monkeypatch)
+    fast = run_ops(space, triples, False, monkeypatch)
+    slow = run_ops(space, triples, True, monkeypatch)
     for t, f_row, s_row in zip(triples, fast, slow):
         for f, s in zip(f_row, s_row):
             if isinstance(f, bool):
                 assert f == s, t
                 continue
-            assert f == s and type(f) is type(s), t
+            assert f == s and type(f) is type(s) and s is not f, t
             if isinstance(f, Event):
                 assert f.mask == s.mask and f.space is s.space is space
                 assert is_table_entry(f, space) == (n <= 8)
             else:
                 assert same(f, s), t
                 assert is_table_entry(f, space) == (n <= 6)
-                assert s is not f
     if n <= 8:
         fast = list(conditionals(space))
         with monkeypatch.context() as m:
@@ -534,30 +536,60 @@ def test_tabled_builders_match_allocating_builders(n, monkeypatch):
         assert all(a is b for a, b in zip(fast, conditionals(space))) == (n <= 6)
 
 
-def test_tabled_builders_keep_their_checks():
+def test_tabled_builders_keep_their_checks(monkeypatch):
     space = AtomSpace(3)
     other, twin = AtomSpace(3, ["x", "y", "z"]), AtomSpace(3)
     a = cond(space.event([0]), space.event([0, 1]))
     hit = _make(space, 0b001, 0b011)
     assert hit is a and space._events[0b011] is space.event([0, 1])
-    # a foreign space is refused even where the masks hit both tables
+    # a foreign space is refused even where the masks hit both tables,
+    # every slot filled, with either operand on the left
+    assert len(list(conditionals(space))) == len(list(conditionals(other))) == 27
     foreign = cond(other.event([0]), other.event([0, 1]))
     for op in (lambda p, q: p & q, lambda p, q: p | q, lambda p, q: p ^ q,
+               lambda p, q: ~p & q, lambda p, q: ~p | ~q, lambda p, q: ~p ^ q,
                lambda p, q: p <= q, lambda p, q: conjoin_all([p, q]),
                lambda p, q: cond(p.consequent, q.antecedent),
-               lambda p, q: p.antecedent & q.antecedent):
-        with pytest.raises(MismatchedSpaceError):
-            op(a, foreign)
+               lambda p, q: p.antecedent & q.antecedent, lambda p, q: p.antecedent | q.antecedent,
+               lambda p, q: p.antecedent ^ q.antecedent, lambda p, q: ~p.antecedent & q.consequent,
+               lambda p, q: ~p.antecedent | ~q.antecedent):
+        for p, q in ((a, foreign), (foreign, a)):
+            with pytest.raises(MismatchedSpaceError):
+                op(p, q)
     with pytest.raises(MismatchedSpaceError):
         _make(space, 0b001, 0b011, other)
     # an equal space held in another object combines, into the left space's table
     b = cond(twin.event([0]), twin.event([0, 1]))
     assert a & b is a and a | b is hit and (a ^ b) is space._conds[0b011 << 3]
     assert (b & a).space is twin and b & a is twin._conds[0b011 << 3 | 0b001]
-    # a refused pair never enters the table
+    x, y = space.event([0, 1]), twin.event([1, 2])
+    assert x & y is space._events[0b010] and x | y is space._events[0b111]
+    assert x ^ y is space._events[0b101] and y ^ x is twin._events[0b101]
+    assert cond(y, x) is space._conds[0b011 << 3 | 0b010]
+    # a refused pair never enters the table, and a slot is filled only by _make
     fresh = AtomSpace(3)
     with pytest.raises(ValueError):
         _make(fresh, 0b001, 0b010)
     with pytest.raises(MismatchedSpaceError):
         _make(fresh, 0b001, 0b011, other)
+    c = ConditionalObject(fresh.event([0]), fresh.event([0, 1]))
+    for op in (lambda p, q: p & q, lambda p, q: p | q, lambda p, q: p ^ q,
+               lambda p, q: cond(p.consequent, q.antecedent),
+               lambda p, q: cond(q.consequent, p.antecedent)):
+        with pytest.raises(MismatchedSpaceError):
+            op(c, foreign)
     assert fresh._conds == [None] * 64
+    made = []
+
+    def recording_make(*args):
+        made.append(args[1:3])
+        return _make(*args)
+
+    monkeypatch.setattr(conditional_module, "_make", recording_make)
+    d = ~c
+    assert made == [(0b010, 0b011)] and fresh._conds[0b011 << 3 | 0b010] is d
+    e = c & d
+    assert made[1:] == [(0, 0b011)] and fresh._conds[0b011 << 3] is e
+    assert ~c is d and d & c is e and c ^ d & c is fresh._conds[0b011 << 3 | 0b001]
+    assert made[2:] == [(0b001, 0b011)]
+    assert [i for i, slot in enumerate(fresh._conds) if slot] == [0b011000, 0b011001, 0b011010]
