@@ -41,7 +41,10 @@ class AtomSpace:
     every Event it hands out is the one entry of ``_events`` for its
     mask. A space of at most COND_TABLE_ATOMS atoms does the same for
     conditionals through ``_conds``, indexed by ``ant << n | cons`` and
-    filled by :func:`cea.conditional._make`. The oracle side is tabled
+    filled only by :func:`cea.conditional._make`, after its checks. The
+    Event and conditional operators and ``cond`` read a filled entry
+    directly when both operands hold this very space object;
+    :func:`_event` and ``_make`` build the rest. The oracle side is tabled
     too: on the same spaces ``_cosets``, indexed like ``_conds``, holds
     the literal coset :func:`cea.coset.expand` built for each
     conditional, and ``_iters`` maps each normalized pair (a & c, c) to

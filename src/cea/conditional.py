@@ -26,11 +26,14 @@ class ConditionalObject:
     space of at most EVENT_TABLE_ATOMS atoms two reads are the same
     table entry. ``&``, ``|``, ``^``, ``~`` are the conditional meet,
     join, ring sum and complement; ``<=`` is the conditional partial
-    order. Each computes on the masks and wraps its result once, through
-    _make, which on a space of at most COND_TABLE_ATOMS atoms returns
-    the one shared object per (cons, ant) pair. The validating
-    constructor always builds a new object. See AtomSpace for when
-    ``is`` may stand for ``==``.
+    order. Each computes on the masks; on a space of at most
+    COND_TABLE_ATOMS atoms it returns the one shared object per (cons,
+    ant) pair, read from the table directly when the slot is filled and
+    both operands hold the same space object. _make builds the rest:
+    untabled spaces, equal spaces held in other objects, foreign spaces
+    (refused) and a slot's first fill. The validating constructor
+    always builds a new object. See AtomSpace for when ``is`` may stand
+    for ``==``.
     """
 
     __slots__ = ("space", "cons", "ant")
@@ -61,10 +64,6 @@ class ConditionalObject:
 
     def __repr__(self) -> str:
         return f"({self.consequent!r}|{self.antecedent!r})"
-
-    # Each operator reads a tabled space's filled slot itself, saving the
-    # call to _make on the common path; _make builds every other result,
-    # checks it and fills the slot.
 
     def __invert__(self) -> "ConditionalObject":
         space, ant = self.space, self.ant
@@ -145,8 +144,7 @@ def cond(a: Event, b: Event) -> ConditionalObject:
     b may be the zero event; (a|0) is the whole-algebra conditional (0|0).
     Reads a tabled space's filled slot itself, as the operators do.
     """
-    space, ant = b.space, b.mask
-    cons = a.mask & ant
+    space, cons, ant = b.space, a.mask & b.mask, b.mask
     table = space._conds
     if table is not None and a.space is space:
         out = table[ant << space.atom_count | cons]
