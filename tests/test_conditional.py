@@ -126,6 +126,52 @@ def test_nary_ops(s3):
         conjoin_all([])
 
 
+class MaskReadSpy:
+    """Stands for a conditional and records each read of its masks."""
+
+    def __init__(self, c, reads):
+        self.space, self._c, self._reads = c.space, c, reads
+
+    @property
+    def cons(self):
+        self._reads.append("cons")
+        return self._c.cons
+
+    @property
+    def ant(self):
+        self._reads.append("ant")
+        return self._c.ant
+
+
+def test_nary_forms_refuse_in_order(s3):
+    """An empty list is refused first, then a foreign space anywhere in
+    the list, before any mask is read and also behind an Event; an Event
+    among items of one space has no masks to read."""
+    other, twin = AtomSpace(3, ["x", "y", "z"]), AtomSpace(3)
+    a, e = cond(s3.event([0]), s3.event([0, 1])), s3.event([1])
+    foreign, twin_item = cond(other.event([1]), other.one), cond(twin.event([2]), twin.one)
+    for nary in (conjoin_all, disjoin_all, sum_all):
+        with pytest.raises(ValueError) as info:
+            nary([])
+        assert type(info.value) is ValueError
+        assert str(info.value) == "need at least one conditional"
+        for items in ([a, foreign], [foreign, a], [a, a, twin_item, foreign],
+                      [a, e, foreign], [e, a, foreign], [e, foreign], [a, other.one],
+                      [twin_item, e, foreign]):
+            with pytest.raises(MismatchedSpaceError):
+                nary(items)
+        reads = []
+        with pytest.raises(MismatchedSpaceError):
+            nary([MaskReadSpy(a, reads), MaskReadSpy(a, reads), foreign])
+        assert reads == []
+        for items in ([e], [a, e], [e, a], [a, twin_item, e, a], [twin_item, twin.one]):
+            with pytest.raises(AttributeError):
+                nary(items)
+        reads = []
+        assert nary([MaskReadSpy(a, reads), twin_item]) == nary([a, twin_item])
+        assert reads.count("cons") == reads.count("ant") == 1
+
+
 def test_order_examples(s3):
     a = cond(s3.event([0]), s3.event([0, 1]))
     c = cond(s3.event([0, 1]), s3.one)
