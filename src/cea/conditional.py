@@ -9,8 +9,6 @@ validate every formula here.
 
 from __future__ import annotations
 
-from functools import reduce
-from operator import and_, or_, xor
 from typing import Iterator, Sequence
 
 from .algebra import (
@@ -158,35 +156,63 @@ def embed(a: Event) -> ConditionalObject:
     return _make(a.space, a.mask, a.space.full_mask)
 
 
-def _columns(items: Sequence[ConditionalObject]) -> tuple[AtomSpace, list[int], list[int]]:
-    """The common space, consequent masks and antecedent masks of items."""
+def _space_of(items: Sequence[ConditionalObject]) -> AtomSpace:
+    """The one space of items, checked over the whole list before any
+    mask is read: an empty list and an item of a foreign space are
+    refused."""
     if not items:
         raise ValueError("need at least one conditional")
     space = items[0].space
-    if any(c.space is not space and c.space != space for c in items):
-        raise MismatchedSpaceError(_MISMATCH)
-    return space, [c.cons for c in items], [c.ant for c in items]
+    for c in items:
+        if c.space is not space and c.space != space:
+            raise MismatchedSpaceError(_MISMATCH)
+    return space
 
 
 def conjoin_all(items: Sequence[ConditionalObject]) -> ConditionalObject:
-    """n-ary meet in closed form; equals any fold of the binary meet."""
-    space, cons, ants = _columns(items)
-    ant = reduce(or_, [a & ~c for c, a in zip(cons, ants)], reduce(and_, ants))
-    return _make(space, reduce(and_, cons) & ant, ant)
+    """n-ary meet in closed form; equals any fold of the binary meet.
+
+    One pass reads each item's masks once: the antecedent is the meet
+    of the antecedents joined with every a & ~c, the consequent the
+    meet of the consequents."""
+    space = _space_of(items)
+    rest = iter(items)
+    first = next(rest)
+    cons, meet = first.cons, first.ant
+    out = meet & ~cons
+    for c in rest:
+        x, a = c.cons, c.ant
+        cons &= x
+        meet &= a
+        out |= a & ~x
+    ant = meet | out
+    return _make(space, cons & ant, ant)
 
 
 def disjoin_all(items: Sequence[ConditionalObject]) -> ConditionalObject:
-    """n-ary join in closed form; equals any fold of the binary join."""
-    space, cons, ants = _columns(items)
-    joined = reduce(or_, cons)
-    return _make(space, joined, joined | reduce(and_, ants))
+    """n-ary join in closed form, in one pass; equals any fold of the
+    binary join."""
+    space = _space_of(items)
+    rest = iter(items)
+    first = next(rest)
+    cons, meet = first.cons, first.ant
+    for c in rest:
+        cons |= c.cons
+        meet &= c.ant
+    return _make(space, cons, cons | meet)
 
 
 def sum_all(items: Sequence[ConditionalObject]) -> ConditionalObject:
-    """n-ary ring sum in closed form; equals any fold of the binary sum."""
-    space, cons, ants = _columns(items)
-    ant = reduce(and_, ants)
-    return _make(space, reduce(xor, cons) & ant, ant)
+    """n-ary ring sum in closed form, in one pass; equals any fold of
+    the binary sum."""
+    space = _space_of(items)
+    rest = iter(items)
+    first = next(rest)
+    cons, ant = first.cons, first.ant
+    for c in rest:
+        cons ^= c.cons
+        ant &= c.ant
+    return _make(space, cons & ant, ant)
 
 
 def chain(first: ConditionalObject, second: ConditionalObject) -> ConditionalObject:

@@ -12,6 +12,7 @@ verifier checks them against the literal sets.
 
 from __future__ import annotations
 
+from itertools import product, starmap
 from typing import Callable, Iterable, Optional
 
 from .algebra import _MISMATCH, AtomSpace, Event, MismatchedSpaceError, _event
@@ -65,11 +66,11 @@ def classwise(
     op: Callable[[Event, Event], Event], a: frozenset[Event], b: frozenset[Event]
 ) -> frozenset[Event]:
     """Natural class extension: apply op to every pair of members."""
-    return frozenset(op(x, y) for x in a for y in b)
+    return frozenset(starmap(op, product(a, b)))
 
 
 def classwise_unary(op: Callable[[Event], Event], a: frozenset[Event]) -> frozenset[Event]:
-    return frozenset(op(x) for x in a)
+    return frozenset(map(op, a))
 
 
 def recognize(space: AtomSpace, events: Iterable[Event]) -> Optional[ConditionalObject]:

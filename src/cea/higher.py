@@ -14,6 +14,8 @@ every call.
 
 from __future__ import annotations
 
+from itertools import product, starmap
+from operator import invert
 from typing import Callable, Iterable
 
 from .algebra import AtomSpace, Event, _event
@@ -151,8 +153,8 @@ def members_extension(
 ) -> frozenset[ConditionalObject]:
     """Natural class extension of a binary conditional operation to
     iterated conditionals: apply it memberwise across both classes."""
-    return frozenset(op(p, q) for p in x.members for q in y.members)
+    return frozenset(starmap(op, product(x.members, y.members)))
 
 
 def members_complement(x: IteratedConditional) -> frozenset[ConditionalObject]:
-    return frozenset(~p for p in x.members)
+    return frozenset(map(invert, x.members))

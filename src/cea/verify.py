@@ -237,13 +237,13 @@ def oracle_equivalence_suite(space: AtomSpace, rng=None, samples=10000) -> list[
     """Compact formulas vs the classwise extension of expanded cosets."""
     return _run(Sweep(space, rng, samples), [
         ("coset_extension_complement", "conds", 1,
-         lambda a: classwise_unary(lambda x: ~x, expand(a)) == expand(~a)),
+         lambda a: classwise_unary(operator.invert, expand(a)) == expand(~a)),
         ("coset_extension_sum", "conds", 2,
-         lambda a, c: classwise(lambda x, y: x ^ y, expand(a), expand(c)) == expand(a ^ c)),
+         lambda a, c: classwise(operator.xor, expand(a), expand(c)) == expand(a ^ c)),
         ("coset_extension_join", "conds", 2,
-         lambda a, c: classwise(lambda x, y: x | y, expand(a), expand(c)) == expand(a | c)),
+         lambda a, c: classwise(operator.or_, expand(a), expand(c)) == expand(a | c)),
         ("coset_extension_meet", "conds", 2,
-         lambda a, c: classwise(lambda x, y: x & y, expand(a), expand(c)) == expand(a & c)),
+         lambda a, c: classwise(operator.and_, expand(a), expand(c)) == expand(a & c)),
     ])
 
 
@@ -287,12 +287,9 @@ def nary_consistency_suite(space: AtomSpace, rng=None, samples=10000) -> list[Ch
         return op(op(a, c), e) == op(a, op(c, e)) == nary([a, c, e])
 
     return _run(Sweep(space, rng, samples), [
-        ("nary_meet_matches_folds", "conds", 3,
-         lambda a, c, e: folds_match(lambda x, y: x & y, conjoin_all, a, c, e)),
-        ("nary_join_matches_folds", "conds", 3,
-         lambda a, c, e: folds_match(lambda x, y: x | y, disjoin_all, a, c, e)),
-        ("nary_sum_matches_folds", "conds", 3,
-         lambda a, c, e: folds_match(lambda x, y: x ^ y, sum_all, a, c, e)),
+        ("nary_meet_matches_folds", "conds", 3, partial(folds_match, operator.and_, conjoin_all)),
+        ("nary_join_matches_folds", "conds", 3, partial(folds_match, operator.or_, disjoin_all)),
+        ("nary_sum_matches_folds", "conds", 3, partial(folds_match, operator.xor, sum_all)),
         ("nary_singleton_identity", "conds", 1,
          lambda a: conjoin_all([a]) == disjoin_all([a]) == sum_all([a]) == a),
     ])
@@ -520,7 +517,7 @@ def characterization_suite(space: AtomSpace) -> list[CheckResult]:
          lambda a, b: expand(cond(a, b)) == expand(cond(a & b, b))),
         ("shared_antecedent_classwise_ops", "events", 3, _shared_antecedent_ops),
         ("classwise_complement", "events", 2,
-         lambda a, b: classwise_unary(lambda x: ~x, expand(cond(a, b))) == expand(~cond(a, b))),
+         lambda a, b: classwise_unary(operator.invert, expand(cond(a, b))) == expand(~cond(a, b))),
         ("distinct_pairs_have_distinct_cosets", "conds", 1, own_coset),
         ("fixed_antecedent_classes_partition", "events", 1, classes_partition),
         ("recognize_inverts_expand", "conds", 1,
@@ -531,9 +528,9 @@ def characterization_suite(space: AtomSpace) -> list[CheckResult]:
 def _shared_antecedent_ops(a, c, b) -> bool:
     ea, ec = expand(cond(a, b)), expand(cond(c, b))
     return (
-        classwise(lambda x, y: x ^ y, ea, ec) == expand(cond(a ^ c, b))
-        and classwise(lambda x, y: x | y, ea, ec) == expand(cond(a | c, b))
-        and classwise(lambda x, y: x & y, ea, ec) == expand(cond(a & c, b))
+        classwise(operator.xor, ea, ec) == expand(cond(a ^ c, b))
+        and classwise(operator.or_, ea, ec) == expand(cond(a | c, b))
+        and classwise(operator.and_, ea, ec) == expand(cond(a & c, b))
     )
 
 
@@ -642,9 +639,9 @@ def higher_order_suite(space: AtomSpace, rng=None, samples=10000) -> list[CheckR
          lambda x, y: iter_equal(x, y) == (x.members == y.members)),
         ("reduction_homomorphism_complement", lambda: ((x,) for x in hom_elems()), hom_unary),
         ("reduction_homomorphism_join", lambda: itertools.product(hom_elems(), repeat=2),
-         lambda x, y: hom_binary(x, y, lambda p, q: p | q)),
+         lambda x, y: hom_binary(x, y, operator.or_)),
         ("reduction_homomorphism_meet", lambda: itertools.product(hom_elems(), repeat=2),
-         lambda x, y: hom_binary(x, y, lambda p, q: p & q)),
+         lambda x, y: hom_binary(x, y, operator.and_)),
         ("restriction_bijective_event_denominator", lambda: denominators,
          restricts_bijectively(lambda a, b, c: iter_cond(cond(a, b), embed(c)))),
         ("restriction_bijective_shared_antecedent", lambda: denominators,

@@ -1,7 +1,7 @@
 import itertools
 import random
 from functools import reduce
-from operator import and_, or_
+from operator import and_, or_, xor
 
 import pytest
 
@@ -170,6 +170,78 @@ def test_nary_forms_refuse_in_order(s3):
         reads = []
         assert nary([MaskReadSpy(a, reads), twin_item]) == nary([a, twin_item])
         assert reads.count("cons") == reads.count("ant") == 1
+
+
+# The list-and-reduce n-ary forms the one-pass loops replaced, kept as
+# their oracle: each builds the column of consequents and of antecedents,
+# then folds each column.
+
+def list_columns(items):
+    if not items:
+        raise ValueError("need at least one conditional")
+    space = items[0].space
+    if any(c.space is not space and c.space != space for c in items):
+        raise MismatchedSpaceError("events belong to different atom spaces")
+    return space, [c.cons for c in items], [c.ant for c in items]
+
+
+def list_conjoin_all(items):
+    space, cons, ants = list_columns(items)
+    ant = reduce(or_, [a & ~c for c, a in zip(cons, ants)], reduce(and_, ants))
+    return _make(space, reduce(and_, cons) & ant, ant)
+
+
+def list_disjoin_all(items):
+    space, cons, ants = list_columns(items)
+    joined = reduce(or_, cons)
+    return _make(space, joined, joined | reduce(and_, ants))
+
+
+def list_sum_all(items):
+    space, cons, ants = list_columns(items)
+    ant = reduce(and_, ants)
+    return _make(space, reduce(xor, cons) & ant, ant)
+
+
+def nary_forms_agree(items):
+    """Each one-pass form returns the list form's object: the very table
+    entry on a space with a conditional table, an equal new object with
+    the same masks and space otherwise."""
+    tabled = items[0].space._conds is not None
+    for fast, slow in ((conjoin_all, list_conjoin_all), (disjoin_all, list_disjoin_all),
+                       (sum_all, list_sum_all)):
+        f, s = fast(items), slow(items)
+        if not (f is s if tabled else f is not s and same(f, s)):
+            return False
+    return True
+
+
+def test_one_pass_nary_forms_match_list_forms():
+    pool = list(conditionals(AtomSpace(2)))
+    for k in range(1, 5):
+        for items in itertools.product(pool, repeat=k):
+            assert nary_forms_agree(list(items)), items
+    for n in (3, 4, 6, 7, 9):
+        space = AtomSpace(n)
+        assert (space._conds is not None) == (n <= COND_TABLE_ATOMS)
+        rng = random.Random(n)
+
+        def draw():
+            ant = rng.randrange(1 << n)
+            return _make(space, rng.randrange(1 << n) & ant, ant)
+
+        for _ in range(300):
+            items = [draw() for _ in range(rng.randint(1, 6))]
+            assert nary_forms_agree(items), items
+    # two equal spaces in other objects: the result lies in the first item's space
+    s3, twin = AtomSpace(3), AtomSpace(3)
+    rng = random.Random(3)
+    both = list(conditionals(s3)) + list(conditionals(twin))
+    for _ in range(300):
+        items = [rng.choice(both) for _ in range(rng.randint(1, 6))]
+        assert nary_forms_agree(items), items
+        assert all(nary(items).space is items[0].space
+                   for nary in (conjoin_all, disjoin_all, sum_all))
 
 
 def test_order_examples(s3):
