@@ -1211,6 +1211,61 @@ def test_eliminate_builds_the_per_row_tables(monkeypatch, case):
     assert len(buckets) > 4 * len(cases)
 
 
+QUERY_FORM_CASES = ("bundled", "chain6", "fever_bound", "chain6_bound")
+
+
+def _query_form_case(name):
+    """(kb, obs, query) of one input of query_forms.json: the bundled KB
+    and observation, the chain KB(6) snapshot input under its
+    observation b1 = x, or a bound-value input (`bound_case`)."""
+    if name == "bundled":
+        kb = load_bundled_kb()
+        return kb, load_bundled_observation(kb), "th1"
+    if name == "chain6":
+        with open(os.path.join(SNAPSHOT_DIR, "chain6_kb.json"), encoding="utf-8") as fh:
+            kb = kb_from_json(json.load(fh))
+        with open(os.path.join(SNAPSHOT_DIR, "chain6_obs.json"), encoding="utf-8") as fh:
+            return kb, observation_from_json(kb, json.load(fh)), "th"
+    return bound_case(name)
+
+
+def _form_json(aldp, form):
+    """A query form as query_forms.json holds it: cl's and pl's mask in
+    hex, cpl's consequent and antecedent masks in hex, fl's tree as
+    `to_json`."""
+    if aldp == "fl":
+        return to_json(form)
+    if aldp == "cpl":
+        return {"cons": format(form.cons, "x"), "ant": format(form.ant, "x")}
+    return format(form.mask, "x")
+
+
+def query_forms_snapshot():
+    """{input: {logic: {query value: form}}}: every query value's
+    `_query_forms` result under the four logics on each of
+    QUERY_FORM_CASES. tests/snapshots/query_forms.json is this, written
+    by json.dump with separators (",", ":")."""
+    out = {}
+    for name in QUERY_FORM_CASES:
+        kb, obs, query = _query_form_case(name)
+        grounding = build_space(kb)
+        out[name] = {aldp: {value: _form_json(aldp, form) for value, form in
+                            engine._query_forms(grounding, obs, aldp, kb.variable(query)).items()}
+                     for aldp in ("cl", "pl", "cpl", "fl")}
+    return out
+
+
+def test_query_forms_match_the_snapshot():
+    """Every query value's form is the recorded one: the masks bit for
+    bit, and each fl tree in its shape and leaf order, which decide the
+    missing grade fl_eval names first and are otherwise compared across
+    versions only through their grades."""
+    with open(os.path.join(SNAPSHOT_DIR, "query_forms.json"), encoding="utf-8") as fh:
+        recorded = json.load(fh)
+    assert list(recorded) == list(QUERY_FORM_CASES)
+    assert query_forms_snapshot() == recorded
+
+
 def _random_factors(rng, kb, kind):
     """A factors section: exact "p/q" strings, floats, or a mix of the
     two per variable."""
