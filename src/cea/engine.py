@@ -37,8 +37,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from functools import partial
-from operator import and_, invert, itemgetter, or_
+from functools import partial, reduce
+from operator import and_, invert, or_
 from typing import Mapping, NamedTuple, Optional, Sequence, Union
 
 from .algebra import AtomSpace, Event, _event, material_implies
@@ -363,16 +363,16 @@ def _table_leaves(observation: Optional[Observation], own: Mapping[str, Sequence
     observed, resolves once (through leaf_values), to the one
     make(var, vals) that every entry shares."""
     vals_of = leaf_values(observation, {})
+    # in product order, a variable's value holds for a run of the later
+    # variables' combos, and the runs repeat for the earlier ones'
+    sizes = list(map(len, own.values()))
+    shape = {var: (math.prod(sizes[i + 1:]), math.prod(sizes[:i])) for i, var in enumerate(own)}
 
     def leaf(var, vals):
         if vals is None and var in own:
-            # in product order, var's value holds for runs of the later
-            # variables' combos, and the runs repeat for the earlier ones'
-            sizes = list(map(len, own.values()))
-            i = list(own).index(var)
-            run = math.prod(sizes[i + 1:])
+            run, repeat = shape[var]
             column = [made for value in own[var] for made in [make(var, (value,))] * run]
-            return _Entries(column * math.prod(sizes[:i]))
+            return _Entries(column * repeat)
         return make(var, vals_of(var, vals))
 
     return leaf
@@ -464,21 +464,30 @@ def lattice(grounding: Grounding, obs: Observation, aldp: str):
 
 
 def _mask_lattice(grounding: Grounding, obs: Observation, aldp: str):
-    """`lattice` for cl, pl and cpl on int masks, plus wrap, which turns
-    a result mask into the Event or ConditionalObject it stands for.
-    Other tags get lattice's forms and no wrap (None). For every tag,
-    side(f, own) is a side's table: its form at every assignment of
-    own (`Grounding.ground_table`; `bind_table` for fl).
+    """`lattice` for elimination, on whole columns, plus wrap.
 
-    cl/pl: an event's mask, the arrow b' | a. cpl: the conditional (a|b)
-    as the interval of its coset, lower bound a&b and upper bound b' | a,
-    packed as lo | hi << n. The conditional meet and join are AND and OR
-    of both bounds at once, so meet and join are & and | here too; a
-    result (lo, hi) is the conditional with consequent lo and
-    antecedent lo | hi'."""
+    Returns (meet, join, base, side, arrow, wrap). meet takes a nonempty
+    list of equal-length columns and gives their entrywise meet, left to
+    right; join(met, d) gives the join of each run of d entries of met.
+    One column, or d = 1, passes its entries through unwrapped. side(f,
+    own) is a side's table: its form at every assignment of own
+    (`Grounding.ground_table`; `bind_table` for fl).
+
+    cl, pl and cpl act on int masks: meet is & by nested maps across the
+    columns and join | over the d strided slices met[j::d]. cl/pl: an
+    event's mask, the arrow b' | a. cpl: the conditional (a|b) as the
+    interval of its coset, lower bound a&b and upper bound b' | a, packed
+    as lo | hi << n. The conditional meet and join are AND and OR of both
+    bounds at once, so meet and join are & and | here too; a result (lo,
+    hi) is the conditional with consequent lo and antecedent lo | hi'.
+    wrap turns a result mask into the Event or ConditionalObject it
+    stands for.
+
+    fl: lattice's forms, one And node per row of the columns and one Or
+    node per run; wrap is None."""
     if aldp not in ("cl", "pl", "cpl"):
-        meet, join, base, _, arrow = lattice(grounding, obs, aldp)
-        return meet, join, base, lambda f, own: bind_table(f, obs, own), arrow, None
+        _, _, base, _, arrow = lattice(grounding, obs, aldp)
+        return _and_rows, _or_runs, base, lambda f, own: bind_table(f, obs, own), arrow, None
     space = grounding.space
     n, full = space.atom_count, space.full_mask
 
@@ -491,10 +500,30 @@ def _mask_lattice(grounding: Grounding, obs: Observation, aldp: str):
             lo = m & full
             return _make(space, lo, lo | full ^ m >> n)
 
-        return (_meet_all, _join_all, [y | y << n], side,
+        return (_and_columns, _or_strides, [y | y << n], side,
                 lambda ant, cons: cons & ant | (full ^ ant | cons) << n, wrap)
-    return (_meet_all, _join_all, [y], side, lambda ant, cons: full ^ ant | cons,
+    return (_and_columns, _or_strides, [y], side, lambda ant, cons: full ^ ant | cons,
             partial(_event, space))
+
+
+def _and_columns(columns: list) -> list:
+    """The masks' meet: & across the columns, left to right."""
+    return list(reduce(partial(map, and_), columns))
+
+
+def _or_strides(met: list, d: int) -> list:
+    """The masks' join: | over the d strided slices, one per value."""
+    return list(reduce(partial(map, or_), [met[j::d] for j in range(d)]))
+
+
+def _and_rows(columns: list) -> list:
+    """fl's meet: one And node per row of the columns."""
+    return columns[0] if len(columns) == 1 else list(map(And, zip(*columns)))
+
+
+def _or_runs(met: list, d: int) -> list:
+    """fl's join: one Or node per run of d entries."""
+    return met if d == 1 else list(map(Or, zip(*[iter(met)] * d)))
 
 
 def conjoin_f(
@@ -558,44 +587,55 @@ def elimination_order(
     return order, largest
 
 
-def _combine(op, items: list) -> ConjoinedForm:
-    return items[0] if len(items) == 1 else op(items)
+def _positions(sub, scope, domains) -> list[int]:
+    """Where each row of a table over scope, in product order, reads a
+    table over sub, some of scope's variables in any order: its entry's
+    index in product order over sub, from sub's strides. A variable of
+    scope that sub lacks has stride 0."""
+    strides, stride = {}, 1
+    for v in reversed(sub):
+        strides[v] = stride
+        stride *= len(domains[v])
+    positions = [0]
+    for v in scope:
+        steps = [j * strides.get(v, 0) for j in range(len(domains[v]))]
+        positions = [p + step for p in positions for step in steps]
+    return positions
 
 
-def _key_stream(rows, idx):
-    """The tuple of each row's items at positions idx, as a C-level
-    iterator over rows; rows must have a length when idx is empty."""
-    if not idx:
-        return itertools.repeat((), len(rows))
-    if len(idx) == 1:
-        return zip(map(itemgetter(idx[0]), rows))
-    return map(itemgetter(*idx), rows)
+def _column(entries: list, sub, scope, domains) -> list:
+    """A table over sub, some of scope's variables, read along the rows
+    of a table over scope. A table over all of scope is read as it is;
+    one over scope's last variables is repeated whole, once per combo of
+    the others, and one over its first variables entry by entry; any
+    other is read through one list of positions (`_positions`)."""
+    if sub == scope:
+        return entries
+    rest = len(scope) - len(sub)
+    if scope[rest:] == sub:
+        return entries * math.prod([len(domains[v]) for v in scope[:rest]])
+    if scope[:len(sub)] == sub:
+        run = range(math.prod([len(domains[v]) for v in scope[len(sub):]]))
+        return [entry for entry in entries for _ in run]
+    return list(map(entries.__getitem__, _positions(sub, scope, domains)))
 
 
 def _eliminate(meet, join, tables: list, var: str, domains) -> list:
     """Meet the (scope, entries) tables that mention var and join over
     its domain: one table over the other variables they mention.
 
-    The rows of the joint table, scope + (var,), run in product order,
-    so each run of len(domains[var]) rows is one entry's column. Each
-    touching table reads its entries along the rows through its own key
-    stream; the meet takes one entry of each, in table order, and the
-    join one column: both whole-table passes of C-level iterators, which
-    build no row list and hold one column at a time. One table, or one
-    value, passes its entry through unwrapped, as `_combine` does."""
+    Every table lists its entries in product order over its scope. The
+    rows of the joint table, scope + (var,), run in product order, so
+    each run of len(domains[var]) rows is one entry's column. Each
+    touching table is read along the rows as one column (`_column`); the
+    lattice's meet takes the columns and its join the runs, each in
+    whole-column passes."""
     touching = [t for t in tables if var in t[0]]
     names = {v for scope, _ in touching for v in scope} - {var}
     scope = tuple(v for v in domains if v in names)
-    pools = [domains[v] for v in scope] + [domains[var]]
     row_scope = scope + (var,)
-    columns = [map(entries_of.__getitem__,
-                   _key_stream(itertools.product(*pools), [row_scope.index(v) for v in s]))
-               for s, entries_of in touching]
-    met = columns[0] if len(columns) == 1 else map(meet, zip(*columns))
-    d = len(domains[var])
-    joined = met if d == 1 else map(join, zip(*[iter(met)] * d))
-    entries = dict(zip(itertools.product(*pools[:-1]), joined))
-    return [t for t in tables if var not in t[0]] + [(scope, entries)]
+    met = meet([_column(entries, s, row_scope, domains) for s, entries in touching])
+    return [t for t in tables if var not in t[0]] + [(scope, join(met, len(domains[var])))]
 
 
 def integrate_out(
@@ -638,26 +678,27 @@ def _query_forms(
     observation), in declaration order with the query variable last: a
     variable named only in bound leaves never enters a table. Each rule
     becomes a table over the ones its own free leaves name. A table's
-    entry is the arrow of the rule's two sides. Each distinct side is
-    grounded once, for this call only, the first time a rule needs it
-    (the antecedent first), keyed by its formula object (a lone leaf by
-    its (var, vals)): one fold (`side`) makes its table, its form at
-    every assignment of its own free, unobserved variables, in product
-    order over their domains (a subsequence of the scope's: the order
-    the combos first need them). Its bound and observed leaves are
-    grounded once in that fold, and shared by every entry. A side shared
-    by many entries, or by two rules, is one object in all of them. A
-    table is built in whole-table passes: its scope's assignments
-    (combos) are listed once; each side's entries are read off the
-    combos through one key stream (`_key_stream`); the entries are the
-    arrows of the two streams.
+    entry is the arrow of the rule's two sides. Every table, a side's, a
+    rule's or a bucket's, is a list of entries in product order over its
+    scope, and is read along another table's rows through one list of
+    positions (`_column`); no entry is looked up by a key.
+
+    Each distinct side is grounded once, for this call only, the first
+    time a rule needs it (the antecedent first), keyed by its formula
+    object (a lone leaf by its (var, vals)): one fold (`side`) makes its
+    table over its own free, unobserved variables, in scope order. Its
+    bound and observed leaves are grounded once in that fold, and shared
+    by every entry. A side shared by many entries, or by two rules, is
+    one object in all of them. A rule's entries are the arrows of its
+    two sides' columns.
+
     The swept variables are eliminated in `elimination_order`, whose
     largest table, query dimension included, is checked against
     MAX_ELIMINATION_TABLE before any rule is grounded. The tables left
-    are over () or (query,); a value's form is the meet of the base and
-    their entries at that value. cl, pl and cpl eliminate on int masks
-    (`_mask_lattice`), each value's mask wrapped once at the end; fl on
-    formula trees.
+    are over () or (query,); the forms are the lattice's meet of the
+    base and those tables, as columns over the query values. cl, pl and
+    cpl eliminate on int masks (`_mask_lattice`), each value's mask
+    wrapped once at the end; fl on formula trees.
     """
     kb = grounding.kb
     meet, join, base, side, arrow, wrap = _mask_lattice(grounding, obs, aldp)
@@ -672,26 +713,23 @@ def _query_forms(
             f"eliminating the swept variables needs a table of {largest} entries,"
             f" over the bound of {MAX_ELIMINATION_TABLE}")
 
-    sides: dict = {}  # side key -> {values of its own variables: side}
+    sides: dict = {}  # side key -> its entries over its own variables
     tables = []
     for rule, scope in zip(rules, scopes):
-        combos = list(itertools.product(*(domains[v] for v in scope)))
-        grounded = []
+        columns = []
         for f, free in zip((rule.antecedent, rule.consequent), rule.side_free_variables):
-            # the side's own variables, and their positions in the scope
-            idx = [i for i, v in enumerate(scope) if v in free]
+            own = tuple(v for v in scope if v in free)
             key = (f.var, f.vals) if isinstance(f, Leaf) else f
             if key not in sides:
-                own = {scope[i]: domains[scope[i]] for i in idx}
-                sides[key] = dict(zip(itertools.product(*own.values()), side(f, own)))
-            grounded.append(map(sides[key].__getitem__, _key_stream(combos, idx)))
-        tables.append((scope, dict(zip(combos, map(arrow, *grounded)))))
+                sides[key] = side(f, {v: domains[v] for v in own})
+            columns.append(_column(sides[key], own, scope, domains))
+        tables.append((scope, list(map(arrow, *columns))))
     for var in order:
         tables = _eliminate(meet, join, tables, var, domains)
-    forms = {value: _combine(meet, base + [entries[(value,) if scope else ()]
-                                           for scope, entries in tables])
-             for value in query.domain}
-    return forms if wrap is None else {value: wrap(m) for value, m in forms.items()}
+    count = len(query.domain)
+    forms = meet([[b] * count for b in base]
+                 + [entries if scope else entries * count for scope, entries in tables])
+    return dict(zip(query.domain, forms if wrap is None else map(wrap, forms)))
 
 
 class EvalRow(NamedTuple):

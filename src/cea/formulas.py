@@ -111,31 +111,38 @@ def fold(f: Formula | tuple[Formula, ...], leaf, not_, and_, or_, implies):
     its number of nodes, not of paths; a shared node's result is the
     same object at every place it occurs. f may also be a tuple of
     formulas: they are read in order in one pass, so a node they share
-    is read once, and the result is the tuple of their results."""
-    if isinstance(f, Leaf):  # a lone leaf has nothing to share: no memo
+    is read once, and the result is the tuple of their results.
+
+    A node is dispatched on its exact type, so a bare NaryOp, or any
+    other node, is refused; a memo hit is read where the argument is,
+    with no call."""
+    if type(f) is Leaf:  # a lone leaf has nothing to share: no memo
         return leaf(f.var, f.vals)
     memo = {}
 
     def go(node):
-        if node in memo:
-            return memo[node]
-        if isinstance(node, Leaf):
+        kind = type(node)
+        if kind is Leaf:
             out = leaf(node.var, node.vals)
-        elif isinstance(node, Or):
-            out = or_([go(a) for a in node.args])
-        elif isinstance(node, And):
-            out = and_([go(a) for a in node.args])
-        elif isinstance(node, Not):
-            out = not_(go(node.arg))
-        elif isinstance(node, Implies):
-            out = implies(go(node.antecedent), go(node.consequent))
+        elif kind is Or:
+            out = or_([memo[a] if a in memo else go(a) for a in node.args])
+        elif kind is And:
+            out = and_([memo[a] if a in memo else go(a) for a in node.args])
+        elif kind is Not:
+            a = node.arg
+            out = not_(memo[a] if a in memo else go(a))
+        elif kind is Implies:
+            a, c = node.antecedent, node.consequent
+            out = implies(memo[a] if a in memo else go(a), memo[c] if c in memo else go(c))
         else:
             raise FormulaError(f"unknown formula node {node!r}")
         memo[node] = out
         return out
 
     try:
-        return tuple(map(go, f)) if isinstance(f, tuple) else go(f)
+        if isinstance(f, tuple):
+            return tuple([memo[node] if node in memo else go(node) for node in f])
+        return go(f)
     finally:
         # go refers to itself; unlinking it frees the memo now, not at the next gc
         del go

@@ -7,7 +7,7 @@ import random
 import tracemalloc
 from fractions import Fraction
 from functools import partial, reduce
-from operator import or_
+from operator import and_, or_
 
 import pytest
 
@@ -1129,23 +1129,33 @@ def test_mask_grounding_matches_event_grounding(bundled):
                 ground(f)
 
 
+def _combine(op, items):
+    return items[0] if len(items) == 1 else op(items)
+
+
 def per_row_eliminate(meet, join, tables, var, domains):
-    """The reference bucket step: `_eliminate` one row at a time, each
-    entry's key built by indexing the row."""
+    """The reference bucket step: `_eliminate` one row at a time. meet
+    and join take a list of entries; one entry passes through unwrapped.
+    Each (scope, entries) table is read through its own combo -> index
+    map, built by itertools.product over its scope, at each row's combo
+    built by indexing the row. The new table is (scope, {combo: entry}),
+    its combos in product order."""
     touching = [t for t in tables if var in t[0]]
     names = {v for scope, _ in touching for v in scope} - {var}
     scope = tuple(v for v in domains if v in names)
     # where each touching table's key lies in a row: a combo, then var's value
     row_scope = scope + (var,)
-    keyed = [(tuple(map(row_scope.index, s)), entries_of) for s, entries_of in touching]
+    keyed = [(tuple(map(row_scope.index, s)),
+              {combo: i for i, combo in enumerate(itertools.product(*(domains[v] for v in s)))},
+              entries_of) for s, entries_of in touching]
     entries = {}
     for combo in itertools.product(*(domains[v] for v in scope)):
         column = []
         for value in domains[var]:
             row = combo + (value,)
-            column.append(engine._combine(meet, [entries_of[tuple(map(row.__getitem__, idx))]
-                                                 for idx, entries_of in keyed]))
-        entries[combo] = engine._combine(join, column)
+            column.append(_combine(meet, [entries_of[index[tuple(map(row.__getitem__, idx))]]
+                                          for idx, index, entries_of in keyed]))
+        entries[combo] = _combine(join, column)
     return [t for t in tables if var not in t[0]] + [(scope, entries)]
 
 
@@ -1175,8 +1185,11 @@ def _assert_same_sharing(new, old, seen):
 def test_eliminate_builds_the_per_row_tables(monkeypatch, case):
     """Each bucket step of every query on 80 random KBs, or on chain
     KB(3) to KB(6), builds the table the per-row step builds from the
-    same tables: the same scope and keys in the same order, equal masks,
-    and fl forms with equal JSON and the same sharing across the table."""
+    same tables: the same scope, one entry per combo in product order,
+    equal masks, and fl forms with equal JSON and the same sharing across
+    the table. The per-row step meets and joins with And and Or for fl
+    and with & and | for the others, not with the lattice's column
+    kernels."""
     if case == "random":
         rng = random.Random(20130410)
         cases = [_random_case(rng)[:2] for _ in range(80)]
@@ -1184,17 +1197,21 @@ def test_eliminate_builds_the_per_row_tables(monkeypatch, case):
         cases = [(kb, Observation(kb, {"b1": ["x"]})) for kb in map(chain_kb, range(3, 7))]
     eliminate = engine._eliminate
     buckets = []
+    logic = [None]  # the logic of the query under way
 
     def checked(meet, join, tables, var, domains):
         out = eliminate(meet, join, tables, var, domains)
-        expected = per_row_eliminate(meet, join, tables, var, domains)
+        fl = logic[0] == "fl"
+        row_ops = (And, Or) if fl else (partial(reduce, and_), partial(reduce, or_))
+        expected = per_row_eliminate(*row_ops, tables, var, domains)
         (scope, entries), (expected_scope, expected_entries) = out[-1], expected[-1]
         assert out[:-1] == expected[:-1]
         assert scope == expected_scope
-        assert list(entries) == list(expected_entries)
+        assert list(expected_entries) == list(itertools.product(*(domains[v] for v in scope)))
+        assert len(entries) == len(expected_entries)
         seen = {}, {}
-        for form, expected_form in zip(entries.values(), expected_entries.values()):
-            if meet is And:
+        for form, expected_form in zip(entries, expected_entries.values()):
+            if fl:
                 assert to_json(form) == to_json(expected_form)
                 _assert_same_sharing(form, expected_form, seen)
             else:
@@ -1207,8 +1224,57 @@ def test_eliminate_builds_the_per_row_tables(monkeypatch, case):
         grounding = build_space(kb)
         query = kb.diagnosis_variables()[0]
         for aldp in ("cl", "pl", "cpl", "fl"):
+            logic[0] = aldp
             engine._query_forms(grounding, obs, aldp, query)
     assert len(buckets) > 4 * len(cases)
+
+
+def _seeded_tables(rng):
+    """(sub, scope, domains): a scope of 0 to 4 variables, with 1 to 3
+    values each, and a subset of it in a random order."""
+    names = [f"v{i}" for i in range(rng.randint(0, 4))]
+    domains = {v: [f"{v}.{j}" for j in range(rng.randint(1, 3))] for v in names}
+    scope = tuple(rng.sample(names, len(names)))
+    sub = tuple(rng.sample(scope, rng.randint(0, len(scope))))
+    return sub, scope, domains
+
+
+def _enumerated_positions(sub, scope, domains):
+    """The oracle: each row of product order over scope, its combo over
+    sub looked up in product order over sub."""
+    index = {combo: i for i, combo in enumerate(itertools.product(*(domains[v] for v in sub)))}
+    return [index[tuple(row[scope.index(v)] for v in sub)]
+            for row in itertools.product(*(domains[v] for v in scope))]
+
+
+def test_positions_match_enumeration_on_seeded_scopes():
+    """`_positions`, and `_column` with its repeated reads, read a table
+    over sub along the rows of a table over scope where enumeration
+    does: on seeded scopes, which hold the empty scope and sub-scope, sub
+    equal to the scope and in other orders, 1-value domains, and the
+    eliminated variable last, as `_eliminate` orders the rows."""
+    rng = random.Random("positions")
+    kinds = set()
+    for _ in range(3000):
+        sub, scope, domains = _seeded_tables(rng)
+        # as _eliminate reads it: the rows end in a variable of sub
+        last = (*[v for v in scope if v != sub[0]], sub[0]) if sub else scope
+        entries = [object() for _ in range(math.prod(len(domains[v]) for v in sub))]
+        for rows in (scope, last):
+            expected = _enumerated_positions(sub, rows, domains)
+            assert len(expected) == math.prod(len(domains[v]) for v in rows)
+            assert engine._positions(sub, rows, domains) == expected
+            assert engine._column(entries, sub, rows, domains) == [entries[p] for p in expected]
+        if sub:
+            kinds.add("eliminated last")
+        kinds.add("empty scope" if not scope else "empty sub" if not sub else
+                  "sub is scope" if sub == scope else "sub reordered" if set(sub) == set(scope)
+                  else "proper sub")
+        if any(len(d) == 1 for d in domains.values()):
+            kinds.add("1-value domain")
+    assert kinds == {"empty scope", "empty sub", "sub is scope", "sub reordered", "proper sub",
+                     "eliminated last", "1-value domain"}
+    assert engine._positions((), (), {}) == [0]
 
 
 QUERY_FORM_CASES = ("bundled", "chain6", "fever_bound", "chain6_bound")

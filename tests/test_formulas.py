@@ -12,6 +12,7 @@ from cea.formulas import (
     FormulaError,
     Implies,
     Leaf,
+    NaryOp,
     Not,
     Or,
     bind_leaves,
@@ -299,3 +300,13 @@ def test_fold_frees_its_memo_without_the_cycle_collector():
         assert len(made) == 2 and all(ref() is None for ref in made)
     finally:
         gc.enable()
+
+
+@pytest.mark.parametrize("wrap", [lambda node: node, lambda node: And([Leaf("x"), node]),
+                                  lambda node: (Leaf("x"), node)])
+def test_fold_refuses_a_bare_nary_node(wrap):
+    """fold dispatches on a node's exact type: a bare NaryOp, at the root,
+    as an argument or in a tuple, is no connective it knows."""
+    bare = NaryOp([Leaf("y")])
+    with pytest.raises(FormulaError, match=r"^unknown formula node \(y\)$"):
+        fold(wrap(bare), lambda var, vals: var, len, len, len, lambda a, c: 2)
