@@ -31,6 +31,11 @@ the two bounds into one int, the lower bound in the low n bits, and
 ANDs and ORs it as cl and pl do their one mask; its upper bound is the
 material implication they read. `lattice` keeps the object-level forms,
 which `conjoin_f` uses as the oracle.
+
+Every table of the elimination is a list of entries in product order
+over its scope, read along a larger table's rows by position
+(`_column`), and each logic's meet and join act on whole columns
+(`_mask_lattice`), so one elimination step serves all four logics.
 """
 
 from __future__ import annotations
