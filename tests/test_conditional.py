@@ -487,6 +487,66 @@ def test_conditional_ops_act_on_the_interval_bound_by_bound(n):
             assert unpack(reduce(bitwise, map(pack, items))) == nary(items), items
 
 
+# The meet, order and complement in cons/ant form, as they read before the
+# false region was stored, kept as the oracle of the operators: each
+# derives every false region a & ~c from the two masks it reads.
+
+def two_mask_and(x, y):
+    c1, a1, c2, a2 = x.cons, x.ant, y.cons, y.ant
+    return c1 & c2, (a1 & ~c1) | (a2 & ~c2) | (a1 & a2)
+
+
+def two_mask_le(x, y):
+    c1, a1, c2, a2 = x.cons, x.ant, y.cons, y.ant
+    return c1 & ~c2 == 0 and a2 & ~c2 & ~(a1 & ~c1) == 0
+
+
+def two_mask_invert(x):
+    return x.ant & ~x.cons, x.ant
+
+
+def built_as(result, masks, x, y):
+    """result is the conditional masks of x's space: the table's object
+    where x's space has a table, else an equal new object."""
+    space, (cons, ant) = x.space, masks
+    if space._conds is not None:
+        return result is space._conds[ant << space.atom_count | cons]
+    return (result is not x and result is not y and result.space is space
+            and (result.cons, result.ant) == masks)
+
+
+def test_meet_order_complement_match_two_mask_forms():
+    """Every pair on 1 to 3 atoms, 300 seeded pairs on 4 atoms (fully
+    tabled), 7 (events tabled only) and 9 (no table), and 300 pairs
+    mixing two equal AtomSpace(3) objects."""
+    cases = []
+    for n in (1, 2, 3):
+        cases += itertools.product(list(conditionals(AtomSpace(n))), repeat=2)
+    for n in (4, 7, 9):
+        space, rng = AtomSpace(n), random.Random(n)
+
+        def draw():
+            ant = rng.getrandbits(n)
+            return _make(space, rng.getrandbits(n) & ant, ant)
+
+        cases += [(draw(), draw()) for _ in range(300)]
+    rng = random.Random(33)
+    both = list(conditionals(AtomSpace(3))) + list(conditionals(AtomSpace(3)))
+    cases += [(rng.choice(both), rng.choice(both)) for _ in range(300)]
+    assert any(x.space is not y.space for x, y in cases[-300:])
+    for x, y in cases:
+        assert built_as(x & y, two_mask_and(x, y), x, y), (x, y)
+        assert (x <= y) is two_mask_le(x, y), (x, y)
+        assert built_as(~x, two_mask_invert(x), x, x), x
+    s3, other = AtomSpace(3), AtomSpace(3, ["x", "y", "z"])
+    a, c = cond(s3.event([0]), s3.event([0, 1])), cond(other.event([1]), other.one)
+    for p, q in ((a, c), (c, a)):
+        with pytest.raises(MismatchedSpaceError):
+            p <= q
+        with pytest.raises(MismatchedSpaceError):
+            p & q
+
+
 def test_mask_slots_and_event_views():
     assert ConditionalObject.__slots__ == ("space", "cons", "ant")
     for n in (2, 3):
