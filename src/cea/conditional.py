@@ -19,27 +19,33 @@ from .algebra import (
 class ConditionalObject:
     """Canonical pair (consequent, antecedent) with consequent <= antecedent.
 
-    Stored as its space and the two masks cons and ant; consequent and
+    Stored as its space and three masks: cons (a&b, where it is true),
+    ant (b, where it is defined) and off = ant & ~cons (a'&b, where it
+    is false), which the constructor or _make sets once. consequent and
     antecedent are Event views built by _event on each read, so on a
     space of at most EVENT_TABLE_ATOMS atoms two reads are the same
     table entry. ``&``, ``|``, ``^``, ``~`` are the conditional meet,
     join, ring sum and complement; ``<=`` is the conditional partial
-    order. Each computes on the masks; on a space of at most
-    COND_TABLE_ATOMS atoms it returns the one shared object per (cons,
-    ant) pair, read from the table directly when the slot is filled and
-    both operands hold the same space object. _make builds the rest:
-    untabled spaces, equal spaces held in other objects, foreign spaces
-    (refused) and a slot's first fill. The validating constructor
-    always builds a new object. See AtomSpace for when ``is`` may stand
-    for ``==``.
+    order. The meet is true where both are and false where either is,
+    the order holds when cons grows and off shrinks, and the complement
+    swaps the two regions; these three read off instead of rebuilding
+    it, and the coset oracle, which checks them, never reads it. Each
+    computes on the masks; on a space of at most COND_TABLE_ATOMS atoms
+    it returns the one shared object per (cons, ant) pair, read from the
+    table directly when the slot is filled and both operands hold the
+    same space object. _make builds the rest: untabled spaces, equal
+    spaces held in other objects, foreign spaces (refused) and a slot's
+    first fill. The validating constructor always builds a new object.
+    See AtomSpace for when ``is`` may stand for ``==``.
     """
 
-    __slots__ = ("space", "cons", "ant")
+    __slots__ = ("space", "cons", "ant", "off")
 
     def __init__(self, consequent: Event, antecedent: Event):
         if not consequent <= antecedent:
             raise ValueError("consequent must be contained in the antecedent")
         self.space, self.cons, self.ant = antecedent.space, consequent.mask, antecedent.mask
+        self.off = self.ant & ~self.cons
 
     @property
     def consequent(self) -> Event:
@@ -64,8 +70,7 @@ class ConditionalObject:
         return f"({self.consequent!r}|{self.antecedent!r})"
 
     def __invert__(self) -> "ConditionalObject":
-        space, ant = self.space, self.ant
-        cons = ant & ~self.cons
+        space, cons, ant = self.space, self.off, self.ant
         table = space._conds
         if table is not None:
             out = table[ant << space.atom_count | cons]
@@ -84,8 +89,8 @@ class ConditionalObject:
         return _make(space, cons, ant, other.space)
 
     def __and__(self, other: "ConditionalObject") -> "ConditionalObject":
-        space, c1, a1, c2, a2 = self.space, self.cons, self.ant, other.cons, other.ant
-        cons, ant = c1 & c2, (a1 & ~c1) | (a2 & ~c2) | (a1 & a2)
+        space, cons = self.space, self.cons & other.cons
+        ant = cons | self.off | other.off
         table = space._conds
         if table is not None and other.space is space:
             out = table[ant << space.atom_count | cons]
@@ -110,8 +115,7 @@ class ConditionalObject:
         """
         if other.space is not self.space and other.space != self.space:
             raise MismatchedSpaceError(_MISMATCH)
-        c1, a1, c2, a2 = self.cons, self.ant, other.cons, other.ant
-        return c1 & ~c2 == 0 and a2 & ~c2 & ~(a1 & ~c1) == 0
+        return self.cons & ~other.cons == 0 and other.off & ~self.off == 0
 
 
 def _make(space: AtomSpace, cons: int, ant: int, peer=None) -> ConditionalObject:
@@ -130,7 +134,7 @@ def _make(space: AtomSpace, cons: int, ant: int, peer=None) -> ConditionalObject
         if out is not None:
             return out
     out = _new(ConditionalObject)
-    out.space, out.cons, out.ant = space, cons, ant
+    out.space, out.cons, out.ant, out.off = space, cons, ant, ant & ~cons
     if table is not None:
         table[key] = out
     return out

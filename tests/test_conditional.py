@@ -547,8 +547,12 @@ def test_meet_order_complement_match_two_mask_forms():
             p & q
 
 
+def off_is_the_false_region(c):
+    return c.off == c.ant & ~c.cons
+
+
 def test_mask_slots_and_event_views():
-    assert ConditionalObject.__slots__ == ("space", "cons", "ant")
+    assert ConditionalObject.__slots__ == ("space", "cons", "ant", "off")
     for n in (2, 3):
         space = AtomSpace(n)
         for c in conditionals(space):
@@ -558,7 +562,9 @@ def test_mask_slots_and_event_views():
             assert c.consequent is c.consequent and c.antecedent is space._events[c.ant]
             rebuilt = ConditionalObject(c.consequent, c.antecedent)
             assert rebuilt == c and hash(rebuilt) == hash(c) == hash((c.cons, c.ant))
-            assert (rebuilt.space, rebuilt.cons, rebuilt.ant) == (c.space, c.cons, c.ant)
+            assert (rebuilt.space, rebuilt.cons, rebuilt.ant, rebuilt.off) == (
+                c.space, c.cons, c.ant, c.off)
+            assert off_is_the_false_region(c) and off_is_the_false_region(rebuilt)
             assert repr(c) == f"({c.consequent!r}|{c.antecedent!r})"
             with pytest.raises(AttributeError):
                 c.consequent = c.antecedent
@@ -579,6 +585,27 @@ def test_mask_slots_and_event_views():
     assert big._events is None
     assert c.consequent == c.consequent and c.consequent is not c.consequent
     assert c.antecedent == big.event([0, 1, 8]) and c.antecedent is not c.antecedent
+    # every builder and every operator result stores off as ant & ~cons,
+    # on tabled (3, 4) and untabled (7, 9) spaces
+    for n in (3, 4, 7, 9):
+        space, rng = AtomSpace(n), random.Random(n)
+
+        def ev():
+            return space.event_from_mask(rng.getrandbits(n))
+
+        pool = [cond(ev(), ev()) for _ in range(40)]
+        pool += [ConditionalObject(a & b, b) for a, b in ((ev(), ev()) for _ in range(40))]
+        pool += [_make(space, rng.getrandbits(n) & ant, ant)
+                 for ant in (rng.getrandbits(n) for _ in range(40))]
+        pool += [embed(ev()) for _ in range(40)]
+        if n <= 4:
+            pool += conditionals(space)
+        for x in pool:
+            assert off_is_the_false_region(x) and off_is_the_false_region(~x), x
+        for x, y, z in (rng.sample(pool, 3) for _ in range(300)):
+            results = (x & y, x | y, x ^ y, conjoin_all([x, y, z]),
+                       disjoin_all([x, y, z]), sum_all([x, y, z]), chain(x, y))
+            assert all(map(off_is_the_false_region, results)), (x, y, z)
 
 
 def test_sweep_sample_stream_matches_event_draws():
@@ -640,7 +667,7 @@ def alloc_make(space, cons, ant, peer=None):
     if cons & ~ant:
         raise ValueError("consequent must be contained in the antecedent")
     out = object.__new__(ConditionalObject)
-    out.space, out.cons, out.ant = space, cons, ant
+    out.space, out.cons, out.ant, out.off = space, cons, ant, ant & ~cons
     return out
 
 
