@@ -7,7 +7,9 @@ import pytest
 
 import cea.algebra as algebra_module
 import cea.conditional as conditional_module
-from cea.algebra import COND_TABLE_ATOMS, AtomSpace, Event, MismatchedSpaceError, material_implies
+from cea.algebra import (
+    COND_TABLE_ATOMS, AtomSpace, Event, MismatchedSpaceError, _event, material_implies,
+)
 from cea.conditional import (
     ConditionalObject,
     _make,
@@ -22,7 +24,10 @@ from cea.conditional import (
     sum_all,
 )
 from cea.coset import classwise, classwise_unary, expand
-from cea.engine import KnowledgeBase, Observation, VariableDecl, _mask_lattice, build_space
+from cea.engine import (
+    KnowledgeBase, Observation, VariableDecl, _Entries, _mask_lattice, build_space,
+)
+from cea.formulas import Implies, Leaf, Not
 from cea.verify import (
     conditional_law_suite,
     identity_suite,
@@ -606,6 +611,138 @@ def test_mask_slots_and_event_views():
             results = (x & y, x | y, x ^ y, conjoin_all([x, y, z]),
                        disjoin_all([x, y, z]), sum_all([x, y, z]), chain(x, y))
             assert all(map(off_is_the_false_region, results)), (x, y, z)
+
+
+# The forms that embed, material_implies, zero, one, events() and both
+# hashes computed on every call, kept as the oracle of the reads that a
+# table or a slot may serve instead.
+
+def rebuilt_embed(a):
+    return _make(a.space, a.mask, a.space.full_mask)
+
+
+def rebuilt_implies(b, a):
+    return ~b | a
+
+
+def rebuilt_events(space):
+    return [_event(space, mask) for mask in range(1 << space.atom_count)]
+
+
+def read_as(result, want, table, key, operands):
+    """result is want: the table's object where there is a table, else an
+    equal new object of want's space, none of operands."""
+    if table is not None:
+        return result is table[key] is want
+    return (result == want and type(result) is type(want) and result is not want
+            and result.space is want.space and all(result is not x for x in operands))
+
+
+def test_table_and_slot_reads_match_rebuilt_forms():
+    """hash, embed, material_implies, zero, one and events() against the
+    forms they rebuilt on every call: every case on 1 to 4 atoms, 300
+    seeded cases on 6 atoms (both tables), 7 (events tabled only) and 9
+    (no table); two equal spaces, a foreign one, the engine's ints and
+    side tables, and events on 70 atoms, whose masks pass 2**63."""
+    for n in (1, 2, 3, 4, 6, 7, 9):
+        space, rng = AtomSpace(n), random.Random(n)
+        full, events, conds = space.full_mask, space._events, space._conds
+        rebuilt = rebuilt_events(space)
+        listed = space.events()
+        assert iter(listed) is listed
+        listed = list(listed)
+        assert len(listed) == len(rebuilt) == 1 << n
+        assert all(read_as(got, want, events, want.mask, ()) for got, want in zip(listed, rebuilt))
+        for got, mask in ((space.zero, 0), (space.one, full)):
+            assert read_as(got, _event(space, mask), events, mask, ()), (n, mask)
+        if n <= 4:
+            singles = rebuilt
+            pairs = list(itertools.product(rebuilt, repeat=2))
+            pool = list(conditionals(space))
+            cond_pairs = list(itertools.product(pool, repeat=2))
+            triples = [(x, y, pool[i % len(pool)]) for i, (x, y) in enumerate(cond_pairs)]
+        else:
+            def ev():
+                return space.event_from_mask(rng.getrandbits(n))
+
+            def cnd():
+                ant = rng.getrandbits(n)
+                return _make(space, rng.getrandbits(n) & ant, ant)
+
+            singles = [ev() for _ in range(300)]
+            pairs = [(ev(), ev()) for _ in range(300)]
+            pool = [cnd() for _ in range(300)]
+            cond_pairs = [(cnd(), cnd()) for _ in range(300)]
+            triples = [(cnd(), cnd(), cnd()) for _ in range(300)]
+        for a in singles:
+            got = embed(a)
+            assert read_as(got, rebuilt_embed(a), conds, full << n | a.mask, (a,)), a
+            assert hash(a) == hash(a.mask) and hash(got) == hash((got.cons, got.ant))
+        for b, a in pairs:
+            mask = full & ~b.mask | a.mask
+            assert read_as(material_implies(b, a), rebuilt_implies(b, a), events, mask, (a, b))
+            for e in (b & a, b | a, b ^ a, ~b, material_implies(b, a)):
+                assert hash(e) == hash(e.mask), e
+        built = list(pool)
+        built += [ConditionalObject(c.consequent, c.antecedent) for c in pool]
+        built += [cond(c.consequent, c.antecedent) for c in pool]
+        for x, y in cond_pairs:
+            built += [x & y, x | y, x ^ y, ~x, chain(x, y)]
+        for x, y, z in triples:
+            built += [conjoin_all([x, y, z]), disjoin_all([x, y, z]), sum_all([x, y, z])]
+        assert all(hash(c) == hash((c.cons, c.ant)) for c in built)
+    # two equal spaces give the left operand's entry; a foreign one is refused
+    s3, twin, foreign = AtomSpace(3), AtomSpace(3), AtomSpace(3, ["x", "y", "z"])
+    for b, a in itertools.product(s3.events(), twin.events()):
+        assert material_implies(b, a) is s3._events[7 & ~b.mask | a.mask]
+        assert material_implies(a, b) is twin._events[7 & ~a.mask | b.mask]
+        other = foreign.event_from_mask(a.mask)
+        for p, q in ((b, other), (other, b)):
+            with pytest.raises(MismatchedSpaceError):
+                material_implies(p, q)
+    big, labelled = AtomSpace(9), AtomSpace(9, [f"x{i}" for i in range(9)])
+    for p, q in ((big.atom(0), labelled.atom(1)), (labelled.zero, big.one)):
+        with pytest.raises(MismatchedSpaceError):
+            material_implies(p, q)
+    # the engine folds material_implies over ints and over side tables
+    for b, a in itertools.product(range(-4, 8), repeat=2):
+        assert material_implies(b, a) == ~b | a
+    side = _Entries([0b001, 0b110, 0b011])
+    for got, want in ((material_implies(side, 0b100), [~m | 0b100 for m in side]),
+                      (material_implies(0b100, side), [~0b100 | m for m in side]),
+                      (material_implies(side, side), [~m | m for m in side])):
+        assert type(got) is _Entries and list(got) == want
+    x_dom, d_dom = ["0", "1", "2"], ["p", "q"]
+    kb = KnowledgeBase([VariableDecl("x", "data-attribute", x_dom),
+                        VariableDecl("d", "diagnosis", d_dom)], [])
+    grounding = build_space(kb)
+    full, prim = grounding.space.full_mask, grounding.primitive_mask
+    # each side: the formula, its own variables, and its two arms' masks
+    # at an assignment of them
+    for f, own, arms in (
+            (Implies(Leaf("x"), Not(Leaf("d"))), {"x": x_dom, "d": d_dom},
+             lambda x, d: (prim("x", x), full & ~prim("d", d))),
+            (Implies(Leaf("x", ["0", "2"]), Leaf("d")), {"d": d_dom},
+             lambda d: (prim("x", "0") | prim("x", "2"), prim("d", d))),
+            (Implies(Leaf("x"), Leaf("d", ["q"])), {"x": x_dom},
+             lambda x: (prim("x", x), prim("d", "q")))):
+        combos = itertools.product(*own.values())
+        want = [full & ~b | a for b, a in itertools.starmap(arms, combos)]
+        assert grounding.ground_table(f, None, own) == want, f
+    # past 2**61 - 1 an int's hash is no longer the int itself: equal
+    # events still hash equally, whichever space object holds them
+    wide, wide_twin = AtomSpace(70), AtomSpace(70)
+    masks = [0, 1, 2**61 - 2, 2**61 - 1, 2**61, 2**62 + 5, 2**63 - 1, 2**63, 2**64 + 3,
+             2**70 - 1]
+    for m in masks:
+        x, y, z = wide.event_from_mask(m), wide.event_from_mask(m), wide_twin.event_from_mask(m)
+        assert x is not y and x == y == z and hash(x) == hash(y) == hash(z)
+        assert y in {x} and z in {x} and len({x, y, z}) == 1 and {x: m}[z] == m
+        c = cond(x, wide.one)
+        assert hash(c) == hash((c.cons, c.ant)) and c in {embed(z)}
+    assert len({wide.event_from_mask(m) for m in masks}) == len(masks)
+    assert wide.one in {wide_twin.event_from_mask(2**70 - 1)} and wide.zero == wide_twin.zero
+    assert material_implies(wide.zero, wide_twin.atom(69)) == wide_twin.one
 
 
 def test_sweep_sample_stream_matches_event_draws():
