@@ -57,7 +57,7 @@ class AtomSpace:
     a fresh object per result.
     """
 
-    __slots__ = ("atom_count", "full_mask", "_labels",
+    __slots__ = ("atom_count", "full_mask", "_labels", "zero", "one",
                  "_events", "_conds", "_cosets", "_iters")
 
     def __init__(self, atom_count: int,
@@ -74,6 +74,8 @@ class AtomSpace:
         if atom_count <= EVENT_TABLE_ATOMS:
             # _events is still None here, so _event allocates each entry
             self._events = [_event(self, m) for m in range(1 << atom_count)]
+        self.zero = _event(self, 0)
+        self.one = _event(self, self.full_mask)
         if atom_count <= COND_TABLE_ATOMS:
             self._conds = [None] * (1 << 2 * atom_count)
             self._cosets = [None] * (1 << 2 * atom_count)
@@ -117,14 +119,6 @@ class AtomSpace:
     def event_from_mask(self, mask: int) -> "Event":
         return _event(self, mask & self.full_mask)
 
-    @property
-    def zero(self) -> "Event":
-        return _event(self, 0)
-
-    @property
-    def one(self) -> "Event":
-        return _event(self, self.full_mask)
-
     def atom(self, i: int) -> "Event":
         if not 0 <= i < self.atom_count:
             raise ValueError(f"atom index {i} out of range")
@@ -132,8 +126,9 @@ class AtomSpace:
 
     def events(self) -> Iterator["Event"]:
         """All 2^n events in canonical (ascending bitmask) order."""
-        for mask in range(1 << self.atom_count):
-            yield _event(self, mask)
+        if self._events is not None:
+            return iter(self._events)
+        return (_event(self, mask) for mask in range(1 << self.atom_count))
 
 
 class Event:
@@ -195,7 +190,7 @@ class Event:
         )
 
     def __hash__(self) -> int:
-        return hash(self.mask)
+        return self.mask
 
     def __bool__(self) -> bool:
         return self.mask != 0
@@ -233,5 +228,16 @@ def _event(space: AtomSpace, mask: int, peer=None) -> Event:
 
 
 def material_implies(b: Event, a: Event) -> Event:
-    """Material implication b => a, read as (not b) or a."""
+    """Material implication b => a, read as (not b) or a.
+
+    Two Events take one mask, read from b's table when a holds the same
+    space object; any other operands (the engine's ints and side tables)
+    are combined as ~b | a."""
+    if type(b) is Event and type(a) is Event:
+        space = b.space
+        mask = space.full_mask & ~b.mask | a.mask
+        table = space._events
+        if table is not None and a.space is space:
+            return table[mask]
+        return _event(space, mask, a.space)
     return ~b | a

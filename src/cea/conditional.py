@@ -39,13 +39,13 @@ class ConditionalObject:
     See AtomSpace for when ``is`` may stand for ``==``.
     """
 
-    __slots__ = ("space", "cons", "ant", "off")
+    __slots__ = ("space", "cons", "ant", "off", "_hash")
 
     def __init__(self, consequent: Event, antecedent: Event):
         if not consequent <= antecedent:
             raise ValueError("consequent must be contained in the antecedent")
-        self.space, self.cons, self.ant = antecedent.space, consequent.mask, antecedent.mask
-        self.off = self.ant & ~self.cons
+        self.space, cons, ant = antecedent.space, consequent.mask, antecedent.mask
+        self.cons, self.ant, self.off, self._hash = cons, ant, ant & ~cons, hash((cons, ant))
 
     @property
     def consequent(self) -> Event:
@@ -64,7 +64,7 @@ class ConditionalObject:
         )
 
     def __hash__(self) -> int:
-        return hash((self.cons, self.ant))
+        return self._hash
 
     def __repr__(self) -> str:
         return f"({self.consequent!r}|{self.antecedent!r})"
@@ -135,6 +135,7 @@ def _make(space: AtomSpace, cons: int, ant: int, peer=None) -> ConditionalObject
             return out
     out = _new(ConditionalObject)
     out.space, out.cons, out.ant, out.off = space, cons, ant, ant & ~cons
+    out._hash = hash((cons, ant))
     if table is not None:
         table[key] = out
     return out
@@ -156,8 +157,15 @@ def cond(a: Event, b: Event) -> ConditionalObject:
 
 
 def embed(a: Event) -> ConditionalObject:
-    """An ordinary event viewed inside the conditional space, as (a|1)."""
-    return _make(a.space, a.mask, a.space.full_mask)
+    """An ordinary event viewed inside the conditional space, as (a|1).
+    Reads a tabled space's filled slot itself, as cond does."""
+    space, cons = a.space, a.mask
+    table = space._conds
+    if table is not None:
+        out = table[space.full_mask << space.atom_count | cons]
+        if out is not None:
+            return out
+    return _make(space, cons, space.full_mask)
 
 
 def _space_of(items: Sequence[ConditionalObject]) -> AtomSpace:

@@ -557,7 +557,7 @@ def off_is_the_false_region(c):
 
 
 def test_mask_slots_and_event_views():
-    assert ConditionalObject.__slots__ == ("space", "cons", "ant", "off")
+    assert ConditionalObject.__slots__ == ("space", "cons", "ant", "off", "_hash")
     for n in (2, 3):
         space = AtomSpace(n)
         for c in conditionals(space):
@@ -805,6 +805,7 @@ def alloc_make(space, cons, ant, peer=None):
         raise ValueError("consequent must be contained in the antecedent")
     out = object.__new__(ConditionalObject)
     out.space, out.cons, out.ant, out.off = space, cons, ant, ant & ~cons
+    out._hash = hash((cons, ant))
     return out
 
 
