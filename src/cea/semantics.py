@@ -388,13 +388,14 @@ def measure_from_json(
 ) -> ProbabilityMeasure:
     """Build a measure from its file form.
 
-    {"atoms": {label: weight}} assigns weights by atom label (absent
-    labels get zero); {"factors": {var: {value: weight}}} builds the
-    product measure over a variable-grounded space and requires that
-    grounding's (name, domain) pairs in declaration order. Its weights
-    are the Kronecker product of the factors, each atom's product taken
-    left to right in declaration order from 1, one strided slice per
-    factor value and level. Each factor weight's sign is checked once,
+    The file holds exactly one of two sections. {"atoms": {label:
+    weight}} assigns weights by atom label (absent labels get zero);
+    {"factors": {var: {value: weight}}} builds the product measure over
+    a variable-grounded space and requires that grounding's (name,
+    domain) pairs in declaration order. Its weights are the Kronecker
+    product of the factors, each atom's product taken left to right in
+    declaration order from 1, one strided slice per factor value and
+    level. Each factor weight's sign is checked once,
     after the factor sums and the cover, so a float or mixed product is
     held with no per-atom scan and only its sum is tested
     (`ProbabilityMeasure._of_products`). When every factor weight
@@ -405,6 +406,9 @@ def measure_from_json(
     """
     if not isinstance(data, dict):
         raise ValueError("measure file must be a JSON object")
+    if "atoms" in data and "factors" in data:
+        raise ValueError('measure file has both an "atoms" and a "factors" section;'
+                         ' it needs exactly one')
     if "atoms" in data:
         mapping = data["atoms"]
         if not isinstance(mapping, dict):

@@ -381,6 +381,12 @@ EXIT_TWO_MESSAGES = [
     ("unknown-atom-labels", {"measure.json": {"atoms": {"x=2,d=p": 1, "x=0,d=r": 0}}},
      TINY + ["--aldp", "cpl", "--measure", "measure.json"],
      "unknown atom labels: ['x=0,d=r', 'x=2,d=p']"),
+    # the "factors" section used to be ignored beside an "atoms" one
+    ("measure-both-sections",
+     {"measure.json": {"atoms": {}, "factors": {"x": {"0": 0.5, "1": 0.5},
+                                                "d": {"p": 0.5, "q": 0.5}}}},
+     TINY + ["--aldp", "pl", "--measure", "measure.json"],
+     'measure file has both an "atoms" and a "factors" section; it needs exactly one'),
     ("unreadable-file", {}, ["eval", "--kb", "nope.json", "--observe", "obs.json",
                              "--aldp", "pl", "--measure", "uniform"],
      "cannot read nope.json: [Errno 2] No such file or directory: 'nope.json'"),
