@@ -42,9 +42,13 @@ class AtomSpace:
     mask. A space of at most COND_TABLE_ATOMS atoms does the same for
     conditionals through ``_conds``, indexed by ``ant << n | cons`` and
     filled only by :func:`cea.conditional._make`, after its checks. The
-    Event and conditional operators and ``cond`` read a filled entry
-    directly when both operands hold this very space object;
-    :func:`_event` and ``_make`` build the rest. The oracle side is tabled
+    Event and conditional operators, ``cond``, ``embed`` and
+    :func:`material_implies` read a filled entry directly when both
+    operands hold this very space object; :func:`_event` and ``_make``
+    build the rest. ``zero`` and ``one`` are slots filled once here: two
+    entries of ``_events`` on a tabled space, else one object per space,
+    not a new one per read; ``events()`` iterates over ``_events`` where
+    there is one. The oracle side is tabled
     too: on the same spaces ``_cosets``, indexed like ``_conds``, holds
     the literal coset :func:`cea.coset.expand` built for each
     conditional, and ``_iters`` maps each normalized pair (a & c, c) to
@@ -136,7 +140,10 @@ class Event:
 
     Operators follow the Boolean ring/lattice reading:
     ``&`` meet, ``|`` join, ``^`` ring sum (symmetric difference),
-    ``~`` complement, ``<=`` the subset partial order.
+    ``~`` complement, ``<=`` the subset partial order. An event hashes
+    as its mask itself: below 2**61 - 1 that is ``hash(mask)``, and past
+    it CPython rehashes a result out of a machine word's range, so equal
+    events hash equally on every space.
     """
 
     __slots__ = ("space", "mask")

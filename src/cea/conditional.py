@@ -21,7 +21,8 @@ class ConditionalObject:
 
     Stored as its space and three masks: cons (a&b, where it is true),
     ant (b, where it is defined) and off = ant & ~cons (a'&b, where it
-    is false), which the constructor or _make sets once. consequent and
+    is false), which the constructor or _make sets once, with _hash,
+    the value hash((cons, ant)) that __hash__ returns. consequent and
     antecedent are Event views built by _event on each read, so on a
     space of at most EVENT_TABLE_ATOMS atoms two reads are the same
     table entry. ``&``, ``|``, ``^``, ``~`` are the conditional meet,
