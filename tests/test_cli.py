@@ -381,7 +381,6 @@ EXIT_TWO_MESSAGES = [
     ("unknown-atom-labels", {"measure.json": {"atoms": {"x=2,d=p": 1, "x=0,d=r": 0}}},
      TINY + ["--aldp", "cpl", "--measure", "measure.json"],
      "unknown atom labels: ['x=0,d=r', 'x=2,d=p']"),
-    # the "factors" section used to be ignored beside an "atoms" one
     ("measure-both-sections",
      {"measure.json": {"atoms": {}, "factors": {"x": {"0": 0.5, "1": 0.5},
                                                 "d": {"p": 0.5, "q": 0.5}}}},
