@@ -1093,17 +1093,36 @@ def _own_domains(kb, obs, f):
     return {v.name: v.domain for v in kb.variables if v.name in own}
 
 
+def _three_own_case():
+    """(kb, obs) with a rule side over three free, unobserved variables
+    of 2, 3 and 2 values: each one's leaf column is read in the first,
+    middle and last position of the side's product order."""
+    variables = [VariableDecl("x", "data-attribute", ["0", "1"]),
+                 VariableDecl("u", "auxiliary-attribute", ["1", "2"]),
+                 VariableDecl("v", "auxiliary-attribute", ["1", "2", "3"]),
+                 VariableDecl("w", "auxiliary-attribute", ["1", "2"]),
+                 VariableDecl("d", "diagnosis", ["p", "q"])]
+    side = And([Leaf("x"), Or([Leaf("u"), Not(Leaf("v"))]),
+                Implies(Leaf("w"), Leaf("v", ["2"]))])
+    kb = KnowledgeBase(variables, [Rule("r", side, Or([Not(Leaf("w")), Leaf("d")]))])
+    obs = Observation(kb, {"x": ["1"]})
+    assert list(map(len, _own_domains(kb, obs, side).values())) == [2, 3, 2]
+    return kb, obs
+
+
 def test_mask_grounding_matches_event_grounding(bundled):
     """Every entry of a side table is the side grounded at that entry's
     assignment: ground_table's is ground_formula's mask, and
     bind_table's tree has the JSON form of bind_leaves through
     leaf_values. On every rule side of 80 random KBs, whose sides nest
-    not and implies (where ~ on an int goes negative), of the bundled KB
-    and of both bound_ snapshot inputs; a primitive the space does not
-    hold is refused as ground_formula refuses it."""
+    not and implies (where ~ on an int goes negative), of the bundled KB,
+    of both bound_ snapshot inputs and of a side over three own
+    variables; a primitive the space does not hold is refused as
+    ground_formula refuses it."""
     rng = random.Random(20130410)
     cases = [_random_case(rng)[:2] for _ in range(80)] + [(bundled[0], bundled[2])]
     cases += [bound_case(name)[:2] for name in ("fever_bound", "chain6_bound")]
+    cases.append(_three_own_case())
     entries = 0
     for kb, obs in cases:
         grounding = build_space(kb)
@@ -1127,6 +1146,20 @@ def test_mask_grounding_matches_event_grounding(bundled):
                        grounding.ground_formula):
             with pytest.raises(KnowledgeBaseError, match=r"unknown primitive event"):
                 ground(f)
+
+
+def test_lone_leaf_side_keeps_the_primitive_ints(bundled):
+    """A lone-leaf side's table holds the primitive table's own ints, not
+    copies: a free leaf's entry at each value, an observed leaf's one
+    entry."""
+    kb, grounding, obs = bundled
+    domain = kb.variable("a1").domain
+    table = grounding.ground_table(Leaf("a1"), obs, {"a1": domain})
+    assert len(table) == len(domain)
+    for j, value in enumerate(domain):
+        assert table[j] is grounding.primitive_mask("a1", value)
+    table = grounding.ground_table(Leaf("b1"), obs, {})
+    assert len(table) == 1 and table[0] is grounding.primitive_mask("b1", "106-reddish")
 
 
 def _combine(op, items):

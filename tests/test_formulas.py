@@ -1,4 +1,5 @@
 import gc
+import itertools
 import random
 import weakref
 from functools import reduce
@@ -6,6 +7,7 @@ from functools import reduce
 import pytest
 
 from cea.algebra import AtomSpace, material_implies
+from cea.engine import _Entries
 from cea.formulas import (
     And,
     MAX_DEPTH,
@@ -95,6 +97,24 @@ def test_ground_commutes_with_connectives():
     assert ground(Implies(x, y), resolve) == ~table["x"] | table["y"]
     nested = And([Or([x, y]), Not(y)])
     assert ground(nested, resolve) == (table["x"] | table["y"]) & ~table["y"]
+
+
+def test_ground_reads_implies_over_ints_and_side_tables():
+    """The engine grounds on int masks and on _Entries side tables: an
+    Implies node reads as ~b | a, entry by entry on a table, a plain
+    operand shared by every entry."""
+    arrow = Implies(Leaf("b"), Leaf("a"))
+
+    def ground_arrow(b, a):
+        return ground(arrow, lambda var, vals: {"b": b, "a": a}[var])
+
+    for b, a in itertools.product(range(-4, 8), repeat=2):
+        assert ground_arrow(b, a) == ~b | a
+    side = _Entries([0b001, 0b110, 0b011])
+    for got, want in ((ground_arrow(side, 0b100), [~m | 0b100 for m in side]),
+                      (ground_arrow(0b100, side), [~0b100 | m for m in side]),
+                      (ground_arrow(side, side), [~m | m for m in side])):
+        assert type(got) is _Entries and list(got) == want
 
 
 def test_bind_leaves():
