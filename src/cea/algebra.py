@@ -235,16 +235,11 @@ def _event(space: AtomSpace, mask: int, peer=None) -> Event:
 
 
 def material_implies(b: Event, a: Event) -> Event:
-    """Material implication b => a, read as (not b) or a.
-
-    Two Events take one mask, read from b's table when a holds the same
-    space object; any other operands (the engine's ints and side tables)
-    are combined as ~b | a."""
-    if type(b) is Event and type(a) is Event:
-        space = b.space
-        mask = space.full_mask & ~b.mask | a.mask
-        table = space._events
-        if table is not None and a.space is space:
-            return table[mask]
-        return _event(space, mask, a.space)
-    return ~b | a
+    """Material implication b => a, read as (not b) or a: one mask, read
+    from b's table when a holds the same space object."""
+    space = b.space
+    mask = space.full_mask & ~b.mask | a.mask
+    table = space._events
+    if table is not None and a.space is space:
+        return table[mask]
+    return _event(space, mask, a.space)

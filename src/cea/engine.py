@@ -363,30 +363,27 @@ def _entrywise(op, *args):
 def _table_leaves(observation: Optional[Observation], own: Mapping[str, Sequence[str]], make):
     """The leaf function of a side table's fold. own maps the side's
     free, unobserved variables to their domains. A free leaf of one of
-    them resolves to an _Entries: make(var, (value,)) at each assignment
-    of own, in itertools.product order. Any other leaf, bound or
+    them resolves to an _Entries: its column make(var, (value,)), one
+    entry per value, read along the assignments of own in
+    itertools.product order (`_column`). Any other leaf, bound or
     observed, resolves once (through leaf_values), to the one
     make(var, vals) that every entry shares."""
     vals_of = leaf_values(observation, {})
-    # in product order, a variable's value holds for a run of the later
-    # variables' combos, and the runs repeat for the earlier ones'
-    sizes = list(map(len, own.values()))
-    shape = {var: (math.prod(sizes[i + 1:]), math.prod(sizes[:i])) for i, var in enumerate(own)}
+    scope = tuple(own)
 
     def leaf(var, vals):
         if vals is None and var in own:
-            run, repeat = shape[var]
-            column = [made for value in own[var] for made in [make(var, (value,))] * run]
-            return _Entries(column * repeat)
+            return _Entries(_column([make(var, (v,)) for v in own[var]], (var,), scope, own))
         return make(var, vals_of(var, vals))
 
     return leaf
 
 
 def _entries(out, own: Mapping[str, Sequence[str]]) -> Sequence:
-    """A side table's fold result as its entries: a plain result is
-    shared by every assignment of own."""
-    return out if type(out) is _Entries else [out] * math.prod(map(len, own.values()))
+    """A side table's fold result as its entries: a plain result, a
+    table over no variable, is read along every assignment of own
+    (`_column`)."""
+    return out if type(out) is _Entries else _column([out], (), tuple(own), own)
 
 
 def _lift(node):
@@ -611,9 +608,10 @@ def _positions(sub, scope, domains) -> list[int]:
 def _column(entries: list, sub, scope, domains) -> list:
     """A table over sub, some of scope's variables, read along the rows
     of a table over scope. A table over all of scope is read as it is;
-    one over scope's last variables is repeated whole, once per combo of
-    the others, and one over its first variables entry by entry; any
-    other is read through one list of positions (`_positions`)."""
+    one over scope's last variables, or over none, is repeated whole,
+    once per combo of the others, and one over its first variables entry
+    by entry; any other is read through one list of positions
+    (`_positions`)."""
     if sub == scope:
         return entries
     rest = len(scope) - len(sub)

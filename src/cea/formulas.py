@@ -24,7 +24,7 @@ import operator
 from functools import partial, reduce
 from typing import Callable, Optional, Sequence
 
-from .algebra import Event, material_implies
+from .algebra import Event
 
 
 MAX_DEPTH = 100
@@ -163,9 +163,15 @@ _meet_all = partial(reduce, operator.and_)
 _join_all = partial(reduce, operator.or_)
 
 
+def _implies(b, a):
+    return ~b | a
+
+
 def ground(f: Formula, resolve_leaf: LeafResolver) -> Event:
-    """Map a formula to an event; implication grounds materially."""
-    return fold(f, resolve_leaf, operator.invert, _meet_all, _join_all, material_implies)
+    """Map a formula to an event through ~, & and |; implication grounds
+    materially, as ~b | a. Leaves may resolve to anything those operators
+    act on: Events, or the engine's int masks and side tables."""
+    return fold(f, resolve_leaf, operator.invert, _meet_all, _join_all, _implies)
 
 
 def bind_leaves(
