@@ -144,7 +144,8 @@ class ProbabilityMeasure:
         nonnegative `parse_weight` outputs, as `measure_from_json` builds
         them: floats or Fractions by construction, and nonnegative, so
         the list is held as it is, with no per-atom scan; its length and
-        its total are checked as any measure's."""
+        its total are checked as any measure's, a refused total named as
+        the factors' product."""
         p = object.__new__(cls)
         p._setup(space, weights, None, scanned=True)
         return p
@@ -154,7 +155,8 @@ class ProbabilityMeasure:
         """Check and hold one weight per atom: `values` are the weights
         when `denominator` is None, else integer numerators over it.
         Unless `scanned` says that they are already nonnegative floats
-        or Fractions, each value is checked (`_scan_atom_weights`)."""
+        or Fractions, the products of a factors file (`_of_products`),
+        each value is checked (`_scan_atom_weights`)."""
         if len(values) != space.atom_count:
             raise ValueError("one weight per atom required")
         if not scanned:
@@ -162,7 +164,8 @@ class ProbabilityMeasure:
         total = (_weight_total(values) if denominator is None
                  else Fraction(sum(values), denominator))
         if not weights_close(total, Fraction(1)):
-            raise ValueError(f"weights sum to {total}, expected 1")
+            what = "the factors' product sums" if scanned else "weights sum"
+            raise ValueError(f"{what} to {total}, expected 1")
         exact = denominator is not None
         self.space, self.exact, self._denominator, self._masses = space, exact, denominator, {}
         self._weights, self._numerators = (None, values) if exact else (values, None)

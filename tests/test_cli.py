@@ -386,6 +386,14 @@ EXIT_TWO_MESSAGES = [
                                                 "d": {"p": 0.5, "q": 0.5}}}},
      TINY + ["--aldp", "pl", "--measure", "measure.json"],
      'measure file has both an "atoms" and a "factors" section; it needs exactly one'),
+    # each factor sums to 1 within the tolerance, their product does not
+    ("factors-product-sum",
+     {"kb.json": _kb_with(variables=[{**X, "domain": ["0", "1", "2"]},
+                                     {**D, "domain": ["p", "q", "r"]}]),
+      "measure.json": {"factors": {"x": dict.fromkeys(["0", "1", "2"], 0.333333333333),
+                                   "d": dict.fromkeys(["p", "q", "r"], 0.333333333333)}}},
+     TINY + ["--aldp", "pl", "--measure", "measure.json"],
+     "the factors' product sums to 0.9999999999980002, expected 1"),
     ("unreadable-file", {}, ["eval", "--kb", "nope.json", "--observe", "obs.json",
                              "--aldp", "pl", "--measure", "uniform"],
      "cannot read nope.json: [Errno 2] No such file or directory: 'nope.json'"),
