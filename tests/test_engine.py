@@ -13,7 +13,6 @@ import pytest
 
 from cea import engine
 from cea.algebra import AtomSpace
-from cea.conditional import disjoin_all
 from cea.data import load_bundled_kb, load_bundled_observation
 from cea.engine import (
     KnowledgeBase,
@@ -52,7 +51,8 @@ def sweep_variables(kb, rules, obs, query_var):
 
 def enumerate_integrate_out(grounding, obs, aldp, query_var, query_value):
     """The reference integrator: the join of the conjunction form over
-    every assignment of the swept variables, one by one."""
+    every assignment of the swept variables, one by one, in the logic's
+    object-level lattice (`engine.lattice`)."""
     kb = grounding.kb
     rules = relevant_rules(kb, obs)
     sweep = sweep_variables(kb, rules, obs, query_var)
@@ -61,11 +61,7 @@ def enumerate_integrate_out(grounding, obs, aldp, query_var, query_value):
         assignment = dict(zip((v.name for v in sweep), combo))
         assignment[query_var] = query_value
         forms.append(conjoin_f(grounding, obs, rules, aldp, assignment))
-    if aldp == "fl":
-        return Or(forms)
-    if aldp == "cpl":
-        return disjoin_all(forms)
-    return reduce(or_, forms)
+    return engine.lattice(grounding, obs, aldp)[1](forms)
 
 
 def reference_elimination_order(scopes, domains, keep=None):
