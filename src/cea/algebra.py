@@ -46,10 +46,9 @@ class AtomSpace:
     :func:`material_implies` read a filled entry directly when both
     operands hold this very space object; :func:`_event` and ``_make``
     build the rest. ``zero`` and ``one`` are slots filled once here: two
-    entries of ``_events`` on a tabled space, else one object per space,
-    not a new one per read; ``events()`` iterates over ``_events`` where
-    there is one. The oracle side is tabled
-    too: on the same spaces ``_cosets``, indexed like ``_conds``, holds
+    entries of ``_events`` on a tabled space, else one object per space;
+    ``events()`` iterates over ``_events`` where there is one. The
+    oracle side is tabled too: on the same spaces ``_cosets``, indexed like ``_conds``, holds
     the literal coset :func:`cea.coset.expand` built for each
     conditional, and ``_iters`` maps each normalized pair (a & c, c) to
     the one IteratedConditional :func:`cea.higher.iter_cond` scanned for
