@@ -48,12 +48,12 @@ class AtomSpace:
     build the rest. ``zero`` and ``one`` are slots filled once here: two
     entries of ``_events`` on a tabled space, else one object per space;
     ``events()`` iterates over ``_events`` where there is one. The
-    oracle side is tabled too: on the same spaces ``_cosets``, indexed like ``_conds``, holds
-    the literal coset :func:`cea.coset.expand` built for each
-    conditional, and ``_iters`` maps each normalized pair (a & c, c) to
-    the one IteratedConditional :func:`cea.higher.iter_cond` scanned for
-    it (every space has the dict; iter_cond admits at most
-    MAX_ITER_ATOMS atoms). Each entry is built once, by the same
+    oracle side is tabled too: on the same spaces ``_cosets``, indexed
+    like ``_conds``, holds the literal coset :func:`cea.coset.expand`
+    built for each conditional, and ``_iters`` maps each normalized
+    pair (a & c, c) to the one IteratedConditional
+    :func:`cea.higher.iter_cond` scanned for it (every space has the
+    dict; iter_cond admits at most MAX_ITER_ATOMS atoms). Each entry is built once, by the same
     enumeration as on an untabled space, and is treated as immutable.
     So ``is`` may stand for ``==`` only between results of one tabled
     space; larger spaces, and equal spaces held in other objects, build
